@@ -19,13 +19,13 @@ import numpy as np
 from .crb import crb_report, crb_nq_trace
 from .errors import ConfigError, NumericalError
 from .experiments import (AQ_AGG_COLUMNS, AQ_TRACE_COLUMNS, ExperimentConfig,
-                          run_aq_trace, run_sweep, summarize, trial_seed_seq,
-                          write_dict_csv, write_json, write_trials_csv)
-from .model import (ComplexSystem, generate_channel, generate_pilots_orthogonal,
-                    power_for_snr, realify)
+                          generate_channel, pilot_model, run_aq_trace, run_sweep,
+                          summarize, trial_seed_seq, write_dict_csv, write_json,
+                          write_trials_csv)
 from .quant import thresholds_fixed, thresholds_oracle, thresholds_random
 
 ENV_OUT = "ONEBIT_MIMO_OUT"
+DETECT_FRAMES = 2000  # data-phase frames per trial when the config asks for none
 
 
 def _add_common(sp):
@@ -71,6 +71,8 @@ def load_config(args) -> ExperimentConfig:
         overrides["timing"] = True
     if args.out_dir is not None:
         overrides["out_dir"] = str(args.out_dir)
+    if args.command in ("detect-ser", "rate") and cfg.n_frames == 0:
+        overrides["n_frames"] = DETECT_FRAMES
     if overrides:
         cfg = replace(cfg, **overrides)
     cfg.validate()
@@ -108,9 +110,7 @@ def cmd_crb(cfg: ExperimentConfig) -> int:
         for snr in cfg.snr_db:
             ss = trial_seed_seq(cfg.seed, "REF", cfg.M, cfg.K, L, snr, 0)
             rng = np.random.default_rng(ss)
-            P = power_for_snr(snr, cfg.K, L, cfg.sigma2)
-            X = generate_pilots_orthogonal(cfg.K, L, P, rng_seed=rng, method=cfg.pilot_method)
-            model = realify(ComplexSystem(M=cfg.M, K=cfg.K, L=L, X=X, sigma2=cfg.sigma2, P=P))
+            model = pilot_model(cfg.M, cfg.K, L, snr, cfg.sigma2, cfg.pilot_method, rng)
             ch = generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng)
             denom = cfg.M * cfg.K
             entry = {"M": cfg.M, "K": cfg.K, "L": L, "snr_db": snr, "policies": {}}
@@ -147,8 +147,6 @@ def cmd_aq_trace(cfg: ExperimentConfig) -> int:
 
 def cmd_detect(cfg: ExperimentConfig, filename: str, metric: str) -> int:
     out = resolve_out_dir(cfg)
-    if cfg.n_frames == 0:
-        cfg = replace(cfg, n_frames=2000)
     rows = run_sweep(cfg)
     write_trials_csv(rows, out / filename)
     summary = summarize(cfg, rows)

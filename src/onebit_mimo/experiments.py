@@ -13,16 +13,16 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .crb import crb_nq_trace, crb_trace
-from .detect import QPSK, achievable_rate, detect_frames, simulate_frames
+from .detect import K_MAX_DEFAULT, QPSK, achievable_rate, detect_frames, simulate_frames
 from .errors import ConfigError
 from .mle import ChannelEstimate
-from .model import (ComplexSystem, channel_mse, generate_channel,
+from .model import (ComplexSystem, RealModel, channel_mse, generate_channel,
                     generate_pilots_orthogonal, power_for_snr, real_to_channel, realify)
 from .quant import thresholds_oracle
 from .schemes import run_aq, run_fq, run_nq, run_oq, run_rq
@@ -62,11 +62,9 @@ class ExperimentConfig:
     timing: bool = False    # wall_ms column stays empty unless enabled (keeps CSV reruns byte-identical)
     out_dir: str | None = None
 
-    KNOWN = None  # filled after class body
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - cls.KNOWN
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
         cfg = cls(**data)
@@ -126,22 +124,15 @@ class ExperimentConfig:
             raise ConfigError("pilot_method: must be 'qr' or 'dft'")
         if self.n_frames < 0:
             raise ConfigError("n_frames: must be non-negative")
+        if self.n_frames > 0 and self.K > K_MAX_DEFAULT:
+            raise ConfigError(f"K: one-bit detection in the data phase allows "
+                              f"K <= {K_MAX_DEFAULT} (got K={self.K})")
         if self.threads < 1:
             raise ConfigError("threads: must be >= 1")
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "M": self.M, "K": self.K, "L": list(self.L), "snr_db": list(self.snr_db),
-            "schemes": list(self.schemes), "i_max": self.i_max, "trials": self.trials,
-            "seed": self.seed, "sigma_h2": self.sigma_h2, "sigma2": self.sigma2,
-            "pilot_method": self.pilot_method, "n_frames": self.n_frames,
-            "rate_cap": self.rate_cap, "threads": self.threads, "timing": self.timing,
-            "out_dir": self.out_dir,
-        }
-
-
-ExperimentConfig.KNOWN = frozenset(ExperimentConfig().to_dict())
+        return asdict(self)
 
 
 @dataclass
@@ -173,6 +164,14 @@ def trial_seed_seq(master: int, scheme: str, M: int, K: int, L: int,
     )
 
 
+def pilot_model(M: int, K: int, L: int, snr_db: float, sigma2: float,
+                pilot_method: str, rng) -> RealModel:
+    """Orthogonal pilots at the power the SNR implies, in real block form."""
+    P = power_for_snr(snr_db, K, L, sigma2)
+    X = generate_pilots_orthogonal(K, L, P, rng_seed=rng, method=pilot_method)
+    return realify(ComplexSystem(M=M, K=K, L=L, X=X, sigma2=sigma2, P=P))
+
+
 def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
               master_seed: int, sigma2: float = 1.0, sigma_h2: float = 1.0,
               i_max: int = 5, pilot_method: str = "qr", n_frames: int = 0,
@@ -183,10 +182,7 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
     rng = np.random.default_rng(ss)
     t0 = time.perf_counter() if timing else None
 
-    P = power_for_snr(snr_db, K, L, sigma2)
-    X = generate_pilots_orthogonal(K, L, P, rng_seed=rng, method=pilot_method)
-    sys = ComplexSystem(M=M, K=K, L=L, X=X, sigma2=sigma2, P=P)
-    model = realify(sys)
+    model = pilot_model(M, K, L, snr_db, sigma2, pilot_method, rng)
     ch = generate_channel(M, K, sigma_h2, rng_seed=rng)
 
     if scheme == "FQ":
@@ -261,10 +257,8 @@ def reference_floors(cfg: ExperimentConfig, L: int, snr_db: float) -> dict:
     a reference model built from a derived seed represents the whole cell.
     """
     ss = trial_seed_seq(cfg.seed, "REF", cfg.M, cfg.K, L, snr_db, 0)
-    P = power_for_snr(snr_db, cfg.K, L, cfg.sigma2)
-    X = generate_pilots_orthogonal(cfg.K, L, P, rng_seed=np.random.default_rng(ss),
-                                   method=cfg.pilot_method)
-    model = realify(ComplexSystem(M=cfg.M, K=cfg.K, L=L, X=X, sigma2=cfg.sigma2, P=P))
+    model = pilot_model(cfg.M, cfg.K, L, snr_db, cfg.sigma2, cfg.pilot_method,
+                        np.random.default_rng(ss))
     h0 = np.zeros(model.dim)
     oq = crb_trace(model, thresholds_oracle(model, h0), h0)
     nq = crb_nq_trace(model)
@@ -315,10 +309,7 @@ def run_aq_trace(cfg: ExperimentConfig):
                 ss = trial_seed_seq(cfg.seed, "AQ", cfg.M, cfg.K, L, snr, trial)
                 seed_repr = int(ss.generate_state(1)[0])
                 rng = np.random.default_rng(ss)
-                P = power_for_snr(snr, cfg.K, L, cfg.sigma2)
-                X = generate_pilots_orthogonal(cfg.K, L, P, rng_seed=rng, method=cfg.pilot_method)
-                model = realify(ComplexSystem(M=cfg.M, K=cfg.K, L=L, X=X,
-                                              sigma2=cfg.sigma2, P=P))
+                model = pilot_model(cfg.M, cfg.K, L, snr, cfg.sigma2, cfg.pilot_method, rng)
                 ch = generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng)
                 _, state = run_aq(model, ch.h, cfg.i_max, rng, sigma_h2=cfg.sigma_h2)
                 for it in state.history:

@@ -53,7 +53,6 @@ class LikelihoodProblem:
 
     batches: list
     model: RealModel
-    clamp_eps: float = 1e-300  # final probability guard; the log-space paths never hit it
 
     def __post_init__(self):
         if isinstance(self.batches, QuantizedBatch):
@@ -90,34 +89,46 @@ def _stacked(prob: LikelihoodProblem):
     return B, T
 
 
-def log_likelihood(prob: LikelihoodProblem, h: np.ndarray) -> float:
-    """Sum over batches and measurements of log Phi(b*(a^T h - tau)/sigma)."""
+def _margins(H, B, T, At, sigma):
+    """s = b * (a^T h - tau) / sigma for antenna rows H against (batch, row, 2L) data."""
+    return B * ((H @ At.T)[None, :, :] - T) / sigma
+
+
+def _score(B, lam, At, sigma):
+    """Per-antenna gradient rows sum_n b_n mills(s_n) a_n / sigma."""
+    return (B * lam).sum(axis=0) @ At / sigma
+
+
+def _curvature(S, lam, sigma2):
+    """-d2l/dz2 per measurement, summed over batches."""
+    return (lam * (S + lam)).sum(axis=0) / sigma2
+
+
+def _problem_margins(prob: LikelihoodProblem, h: np.ndarray):
     m = prob.model
     B, T = _stacked(prob)
-    Z = np.asarray(h, dtype=float).reshape(m.M, 2 * m.K) @ m.A_tilde.T
-    S = B * (Z[None, :, :] - T) / np.sqrt(m.sigma2)
+    H = np.asarray(h, dtype=float).reshape(m.M, 2 * m.K)
+    return B, _margins(H, B, T, m.A_tilde, np.sqrt(m.sigma2))
+
+
+def log_likelihood(prob: LikelihoodProblem, h: np.ndarray) -> float:
+    """Sum over batches and measurements of log Phi(b*(a^T h - tau)/sigma)."""
+    _, S = _problem_margins(prob, h)
     return float(norm_logcdf(S).sum())
 
 
 def gradient(prob: LikelihoodProblem, h: np.ndarray) -> np.ndarray:
     """Analytic score: sum_n (dl/dz_n) a_n, assembled per antenna block."""
     m = prob.model
-    sigma = np.sqrt(m.sigma2)
-    B, T = _stacked(prob)
-    Z = np.asarray(h, dtype=float).reshape(m.M, 2 * m.K) @ m.A_tilde.T
-    S = B * (Z[None, :, :] - T) / sigma
-    W = B * mills_ratio(S) / sigma
-    return (W.sum(axis=0) @ m.A_tilde).reshape(-1)
+    B, S = _problem_margins(prob, h)
+    return _score(B, mills_ratio(S), m.A_tilde, np.sqrt(m.sigma2)).reshape(-1)
 
 
 def hessian_action(prob: LikelihoodProblem, h: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the (negative semidefinite) Hessian to v without forming it."""
     m = prob.model
-    B, T = _stacked(prob)
-    Z = np.asarray(h, dtype=float).reshape(m.M, 2 * m.K) @ m.A_tilde.T
-    S = B * (Z[None, :, :] - T) / np.sqrt(m.sigma2)
-    lam = mills_ratio(S)
-    curv = (lam * (S + lam)).sum(axis=0) / m.sigma2  # -d2l/dz2 per measurement, summed over batches
+    _, S = _problem_margins(prob, h)
+    curv = _curvature(S, mills_ratio(S), m.sigma2)
     V = np.asarray(v, dtype=float).reshape(m.M, 2 * m.K)
     ZV = V @ m.A_tilde.T
     return -((curv * ZV) @ m.A_tilde).reshape(-1)
@@ -145,10 +156,6 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
     H = np.zeros((M, K2)) if h0 is None else np.asarray(h0, dtype=float).reshape(M, K2).copy()
     eye = np.eye(K2)
 
-    def ll_rows(Hr, Br, Tr):
-        S = Br * (Hr @ At.T - Tr) / sigma
-        return norm_logcdf(S).sum(axis=(0, 2))
-
     active = np.ones(M, dtype=bool)
     capped = np.zeros(M, dtype=bool)
     iters_used = 0
@@ -160,10 +167,9 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
         iters_used += 1
 
         Hs, Bs, Ts = H[idx], B[:, idx], T[:, idx]
-        Z = Hs @ At.T
-        S = Bs * (Z[None, :, :] - Ts) / sigma
+        S = _margins(Hs, Bs, Ts, At, sigma)
         lam = mills_ratio(S)
-        G = (Bs * lam).sum(axis=0) @ At / sigma
+        G = _score(Bs, lam, At, sigma)
         gn = np.linalg.norm(G, axis=1)
 
         done = gn <= tol
@@ -176,7 +182,7 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
             Hs, Bs, Ts = Hs[keep], Bs[:, keep], Ts[:, keep]
             S, lam, G = S[:, keep], lam[:, keep], G[keep]
 
-        curv = (lam * (S + lam)).sum(axis=0) / m.sigma2
+        curv = _curvature(S, lam, m.sigma2)
         Hneg = np.einsum("ar,ri,rj->aij", curv, At, At)
         try:
             step = np.linalg.solve(Hneg, G[..., None])[..., 0]
@@ -195,7 +201,7 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
             if pend.size == 0:
                 break
             trial = Hs[pend] + t[pend, None] * step[pend]
-            llt = ll_rows(trial, Bs[:, pend], Ts[:, pend])
+            llt = norm_logcdf(_margins(trial, Bs[:, pend], Ts[:, pend], At, sigma)).sum(axis=(0, 2))
             ok = llt >= ll0[pend] + ARMIJO_C1 * t[pend] * slope[pend]
             good = pend[ok]
             Hnew[good] = trial[ok]
@@ -218,15 +224,14 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
             # genuinely stuck; final gradient check below decides which.
             active[idx[stalled]] = False
 
-    h_flat = H.reshape(-1)
-    g_final = gradient(prob, h_flat).reshape(M, K2)
+    S_final = _margins(H, B, T, At, sigma)
+    g_final = _score(B, mills_ratio(S_final), At, sigma)
     per_antenna = np.linalg.norm(g_final, axis=1)
-    S_final = B * ((H @ At.T)[None, :, :] - T) / sigma
     ll_per_antenna = norm_logcdf(S_final).sum(axis=(0, 2))
     separable = ll_per_antenna > SEPARABLE_LL_TOL
     antenna_ok = (per_antenna <= tol) & ~capped & ~separable
     return ChannelEstimate(
-        h_hat=h_flat,
+        h_hat=H.reshape(-1),
         iterations=iters_used,
         grad_norm=float(np.linalg.norm(g_final)),
         converged=bool(antenna_ok.all()),

@@ -184,10 +184,8 @@ def generate_pilots_orthogonal(K: int, L: int, P: float, rng_seed=None, method: 
     return X
 
 
-def generate_noisy_observation(model, h: np.ndarray, rng_seed=None) -> np.ndarray:
+def generate_noisy_observation(model: RealModel, h: np.ndarray, rng_seed=None) -> np.ndarray:
     """y = A h + w with w ~ N(0, sigma2 I_N), sigma2 per real component."""
-    if isinstance(model, ComplexSystem):
-        model = realify(model)
     rng = as_rng(rng_seed)
     y = model.apply(h)
     if model.sigma2 > 0.0:

@@ -29,7 +29,6 @@ class QuantizedBatch:
 
     b: np.ndarray
     tau: ThresholdVector
-    model: RealModel | None = None
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.int8)
@@ -39,7 +38,7 @@ class QuantizedBatch:
         object.__setattr__(self, "b", b)
 
 
-def quantize(y: np.ndarray, tau, model: RealModel | None = None) -> QuantizedBatch:
+def quantize(y: np.ndarray, tau) -> QuantizedBatch:
     """b_n = +1 iff y_n >= tau_n, else -1.
 
     Sign of an exact tie is +1, so the outcome is deterministic even on
@@ -50,7 +49,7 @@ def quantize(y: np.ndarray, tau, model: RealModel | None = None) -> QuantizedBat
     if y.shape != tv.tau.shape:
         raise ValueError(f"length mismatch: y has {y.shape}, tau has {tv.tau.shape}")
     b = np.where(y >= tv.tau, 1, -1).astype(np.int8)
-    return QuantizedBatch(b=b, tau=tv, model=model)
+    return QuantizedBatch(b=b, tau=tv)
 
 
 def thresholds_fixed(N: int, c: float = 0.0) -> ThresholdVector:

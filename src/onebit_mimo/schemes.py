@@ -8,8 +8,8 @@ state used by the convergence experiments.  Runs are pure functions of
 Fairness note: an adaptive run with i_max rounds of L pilot symbols
 spends i_max * L symbols and consumes i_max * N binary measurements,
 versus L symbols and N measurements for the single-shot schemes.
-AqState keeps the accounting explicit (bits_used == i_max * N); compare
-an AQ row at L with single-shot rows at i_max * L.
+AqState.batches holds all i_max rounds, so the accounting stays explicit;
+compare an AQ row at L with single-shot rows at i_max * L.
 """
 
 from __future__ import annotations
@@ -45,17 +45,13 @@ class AqState:
     h_hat: np.ndarray | None
     history: list = field(default_factory=list)
 
-    @property
-    def bits_used(self) -> int:
-        return sum(batch.b.size for batch in self.batches)
-
 
 def run_fq(model: RealModel, h: np.ndarray, rng_seed=None, c: float = 0.0) -> ChannelEstimate:
     """Fixed threshold c on every comparator (c = 0 is the conventional ADC)."""
     rng = as_rng(rng_seed)
     tau = thresholds_fixed(model.N, c)
     y = generate_noisy_observation(model, h, rng)
-    return solve_ml(LikelihoodProblem([quantize(y, tau, model)], model))
+    return solve_ml(LikelihoodProblem([quantize(y, tau)], model))
 
 
 def run_rq(model: RealModel, h: np.ndarray, sigma_h2: float = 1.0, rng_seed=None) -> ChannelEstimate:
@@ -63,7 +59,7 @@ def run_rq(model: RealModel, h: np.ndarray, sigma_h2: float = 1.0, rng_seed=None
     rng = as_rng(rng_seed)
     tau = thresholds_random(model, sigma_h2, rng)
     y = generate_noisy_observation(model, h, rng)
-    return solve_ml(LikelihoodProblem([quantize(y, tau, model)], model))
+    return solve_ml(LikelihoodProblem([quantize(y, tau)], model))
 
 
 def run_oq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
@@ -71,7 +67,7 @@ def run_oq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
     rng = as_rng(rng_seed)
     tau = thresholds_oracle(model, h)
     y = generate_noisy_observation(model, h, rng)
-    return solve_ml(LikelihoodProblem([quantize(y, tau, model)], model))
+    return solve_ml(LikelihoodProblem([quantize(y, tau)], model))
 
 
 def run_nq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
@@ -113,7 +109,7 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
     attempt = None
     for i in range(1, i_max + 1):
         y = generate_noisy_observation(model, h, rng)
-        state.batches.append(quantize(y, state.tau, model))
+        state.batches.append(quantize(y, state.tau))
         attempt = solve_ml(LikelihoodProblem(list(state.batches), model),
                            h0=cur.reshape(-1))
         cur = attempt.h_hat.reshape(model.M, 2 * model.K).copy()

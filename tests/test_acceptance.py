@@ -87,7 +87,7 @@ def test_criterion_03_newton_matches_grid_oracle():
         ch = om.generate_channel(1, 1, 1.0, rng)
         tau = om.thresholds_random(model, 1.0, rng)
         y = om.generate_noisy_observation(model, ch.h, rng)
-        prob = LikelihoodProblem([om.quantize(y, tau, model)], model)
+        prob = LikelihoodProblem([om.quantize(y, tau)], model)
         est = om.solve_ml(prob)
         if not est.converged or np.abs(est.h_hat).max() > 3.5:
             skipped += 1  # no finite maximum, or it sits outside the lattice
@@ -122,7 +122,7 @@ def test_criterion_04_calculus_suite():
         ch = om.generate_channel(M, K, 1.0, rng)
         tau = om.thresholds_random(model, 1.0, rng)
         y = om.generate_noisy_observation(model, ch.h, rng)
-        prob = LikelihoodProblem([om.quantize(y, tau, model)], model)
+        prob = LikelihoodProblem([om.quantize(y, tau)], model)
         for _ in range(n_points // 50):
             h = rng.normal(0.0, 0.8, size=model.dim)
             g = om.gradient(prob, h)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +203,38 @@ def test_cli_env_var_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUT, str(target))
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
     assert (target / "sweep.csv").exists()
+
+
+def test_cli_detect_rejects_k_beyond_exhaustive_search(tmp_path, capsys, monkeypatch):
+    data = dict(M=2, K=9, L=[9], snr_db=[5.0], schemes=["OQ"], trials=1, seed=1)
+    cfg_path = write_yaml(tmp_path, data)
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg: pytest.fail("estimation ran"))
+    for command in ("detect-ser", "rate"):
+        assert cli.main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
+    monkeypatch.undo()
+    # without a data phase K=9 is an ordinary estimation sweep
+    cfg_path = write_yaml(tmp_path, dict(data, n_frames=0))
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert (out / "sweep.csv").exists()
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_runs_one_trial(path, tmp_path):
+    # each config's first line is the command that runs it
+    words = path.read_text().splitlines()[0].split()
+    assert words[:2] == ["#", "onebit-mimo"]
+    assert words[3:] == ["--config", f"configs/{path.name}"]
+    ExperimentConfig.from_yaml(path).validate()
+    out = tmp_path / "out"
+    assert cli.main([words[2], "--config", str(path), "--trials", "1",
+                     "--out-dir", str(out)]) == 0
+    assert any(out.glob("*.csv"))
 
 
 def test_cli_flag_overrides(tmp_path):

@@ -26,13 +26,13 @@ def make_problem(M=2, K=2, L=6, seed=0, snr_db=8.0, n_batches=1, policy="random"
         else:
             tau = om.thresholds_fixed(model.N, 0.0)
         y = om.generate_noisy_observation(model, ch.h, rng)
-        batches.append(om.quantize(y, tau, model))
+        batches.append(om.quantize(y, tau))
     return model, ch, LikelihoodProblem(batches, model)
 
 
 def test_log_likelihood_at_threshold_is_log_half():
     model = identity_pilot_model()
-    batch = om.quantize(np.zeros(2), om.thresholds_fixed(2, 0.0), model)
+    batch = om.quantize(np.zeros(2), om.thresholds_fixed(2, 0.0))
     prob = LikelihoodProblem([batch], model)
     assert abs(om.log_likelihood(prob, np.zeros(2)) - 2 * LOG_HALF) < 1e-12
 
@@ -48,7 +48,7 @@ def test_log_likelihood_additive_over_batches():
 def test_log_likelihood_deep_tail_no_underflow():
     # b = +1 with the signal 10 sigma below threshold: log Phi(-10) per measurement
     model = identity_pilot_model()
-    batch = om.quantize(np.zeros(2) + 1e-9, om.thresholds_fixed(2, 0.0), model)
+    batch = om.quantize(np.zeros(2) + 1e-9, om.thresholds_fixed(2, 0.0))
     prob = LikelihoodProblem([batch], model)
     val = om.log_likelihood(prob, np.array([-10.0, -10.0]))
     assert abs(val - 2 * (-53.231285150512565)) < 1e-8
@@ -57,7 +57,7 @@ def test_log_likelihood_deep_tail_no_underflow():
 
 def test_gradient_value_at_threshold():
     model = identity_pilot_model()
-    batch = om.quantize(np.ones(2), om.thresholds_fixed(2, 0.0), model)  # b = +1
+    batch = om.quantize(np.ones(2), om.thresholds_fixed(2, 0.0))  # b = +1
     prob = LikelihoodProblem([batch], model)
     g = om.gradient(prob, np.zeros(2))
     assert np.allclose(g, np.sqrt(2.0 / np.pi), rtol=1e-12)
@@ -65,7 +65,7 @@ def test_gradient_value_at_threshold():
 
 def test_curvature_value_at_threshold():
     model = identity_pilot_model()
-    batch = om.quantize(np.ones(2), om.thresholds_fixed(2, 0.0), model)
+    batch = om.quantize(np.ones(2), om.thresholds_fixed(2, 0.0))
     prob = LikelihoodProblem([batch], model)
     hv = om.hessian_action(prob, np.zeros(2), np.array([1.0, 0.0]))
     assert np.allclose(hv, [-2.0 / np.pi, 0.0], atol=1e-12)
@@ -158,7 +158,7 @@ def test_solver_matches_grid_on_tiny_instance():
     ch = om.generate_channel(1, 1, 1.0, rng)
     tau = om.thresholds_random(model, 1.0, rng)
     y = om.generate_noisy_observation(model, ch.h, rng)
-    prob = LikelihoodProblem([om.quantize(y, tau, model)], model)
+    prob = LikelihoodProblem([om.quantize(y, tau)], model)
     est = om.solve_ml(prob)
     assert est.converged
     from onebit_mimo.gauss import norm_logcdf
@@ -181,7 +181,6 @@ def test_joint_solve_equals_independent_antenna_solves():
             om.QuantizedBatch(
                 b=b.b[m * L2:(m + 1) * L2],
                 tau=om.ThresholdVector(b.tau.tau[m * L2:(m + 1) * L2], b.tau.policy),
-                model=sub_model,
             )
             for b in prob.batches
         ]
@@ -196,7 +195,7 @@ def test_separable_data_flagged_not_converged():
     sys = om.build_system(1, 2, 8, snr_db=10.0, rng_seed=rng)
     model = om.realify(sys)
     ch = om.generate_channel(1, 2, 1.0, rng)
-    b = om.quantize(model.apply(ch.h), om.thresholds_fixed(model.N, 0.0), model)
+    b = om.quantize(model.apply(ch.h), om.thresholds_fixed(model.N, 0.0))
     est = om.solve_ml(LikelihoodProblem([b], model))
     assert not est.converged
     assert not est.antenna_converged.any()
@@ -246,7 +245,7 @@ def test_solve_nq_singular_model_raises():
 
 def test_problem_validation():
     model = identity_pilot_model()
-    good = om.quantize(np.zeros(2), om.thresholds_fixed(2, 0.0), model)
+    good = om.quantize(np.zeros(2), om.thresholds_fixed(2, 0.0))
     with pytest.raises(ValueError):
         LikelihoodProblem([], model)
     other = om.quantize(np.zeros(4), om.thresholds_fixed(4, 0.0))

@@ -50,9 +50,9 @@ def test_rq_zero_prior_variance_reduces_to_fixed_thresholds():
     tau = om.thresholds_random(model, 0.0, rng)
     assert np.array_equal(tau.tau, np.zeros(model.N))
     y = om.generate_noisy_observation(model, ch.h, rng)
-    est_rq_path = om.solve_ml(om.LikelihoodProblem([om.quantize(y, tau, model)], model))
+    est_rq_path = om.solve_ml(om.LikelihoodProblem([om.quantize(y, tau)], model))
     est_fq_path = om.solve_ml(om.LikelihoodProblem(
-        [om.quantize(y, om.thresholds_fixed(model.N, 0.0), model)], model))
+        [om.quantize(y, om.thresholds_fixed(model.N, 0.0))], model))
     assert np.array_equal(est_rq_path.h_hat, est_fq_path.h_hat)
 
 
@@ -62,7 +62,7 @@ def test_aq_state_invariants():
     assert state.i == 4
     assert len(state.batches) == 4
     assert len(state.history) == 4
-    assert state.bits_used == 4 * model.N
+    assert sum(b.b.size for b in state.batches) == 4 * model.N
     # thresholds are exactly the operator applied to the working estimate
     assert np.array_equal(state.tau.tau, model.apply(state.h_hat))
     assert state.tau.policy == "adaptive" and state.tau.iteration == 4
