@@ -6,10 +6,10 @@ quantization-threshold and pilot design, the adaptive (AQ) and random
 reproducible Monte Carlo sweep harness.
 """
 
-from .crb import (CrbReport, crb_nq_trace, crb_report, crb_trace, fim,
-                  g_bar_bound, g_weight, gaussian_cdf_bound)
-from .detect import (QPSK, RateResult, SerResult, SymbolFrame, achievable_rate,
-                     detect_frames, detect_ml_onebit, measure_ser, simulate_frames)
+from .crb import (CrbReport, crb_nq_trace, crb_trace, fim, g_bar_bound, g_weight,
+                  gaussian_cdf_bound)
+from .detect import (QPSK, RateResult, SerResult, achievable_rate, detect_frames,
+                     measure_ser, simulate_frames)
 from .errors import ConfigError, NumericalError
 from .experiments import ExperimentConfig, TrialResult, run_sweep, run_trial, summarize
 from .mle import (ChannelEstimate, LikelihoodProblem, gradient, hessian_action,
@@ -18,8 +18,8 @@ from .model import (ChannelRealization, ComplexSystem, RealModel, build_system,
                     channel_mse, channel_to_real, generate_channel,
                     generate_noisy_observation, generate_pilots_orthogonal,
                     power_for_snr, real_to_channel, realify, snr_of)
-from .quant import (QuantizedBatch, ThresholdVector, quantize, thresholds_fixed,
-                    thresholds_oracle, thresholds_random)
+from .quant import (QuantizedBatch, quantize, thresholds_fixed, thresholds_oracle,
+                    thresholds_random)
 from .schemes import AqIterate, AqState, run_aq, run_fq, run_nq, run_oq, run_rq
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crb import crb_report, crb_nq_trace
+from .crb import crb_nq_trace, crb_trace
 from .errors import ConfigError, NumericalError
 from .experiments import (AQ_AGG_COLUMNS, AQ_TRACE_COLUMNS, ExperimentConfig,
                           generate_channel, pilot_model, run_aq_trace, run_sweep,
@@ -84,16 +84,19 @@ def resolve_out_dir(cfg: ExperimentConfig) -> Path:
     return Path(out)
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> int:
-    out = resolve_out_dir(cfg)
+def cmd_sweep(cfg: ExperimentConfig, filename: str, metric: str) -> int:
+    """Run the sweep, write its per-trial CSV and summary JSON, print a metric per cell."""
+    csv_path = resolve_out_dir(cfg) / filename
+    json_path = csv_path.with_suffix(".json")
     rows = run_sweep(cfg)
-    write_trials_csv(rows, out / "sweep.csv")
+    write_trials_csv(rows, csv_path)
     summary = summarize(cfg, rows)
-    write_json(summary, out / "sweep.json")
+    write_json(summary, json_path)
+    key = f"median_{metric}"
     for cell in summary["cells"]:
         print(f"{cell['scheme']:>4s}  L={cell['L']:<4d} snr={cell['snr_db']:g} dB  "
-              f"median MSE {cell['median_mse']:.4g}  ({cell['n_converged']}/{cell['n']} converged)")
-    print(f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}")
+              f"median {metric} {cell[key]:.4g}  ({cell['n_converged']}/{cell['n']} converged)")
+    print(f"wrote {csv_path} and {json_path}")
     return 0
 
 
@@ -114,19 +117,19 @@ def cmd_crb(cfg: ExperimentConfig) -> int:
             ch = generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng)
             denom = cfg.M * cfg.K
             entry = {"M": cfg.M, "K": cfg.K, "L": L, "snr_db": snr, "policies": {}}
-            oq = crb_report(model, thresholds_oracle(model, ch.h), ch.h)
+            oq = crb_trace(model, thresholds_oracle(model, ch.h), ch.h)
             nq = crb_nq_trace(model)
-            entry["policies"]["OQ"] = {"trace": oq.crb_trace, "per_coeff": oq.crb_trace / denom}
+            entry["policies"]["OQ"] = {"trace": oq, "per_coeff": oq / denom}
             entry["policies"]["NQ"] = {"trace": nq, "per_coeff": nq / denom}
             if "FQ" in cfg.schemes:
-                fq = crb_report(model, thresholds_fixed(model.N, 0.0), ch.h)
-                entry["policies"]["FQ"] = {"trace": fq.crb_trace, "per_coeff": fq.crb_trace / denom}
+                fq = crb_trace(model, thresholds_fixed(model.N), ch.h)
+                entry["policies"]["FQ"] = {"trace": fq, "per_coeff": fq / denom}
             if "RQ" in cfg.schemes:
-                rq = crb_report(model, thresholds_random(model, cfg.sigma_h2, rng), ch.h)
-                entry["policies"]["RQ"] = {"trace": rq.crb_trace, "per_coeff": rq.crb_trace / denom}
-            entry["ratio_oq_nq"] = oq.crb_trace / nq
+                rq = crb_trace(model, thresholds_random(model, cfg.sigma_h2, rng), ch.h)
+                entry["policies"]["RQ"] = {"trace": rq, "per_coeff": rq / denom}
+            entry["ratio_oq_nq"] = oq / nq
             entries.append(entry)
-            print(f"L={L:<4d} snr={snr:g} dB  tr(CRB_OQ)={oq.crb_trace:.6g}  "
+            print(f"L={L:<4d} snr={snr:g} dB  tr(CRB_OQ)={oq:.6g}  "
                   f"tr(CRB_NQ)={nq:.6g}  ratio={entry['ratio_oq_nq']:.12f}")
     write_json({"config": cfg.to_dict(), "entries": entries}, out / "crb.json")
     print(f"wrote {out / 'crb.json'}")
@@ -145,35 +148,20 @@ def cmd_aq_trace(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_detect(cfg: ExperimentConfig, filename: str, metric: str) -> int:
-    out = resolve_out_dir(cfg)
-    rows = run_sweep(cfg)
-    write_trials_csv(rows, out / filename)
-    summary = summarize(cfg, rows)
-    write_json(summary, out / (Path(filename).stem + ".json"))
-    key = f"median_{metric}"
-    for cell in summary["cells"]:
-        if key in cell:
-            print(f"{cell['scheme']:>4s}  L={cell['L']:<4d} snr={cell['snr_db']:g} dB  "
-                  f"median {metric} {cell[key]:.4g}")
-    print(f"wrote {out / filename}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
         if args.command == "sweep":
-            return cmd_sweep(cfg)
+            return cmd_sweep(cfg, "sweep.csv", "mse")
         if args.command == "crb":
             return cmd_crb(cfg)
         if args.command == "aq-trace":
             return cmd_aq_trace(cfg)
         if args.command == "detect-ser":
-            return cmd_detect(cfg, "detect_ser.csv", "ser")
+            return cmd_sweep(cfg, "detect_ser.csv", "ser")
         if args.command == "rate":
-            return cmd_detect(cfg, "rate.csv", "rate")
+            return cmd_sweep(cfg, "rate.csv", "rate")
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -16,21 +16,18 @@ from scipy.special import erf
 from .errors import NumericalError
 from .gauss import SQRT_2, mills_ratio
 from .model import RealModel
-from .quant import ThresholdVector
 
 COND_LIMIT = 1e12
 
 
 @dataclass
 class CrbReport:
-    """Per-antenna Fisher blocks plus inverse-based summaries when computed."""
+    """Per-antenna Fisher blocks and their worst conditioning."""
 
     fim_blocks: np.ndarray  # (M, 2K, 2K)
     worst_condition: float
     worst_block: int
     near_singular: bool
-    crb_trace: float | None = None
-    crb_diag: np.ndarray | None = None
 
 
 def g_weight(u, sigma2: float):
@@ -49,10 +46,10 @@ def g_weight(u, sigma2: float):
 
 def fim(model: RealModel, tau, h: np.ndarray) -> CrbReport:
     """Fisher information sum_n g(u_n) a_n a_n^T as per-antenna blocks."""
-    tau_arr = tau.tau if isinstance(tau, ThresholdVector) else np.asarray(tau, dtype=float)
-    if tau_arr.shape != (model.N,):
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape != (model.N,):
         raise ValueError("tau length does not match the model's N")
-    u = (model.apply(h) - tau_arr).reshape(model.M, 2 * model.L)
+    u = (model.apply(h) - tau).reshape(model.M, 2 * model.L)
     g = g_weight(u, model.sigma2)
     blocks = np.einsum("mr,ri,rj->mij", g, model.A_tilde, model.A_tilde)
     conds = np.linalg.cond(blocks)
@@ -63,7 +60,9 @@ def fim(model: RealModel, tau, h: np.ndarray) -> CrbReport:
                      worst_block=worst, near_singular=near)
 
 
-def _invert_blocks(report: CrbReport) -> CrbReport:
+def crb_trace(model: RealModel, tau, h: np.ndarray) -> float:
+    """Trace of the CRB matrix for the given thresholds at channel h."""
+    report = fim(model, tau, h)
     if report.near_singular:
         raise NumericalError(
             f"FIM block {report.worst_block} has condition number "
@@ -71,20 +70,7 @@ def _invert_blocks(report: CrbReport) -> CrbReport:
             "unreliable -- check pilots (need L >= K) and threshold offsets"
         )
     inv = np.linalg.inv(report.fim_blocks)
-    diag = np.diagonal(inv, axis1=1, axis2=2)
-    report.crb_trace = float(diag.sum())
-    report.crb_diag = diag.reshape(-1)
-    return report
-
-
-def crb_report(model: RealModel, tau, h: np.ndarray) -> CrbReport:
-    """FIM blocks together with the CRB trace and diagonal."""
-    return _invert_blocks(fim(model, tau, h))
-
-
-def crb_trace(model: RealModel, tau, h: np.ndarray) -> float:
-    """Trace of the CRB matrix for the given thresholds at channel h."""
-    return crb_report(model, tau, h).crb_trace
+    return float(np.diagonal(inv, axis1=1, axis2=2).sum())
 
 
 def crb_nq_trace(model: RealModel) -> float:

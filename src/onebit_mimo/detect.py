@@ -10,7 +10,6 @@ single matrix product over hypotheses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -25,21 +24,6 @@ QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 K_MAX_DEFAULT = 8
 
 _HYP_CACHE: dict[int, np.ndarray] = {}
-
-
-@dataclass(frozen=True)
-class SymbolFrame:
-    """One time slot of transmitted (or detected) QPSK symbols."""
-
-    s: np.ndarray  # (K,) complex, entries exactly on the QPSK constellation
-    t: int = 0
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=complex)
-        if not np.isin(s, QPSK).all():
-            raise ValueError("symbols must lie exactly on the unit-energy QPSK constellation")
-        s.setflags(write=False)
-        object.__setattr__(self, "s", s)
 
 
 def hypothesis_indices(K: int) -> np.ndarray:
@@ -94,14 +78,6 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray, sigma2: float,
         scores = base[None, :] + pos_mask @ delta.T   # (f, 4^K)
         out[sl] = hyp[np.argmax(scores, axis=1)]
     return out
-
-
-def detect_ml_onebit(H_hat: np.ndarray, b_frame: np.ndarray, sigma2: float,
-                     symbol_power: float = 1.0, k_max: int = K_MAX_DEFAULT) -> SymbolFrame:
-    """Detect a single frame; see detect_frames for conventions."""
-    idx = detect_frames(H_hat, np.asarray(b_frame)[None, :], sigma2,
-                        symbol_power=symbol_power, k_max=k_max)[0]
-    return SymbolFrame(s=QPSK[idx])
 
 
 def simulate_frames(H: np.ndarray, sigma2: float, symbol_power: float,

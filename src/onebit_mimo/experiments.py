@@ -41,6 +41,24 @@ AQ_AGG_COLUMNS = ["M", "K", "L", "snr_db", "iteration", "n", "median_mse",
                   "mean_mse", "crb_oq_per_coeff", "crb_nq_per_coeff"]
 
 
+# What a config value may be, by field annotation; bool never passes for a number.
+_ACCEPTS = {
+    "int": ("an integer", (int, np.integer)),
+    "float": ("a finite number", (int, float, np.integer, np.floating)),
+    "bool": ("true or false", (bool,)),
+    "str": ("a string", (str,)),
+    "str | None": ("a string", (str, type(None))),
+}
+
+
+def _checked(name: str, value, annotation: str):
+    what, types = _ACCEPTS[annotation]
+    if (not isinstance(value, types) or (isinstance(value, bool) and bool not in types)
+            or (annotation == "float" and not np.isfinite(value))):
+        raise ConfigError(f"{name}: must be {what} (got {value!r})")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative sweep description (YAML file and/or CLI flags)."""
@@ -82,15 +100,16 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def normalize(self):
-        if isinstance(self.L, (int, np.integer)):
-            self.L = [int(self.L)]
-        self.L = [int(v) for v in self.L]
-        if isinstance(self.snr_db, (int, float, np.floating)):
-            self.snr_db = [float(self.snr_db)]
-        self.snr_db = [float(v) for v in self.snr_db]
+        for f in fields(self):
+            if f.type in _ACCEPTS:
+                _checked(f.name, getattr(self, f.name), f.type)
         if isinstance(self.schemes, str):
             self.schemes = [s.strip() for s in self.schemes.split(",") if s.strip()]
-        self.schemes = [str(s).upper() for s in self.schemes]
+        for name, kind, cast in (("L", "int", int), ("snr_db", "float", float),
+                                 ("schemes", "str", str.upper)):
+            value = getattr(self, name)
+            values = value if isinstance(value, (list, tuple)) else [value]
+            setattr(self, name, [cast(_checked(name, v, kind)) for v in values])
 
     def validate(self):
         self.normalize()

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import NumericalError
 from .gauss import mills_ratio, norm_logcdf
 from .model import RealModel
-from .quant import QuantizedBatch
 
 GRAD_TOL = 1e-8    # converged when per-antenna ||grad|| <= GRAD_TOL * measurements
 MAX_ITER = 100
@@ -55,8 +54,6 @@ class LikelihoodProblem:
     model: RealModel
 
     def __post_init__(self):
-        if isinstance(self.batches, QuantizedBatch):
-            self.batches = [self.batches]
         if not self.batches:
             raise ValueError("need at least one quantized batch")
         for batch in self.batches:
@@ -85,7 +82,7 @@ def _stacked(prob: LikelihoodProblem):
     """Batch data as (n_batches, M, 2L) sign and threshold arrays."""
     m = prob.model
     B = np.stack([b.b.astype(float).reshape(m.M, 2 * m.L) for b in prob.batches])
-    T = np.stack([b.tau.tau.reshape(m.M, 2 * m.L) for b in prob.batches])
+    T = np.stack([b.tau.reshape(m.M, 2 * m.L) for b in prob.batches])
     return B, T
 
 
@@ -134,15 +131,13 @@ def hessian_action(prob: LikelihoodProblem, h: np.ndarray, v: np.ndarray) -> np.
     return -((curv * ZV) @ m.A_tilde).reshape(-1)
 
 
-def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
-             grad_tol: float = GRAD_TOL, max_iter: int = MAX_ITER,
-             norm_cap: float = NORM_CAP) -> ChannelEstimate:
+def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEstimate:
     """Damped Newton ascent on the concave log-likelihood.
 
     Concavity means any stationary point is the global maximum, so the
     solver only needs monotone ascent (Armijo backtracking) to be safe.
     An antenna whose data are one-sided in some direction has no finite
-    maximizer; its estimate is clamped at norm_cap and the result is
+    maximizer; its estimate is clamped at NORM_CAP and the result is
     flagged converged=False rather than returned silently.
     """
     m = prob.model
@@ -151,7 +146,7 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
     B, T = _stacked(prob)
     M, K2 = m.M, 2 * m.K
     meas_per_antenna = B.shape[0] * 2 * m.L
-    tol = grad_tol * meas_per_antenna
+    tol = GRAD_TOL * meas_per_antenna
 
     H = np.zeros((M, K2)) if h0 is None else np.asarray(h0, dtype=float).reshape(M, K2).copy()
     eye = np.eye(K2)
@@ -160,7 +155,7 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
     capped = np.zeros(M, dtype=bool)
     iters_used = 0
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -212,9 +207,9 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
         H[idx] = Hnew
 
         norms = np.linalg.norm(Hnew, axis=1)
-        blown = norms > norm_cap
+        blown = norms > NORM_CAP
         if blown.any():
-            H[idx[blown]] = Hnew[blown] * (norm_cap / norms[blown])[:, None]
+            H[idx[blown]] = Hnew[blown] * (NORM_CAP / norms[blown])[:, None]
             capped[idx[blown]] = True
             active[idx[blown]] = False
 

@@ -1,9 +1,9 @@
 """End-to-end estimation policies: FQ, RQ, AQ, OQ (oracle), NQ (unquantized).
 
 Each run_* draws its own pilot-phase noise from the supplied seed and
-returns a ChannelEstimate; run_aq additionally returns the per-iteration
-state used by the convergence experiments.  Runs are pure functions of
-(model, h, seed), so trials parallelize freely.
+returns a ChannelEstimate; run_aq additionally returns an AqState with
+every round's quantized batch and per-round history.  Runs are pure
+functions of (model, h, seed), so trials parallelize freely.
 
 Fairness note: an adaptive run with i_max rounds of L pilot symbols
 spends i_max * L symbols and consumes i_max * N binary measurements,
@@ -14,13 +14,13 @@ compare an AQ row at L with single-shot rows at i_max * L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .mle import ChannelEstimate, LikelihoodProblem, solve_ml, solve_nq
 from .model import RealModel, as_rng, channel_mse, generate_noisy_observation
-from .quant import ThresholdVector, quantize, thresholds_fixed, thresholds_oracle, thresholds_random
+from .quant import quantize, thresholds_fixed, thresholds_oracle, thresholds_random
 
 
 @dataclass
@@ -36,20 +36,16 @@ class AqIterate:
 
 @dataclass
 class AqState:
-    """Running state of the adaptive-threshold loop."""
+    """Quantized batches of every adaptive round and one snapshot per round."""
 
-    i: int
-    i_max: int
-    batches: list
-    tau: ThresholdVector
-    h_hat: np.ndarray | None
+    batches: list = field(default_factory=list)
     history: list = field(default_factory=list)
 
 
-def run_fq(model: RealModel, h: np.ndarray, rng_seed=None, c: float = 0.0) -> ChannelEstimate:
-    """Fixed threshold c on every comparator (c = 0 is the conventional ADC)."""
+def run_fq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
+    """Zero threshold on every comparator: the conventional one-bit ADC."""
     rng = as_rng(rng_seed)
-    tau = thresholds_fixed(model.N, c)
+    tau = thresholds_fixed(model.N)
     y = generate_noisy_observation(model, h, rng)
     return solve_ml(LikelihoodProblem([quantize(y, tau)], model))
 
@@ -98,18 +94,16 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
         raise ValueError("i_max must be >= 1")
     rng = as_rng(rng_seed)
 
-    state = AqState(i=0, i_max=i_max, batches=[],
-                    tau=ThresholdVector(np.zeros(model.N), "adaptive", iteration=0),
-                    h_hat=None)
+    state = AqState()
+    tau = np.zeros(model.N)
     ah_true = model.apply(h)
     ah_norm = float(np.linalg.norm(ah_true))
     radius = np.sqrt(model.K * sigma_h2)
 
     cur = np.zeros((model.M, 2 * model.K))
-    attempt = None
     for i in range(1, i_max + 1):
         y = generate_noisy_observation(model, h, rng)
-        state.batches.append(quantize(y, state.tau))
+        state.batches.append(quantize(y, tau))
         attempt = solve_ml(LikelihoodProblem(list(state.batches), model),
                            h0=cur.reshape(-1))
         cur = attempt.h_hat.reshape(model.M, 2 * model.K).copy()
@@ -119,21 +113,14 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
             shrink = np.where(norms > radius, radius / np.maximum(norms, 1e-30), 1.0)
             cur[bad] *= shrink[:, None]
 
-        state.i = i
-        state.h_hat = cur.reshape(-1)
-        tau_new = model.apply(state.h_hat)
-        state.tau = ThresholdVector(tau_new, "adaptive", iteration=i)
-        rel_err = float(np.linalg.norm(tau_new - ah_true)) / ah_norm if ah_norm > 0 else np.nan
+        h_hat = cur.reshape(-1)
+        tau = model.apply(h_hat)
+        rel_err = float(np.linalg.norm(tau - ah_true)) / ah_norm if ah_norm > 0 else np.nan
         state.history.append(AqIterate(
             index=i,
-            mse=channel_mse(state.h_hat, h, model.M, model.K),
+            mse=channel_mse(h_hat, h, model.M, model.K),
             converged=attempt.converged,
             grad_norm=attempt.grad_norm,
             threshold_rel_err=rel_err,
         ))
-    final = ChannelEstimate(
-        h_hat=state.h_hat, iterations=attempt.iterations,
-        grad_norm=attempt.grad_norm, converged=attempt.converged,
-        objective=attempt.objective, antenna_converged=attempt.antenna_converged,
-    )
-    return final, state
+    return replace(attempt, h_hat=h_hat), state

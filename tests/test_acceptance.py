@@ -98,7 +98,7 @@ def test_criterion_03_newton_matches_grid_oracle():
         sig = np.sqrt(model.sigma2)
         proj = model.A_tilde.T * (b / sig)[None, :]
         S = pts @ proj
-        S -= (b * tau.tau / sig)[None, :]
+        S -= (b * tau / sig)[None, :]
         np.copyto(S, norm_logcdf(S))
         best = pts[np.argmax(S.sum(axis=1))]
         worst = max(worst, float(np.abs(est.h_hat - best).max()))
@@ -154,7 +154,7 @@ def test_criterion_05_score_covariance_matches_fim():
     model = om.realify(sys)
     ch = om.generate_channel(1, 1, 1.0, rng)
     tau = om.thresholds_random(model, 1.0, rng)
-    u = model.apply(ch.h) - tau.tau
+    u = model.apply(ch.h) - tau
     n_draws = 100_000
     w = rng.normal(0.0, np.sqrt(model.sigma2), size=(n_draws, model.N))
     b = np.where(u[None, :] + w >= 0.0, 1.0, -1.0)

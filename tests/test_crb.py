@@ -89,7 +89,7 @@ def test_crb_trace_uniform_offset_formula_and_monotonicity():
     gram_inv_tr = model.M * np.trace(np.linalg.inv(model.gram()))
     prev = None
     for delta in [0.0, 0.4, 0.8, 1.6, 2.4]:
-        tau = om.ThresholdVector(model.apply(ch.h) + delta, "fixed")
+        tau = model.apply(ch.h) + delta
         tr = om.crb_trace(model, tau, ch.h)
         expected = gram_inv_tr / om.g_weight(delta, model.sigma2)
         assert abs(tr - expected) < 1e-9 * expected
@@ -124,9 +124,9 @@ def test_ill_conditioned_fim_raises_with_block_index():
     tau = model.apply(ch.h)
     tau[:2 * model.L] += 200.0
     with pytest.raises(om.NumericalError) as err:
-        om.crb_trace(model, om.ThresholdVector(tau, "fixed"), ch.h)
+        om.crb_trace(model, tau, ch.h)
     assert "block 0" in str(err.value)
-    rep = om.fim(model, om.ThresholdVector(tau, "fixed"), ch.h)
+    rep = om.fim(model, tau, ch.h)
     assert rep.near_singular
     assert rep.worst_block == 0
     assert rep.worst_condition > COND_LIMIT

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 from pathlib import Path
 
@@ -187,6 +188,21 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["sweep", "--config", str(cfg_path2)]) == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("L", "abc"), ("M", "x"), ("sigma2", "1"), ("threads", 2.5), ("L", [[1]]),
+    ("schemes", 5), ("snr_db", "abc"), ("i_max", None), ("n_frames", 1.5), ("seed", 1.5),
+    ("snr_db", float("inf")), ("sigma2", float("nan")),
+])
+def test_cli_wrong_typed_config_value_exits_2(tmp_path, capsys, field, value):
+    data = dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ"], trials=1, seed=1)
+    cfg_path = write_yaml(tmp_path, dict(data, **{field: value}))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:")
+    assert not out.exists()
+
+
 def test_cli_numerical_failure_exit_code(tmp_path):
     # fixed zero thresholds 40 dB above the noise floor: Fisher weights
     # vanish and the CRB solve must refuse
@@ -248,3 +264,21 @@ def test_cli_flag_overrides(tmp_path):
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
     assert {r["scheme"] for r in rows} == {"NQ"}
+
+
+def test_benchmark_tracer_still_finds_its_targets():
+    # perfbench/tracer.py wraps functions at their callers' module attributes;
+    # a refactor that rebinds one of them must fail here rather than leave the
+    # benchmark's per-layer metrics empty
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    cfg = tiny_config(schemes=["FQ", "RQ", "AQ", "OQ", "NQ"], trials=1).validate()
+    with tracing.installed(tracing.Tracer()) as tracer:
+        run_sweep(cfg)
+    names = {span.name for span in tracer.spans}
+    expected = {f"schemes.run_{s}" for s in ("fq", "rq", "aq", "oq", "nq")} | {
+        "quant.thresholds_fixed", "quant.thresholds_random", "quant.thresholds_oracle",
+        "quant.quantize", "mle.solve_ml"}
+    assert expected <= names, sorted(expected - names)

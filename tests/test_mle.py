@@ -128,7 +128,7 @@ def test_score_identity_mean_and_covariance():
     model = om.realify(sys)
     ch = om.generate_channel(1, 1, 1.0, rng)
     tau = om.thresholds_random(model, 1.0, rng)
-    u = model.apply(ch.h) - tau.tau
+    u = model.apply(ch.h) - tau
     n_draws = 30_000
     w = rng.normal(0.0, np.sqrt(model.sigma2), size=(n_draws, model.N))
     b = np.where(u[None, :] + w >= 0.0, 1.0, -1.0)
@@ -165,7 +165,7 @@ def test_solver_matches_grid_on_tiny_instance():
     g = np.arange(-4.0, 4.0 + 5e-3, 0.01)
     G1, G2 = np.meshgrid(g, g, indexing="ij")
     pts = np.stack([G1.ravel(), G2.ravel()], axis=1)
-    S = prob.batches[0].b[None, :] * (pts @ model.A_tilde.T - tau.tau[None, :])
+    S = prob.batches[0].b[None, :] * (pts @ model.A_tilde.T - tau[None, :])
     best = pts[np.argmax(norm_logcdf(S).sum(axis=1))]
     assert np.abs(est.h_hat - best).max() < 0.02
 
@@ -178,10 +178,7 @@ def test_joint_solve_equals_independent_antenna_solves():
                              L=model.L, sigma2=model.sigma2)
     for m in range(model.M):
         sub_batches = [
-            om.QuantizedBatch(
-                b=b.b[m * L2:(m + 1) * L2],
-                tau=om.ThresholdVector(b.tau.tau[m * L2:(m + 1) * L2], b.tau.policy),
-            )
+            om.QuantizedBatch(b=b.b[m * L2:(m + 1) * L2], tau=b.tau[m * L2:(m + 1) * L2])
             for b in prob.batches
         ]
         sub = om.solve_ml(LikelihoodProblem(sub_batches, sub_model))

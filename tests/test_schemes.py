@@ -41,14 +41,14 @@ def test_aq_single_round_is_fixed_quantization():
     assert fq.converged
     assert np.array_equal(aq.h_hat, fq.h_hat)
     assert len(state.batches) == 1
-    assert np.array_equal(state.batches[0].tau.tau, np.zeros(model.N))
+    assert np.array_equal(state.batches[0].tau, np.zeros(model.N))
 
 
 def test_rq_zero_prior_variance_reduces_to_fixed_thresholds():
     _, model, ch = setup(2, 2, 8, 5.0, 4)
     rng = np.random.default_rng(9)
     tau = om.thresholds_random(model, 0.0, rng)
-    assert np.array_equal(tau.tau, np.zeros(model.N))
+    assert np.array_equal(tau, np.zeros(model.N))
     y = om.generate_noisy_observation(model, ch.h, rng)
     est_rq_path = om.solve_ml(om.LikelihoodProblem([om.quantize(y, tau)], model))
     est_fq_path = om.solve_ml(om.LikelihoodProblem(
@@ -59,18 +59,18 @@ def test_rq_zero_prior_variance_reduces_to_fixed_thresholds():
 def test_aq_state_invariants():
     _, model, ch = setup(2, 2, 12, 8.0, 5)
     est, state = om.run_aq(model, ch.h, 4, 11)
-    assert state.i == 4
     assert len(state.batches) == 4
     assert len(state.history) == 4
+    assert [it.index for it in state.history] == [1, 2, 3, 4]
     assert sum(b.b.size for b in state.batches) == 4 * model.N
-    # thresholds are exactly the operator applied to the working estimate
-    assert np.array_equal(state.tau.tau, model.apply(state.h_hat))
-    assert state.tau.policy == "adaptive" and state.tau.iteration == 4
-    assert np.array_equal(est.h_hat, state.h_hat)
-    # batch i was produced with the thresholds of round i-1
-    assert np.array_equal(state.batches[0].tau.tau, np.zeros(model.N))
-    for j, batch in enumerate(state.batches):
-        assert batch.tau.iteration == j
+    # the returned estimate is the last round's working estimate
+    assert state.history[-1].mse == om.channel_mse(est.h_hat, ch.h, model.M, model.K)
+    # batch j was produced with round j-1's thresholds A h_hat
+    assert np.array_equal(state.batches[0].tau, np.zeros(model.N))
+    ah = model.apply(ch.h)
+    for j in range(1, 4):
+        rel = np.linalg.norm(state.batches[j].tau - ah) / np.linalg.norm(ah)
+        assert rel == state.history[j - 1].threshold_rel_err
 
 
 def test_aq_converges_toward_oracle_thresholds():
