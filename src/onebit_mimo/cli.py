@@ -14,15 +14,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .crb import crb_nq_trace, crb_trace
+from .crb import crb_trace
 from .errors import ConfigError, NumericalError
 from .experiments import (AQ_AGG_COLUMNS, AQ_TRACE_COLUMNS, ExperimentConfig,
-                          generate_channel, pilot_model, run_aq_trace, run_sweep,
-                          summarize, trial_seed_seq, write_dict_csv, write_json,
+                          reference_floors, reference_instance, run_aq_trace,
+                          run_sweep, summarize, write_dict_csv, write_json,
                           write_trials_csv)
-from .quant import thresholds_fixed, thresholds_oracle, thresholds_random
+from .quant import thresholds_fixed, thresholds_random
 
 ENV_OUT = "ONEBIT_MIMO_OUT"
 DETECT_FRAMES = 2000  # data-phase frames per trial when the config asks for none
@@ -101,36 +99,31 @@ def cmd_sweep(cfg: ExperimentConfig, filename: str, metric: str) -> int:
 
 
 def cmd_crb(cfg: ExperimentConfig) -> int:
-    """CRB traces per policy on a reference instance of each cell.
+    """CRB traces per policy on the reference instance of each cell.
 
-    The quantized-oracle and unquantized traces are channel- and
-    pilot-independent given orthogonal pilots; the fixed/random-threshold
-    traces are evaluated at a seeded reference channel draw.
+    The quantized-oracle and unquantized traces are the cell's reference
+    floors; the fixed/random-threshold traces are evaluated at the
+    reference instance's channel draw.
     """
     out = resolve_out_dir(cfg)
+    denom = cfg.M * cfg.K
     entries = []
     for L in cfg.L:
         for snr in cfg.snr_db:
-            ss = trial_seed_seq(cfg.seed, "REF", cfg.M, cfg.K, L, snr, 0)
-            rng = np.random.default_rng(ss)
-            model = pilot_model(cfg.M, cfg.K, L, snr, cfg.sigma2, cfg.pilot_method, rng)
-            ch = generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng)
-            denom = cfg.M * cfg.K
-            entry = {"M": cfg.M, "K": cfg.K, "L": L, "snr_db": snr, "policies": {}}
-            oq = crb_trace(model, thresholds_oracle(model, ch.h), ch.h)
-            nq = crb_nq_trace(model)
-            entry["policies"]["OQ"] = {"trace": oq, "per_coeff": oq / denom}
-            entry["policies"]["NQ"] = {"trace": nq, "per_coeff": nq / denom}
+            ref = reference_floors(cfg, L, snr)
+            policies = {"OQ": {"trace": ref["crb_oq_trace"], "per_coeff": ref["crb_oq_per_coeff"]},
+                        "NQ": {"trace": ref["crb_nq_trace"], "per_coeff": ref["crb_nq_per_coeff"]}}
+            model, ch, rng = reference_instance(cfg, L, snr)
             if "FQ" in cfg.schemes:
                 fq = crb_trace(model, thresholds_fixed(model.N), ch.h)
-                entry["policies"]["FQ"] = {"trace": fq, "per_coeff": fq / denom}
+                policies["FQ"] = {"trace": fq, "per_coeff": fq / denom}
             if "RQ" in cfg.schemes:
                 rq = crb_trace(model, thresholds_random(model, cfg.sigma_h2, rng), ch.h)
-                entry["policies"]["RQ"] = {"trace": rq, "per_coeff": rq / denom}
-            entry["ratio_oq_nq"] = oq / nq
-            entries.append(entry)
-            print(f"L={L:<4d} snr={snr:g} dB  tr(CRB_OQ)={oq:.6g}  "
-                  f"tr(CRB_NQ)={nq:.6g}  ratio={entry['ratio_oq_nq']:.12f}")
+                policies["RQ"] = {"trace": rq, "per_coeff": rq / denom}
+            entries.append({"M": cfg.M, "K": cfg.K, "L": L, "snr_db": snr,
+                            "policies": policies, "ratio_oq_nq": ref["ratio_oq_nq"]})
+            print(f"L={L:<4d} snr={snr:g} dB  tr(CRB_OQ)={ref['crb_oq_trace']:.6g}  "
+                  f"tr(CRB_NQ)={ref['crb_nq_trace']:.6g}  ratio={ref['ratio_oq_nq']:.12f}")
     write_json({"config": cfg.to_dict(), "entries": entries}, out / "crb.json")
     print(f"wrote {out / 'crb.json'}")
     return 0

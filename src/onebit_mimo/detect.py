@@ -21,7 +21,8 @@ from .model import as_rng
 # Fixed constellation order; ties in the likelihood resolve to the first
 # (lexicographically smallest) hypothesis under this indexing.
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-K_MAX_DEFAULT = 8
+K_MAX_DEFAULT = 8  # largest K whose 4^K hypotheses detection searches
+FRAME_CHUNK = 256  # frames scored per matrix product
 
 _HYP_CACHE: dict[int, np.ndarray] = {}
 
@@ -48,8 +49,7 @@ def _loglik_tables(H_hat: np.ndarray, sigma2: float, symbol_power: float):
 
 
 def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray, sigma2: float,
-                  symbol_power: float = 1.0, k_max: int = K_MAX_DEFAULT,
-                  chunk: int = 256) -> np.ndarray:
+                  symbol_power: float = 1.0) -> np.ndarray:
     """Exhaustive one-bit ML detection of many frames against one channel.
 
     b_frames is (F, 2M) of signs with the [Re block, Im block] comparator
@@ -57,10 +57,10 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray, sigma2: float,
     """
     H_hat = np.asarray(H_hat, dtype=complex)
     M, K = H_hat.shape
-    if K > k_max:
+    if K > K_MAX_DEFAULT:
         raise ValueError(
             f"K={K} needs 4^{K} hypotheses, beyond the exhaustive-search "
-            f"limit k_max={k_max}; reduce the number of users"
+            f"limit K <= {K_MAX_DEFAULT}; reduce the number of users"
         )
     b_frames = np.atleast_2d(np.asarray(b_frames))
     if b_frames.shape[1] != 2 * M:
@@ -72,8 +72,8 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray, sigma2: float,
     hyp = hypothesis_indices(K)
 
     out = np.empty((b_frames.shape[0], K), dtype=np.uint8)
-    for lo in range(0, b_frames.shape[0], chunk):
-        sl = slice(lo, lo + chunk)
+    for lo in range(0, b_frames.shape[0], FRAME_CHUNK):
+        sl = slice(lo, lo + FRAME_CHUNK)
         pos_mask = (b_frames[sl] > 0).astype(float)
         scores = base[None, :] + pos_mask @ delta.T   # (f, 4^K)
         out[sl] = hyp[np.argmax(scores, axis=1)]
@@ -104,11 +104,10 @@ class SerResult(NamedTuple):
 
 
 def measure_ser(H_true: np.ndarray, H_est: np.ndarray, sigma2: float,
-                symbol_power: float, n_frames: int, rng_seed=None,
-                k_max: int = K_MAX_DEFAULT) -> SerResult:
+                symbol_power: float, n_frames: int, rng_seed=None) -> SerResult:
     """Monte Carlo symbol error rate of the exhaustive one-bit detector."""
     idx, b = simulate_frames(H_true, sigma2, symbol_power, n_frames, rng_seed)
-    det = detect_frames(H_est, b, sigma2, symbol_power=symbol_power, k_max=k_max)
+    det = detect_frames(H_est, b, sigma2, symbol_power=symbol_power)
     per_user = (det != idx).mean(axis=0)
     return SerResult(per_user=per_user, average=float(per_user.mean()))
 

@@ -13,7 +13,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +84,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
-            raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+            raise ConfigError(f"unknown config field(s): {', '.join(sorted(map(str, unknown)))}")
         cfg = cls(**data)
         cfg.normalize()
         return cfg
@@ -93,8 +93,11 @@ class ExperimentConfig:
     def from_yaml(cls, path) -> "ExperimentConfig":
         import yaml
 
-        with open(path) as f:
-            data = yaml.safe_load(f) or {}
+        try:
+            with open(path, "rb") as f:  # bytes: the parser reports bad encodings as YAMLError
+                data = yaml.safe_load(f) or {}
+        except (OSError, yaml.YAMLError) as e:
+            raise ConfigError(f"config file {path}: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a mapping")
         return cls.from_dict(data)
@@ -146,6 +149,8 @@ class ExperimentConfig:
         if self.n_frames > 0 and self.K > K_MAX_DEFAULT:
             raise ConfigError(f"K: one-bit detection in the data phase allows "
                               f"K <= {K_MAX_DEFAULT} (got K={self.K})")
+        if self.rate_cap <= 0:
+            raise ConfigError("rate_cap: must be positive")
         if self.threads < 1:
             raise ConfigError("threads: must be >= 1")
         return self
@@ -156,7 +161,7 @@ class ExperimentConfig:
 
 @dataclass
 class TrialResult:
-    """One scheme run on one random instance; maps 1:1 to a CSV row."""
+    """One scheme run on one random instance; every field but rounds is a CSV column."""
 
     scheme: str
     M: int
@@ -171,6 +176,7 @@ class TrialResult:
     ser: float | None = None
     rate: float | None = None
     wall_ms: float | None = None
+    rounds: list | None = None  # AQ only: one AqIterate per adaptive round
 
 
 def trial_seed_seq(master: int, scheme: str, M: int, K: int, L: int,
@@ -204,12 +210,14 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
     model = pilot_model(M, K, L, snr_db, sigma2, pilot_method, rng)
     ch = generate_channel(M, K, sigma_h2, rng_seed=rng)
 
+    rounds = None
     if scheme == "FQ":
         est = run_fq(model, ch.h, rng)
     elif scheme == "RQ":
         est = run_rq(model, ch.h, sigma_h2, rng)
     elif scheme == "AQ":
-        est, _ = run_aq(model, ch.h, i_max, rng, sigma_h2=sigma_h2)
+        est, state = run_aq(model, ch.h, i_max, rng, sigma_h2=sigma_h2)
+        rounds = state.history
     elif scheme == "OQ":
         est = run_oq(model, ch.h, rng)
     elif scheme == "NQ":
@@ -234,7 +242,7 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
     return TrialResult(
         scheme=scheme, M=M, K=K, L=L, snr_db=snr_db, trial=trial, seed=seed_repr,
         mse=channel_mse(est.h_hat, ch.h, M, K), converged=bool(est.converged),
-        iters=int(est.iterations), ser=ser, rate=rate, wall_ms=wall_ms,
+        iters=int(est.iterations), ser=ser, rate=rate, wall_ms=wall_ms, rounds=rounds,
     )
 
 
@@ -269,22 +277,34 @@ def run_sweep(cfg: ExperimentConfig) -> list:
         return list(pool.map(_trial_worker, tasks, chunksize=chunk))
 
 
+def reference_instance(cfg: ExperimentConfig, L: int, snr_db: float):
+    """The cell's seeded reference instance: (pilot model, channel, generator after both draws)."""
+    rng = np.random.default_rng(trial_seed_seq(cfg.seed, "REF", cfg.M, cfg.K, L, snr_db, 0))
+    model = pilot_model(cfg.M, cfg.K, L, snr_db, cfg.sigma2, cfg.pilot_method, rng)
+    return model, generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng), rng
+
+
 def reference_floors(cfg: ExperimentConfig, L: int, snr_db: float) -> dict:
     """Per-coefficient CRB floors for the quantized-oracle and unquantized cases.
 
-    Orthogonal pilots make both traces pilot- and channel-independent, so
-    a reference model built from a derived seed represents the whole cell.
+    Orthogonal pilots make both traces pilot-independent, and oracle
+    thresholds make every offset a_n^T h - tau_n zero, so the OQ trace
+    does not depend on the channel either: the reference instance
+    represents the whole cell.
     """
-    ss = trial_seed_seq(cfg.seed, "REF", cfg.M, cfg.K, L, snr_db, 0)
-    model = pilot_model(cfg.M, cfg.K, L, snr_db, cfg.sigma2, cfg.pilot_method,
-                        np.random.default_rng(ss))
-    h0 = np.zeros(model.dim)
-    oq = crb_trace(model, thresholds_oracle(model, h0), h0)
+    model, ch, _ = reference_instance(cfg, L, snr_db)
+    oq = crb_trace(model, thresholds_oracle(model, ch.h), ch.h)
     nq = crb_nq_trace(model)
     denom = cfg.M * cfg.K
     return {"L": L, "snr_db": snr_db, "crb_oq_trace": oq, "crb_nq_trace": nq,
             "crb_oq_per_coeff": oq / denom, "crb_nq_per_coeff": nq / denom,
             "ratio_oq_nq": oq / nq}
+
+
+def _median_mean(name: str, values) -> dict:
+    """median_<name> and mean_<name> of the values, in that key order."""
+    values = np.asarray(values, dtype=float)
+    return {f"median_{name}": float(np.median(values)), f"mean_{name}": float(values.mean())}
 
 
 def summarize(cfg: ExperimentConfig, rows: list) -> dict:
@@ -299,58 +319,36 @@ def summarize(cfg: ExperimentConfig, rows: list) -> dict:
                 sel = [r for r in rows if r.scheme == scheme and r.L == L and r.snr_db == snr]
                 if not sel:
                     continue
-                mses = np.array([r.mse for r in sel])
                 cell = {
                     "scheme": scheme, "M": cfg.M, "K": cfg.K, "L": L, "snr_db": snr,
-                    "n": len(sel), "median_mse": float(np.median(mses)),
-                    "mean_mse": float(mses.mean()),
+                    "n": len(sel), **_median_mean("mse", [r.mse for r in sel]),
                     "n_converged": int(sum(r.converged for r in sel)),
                 }
-                if any(r.ser is not None for r in sel):
-                    sers = np.array([r.ser for r in sel if r.ser is not None])
-                    cell["median_ser"] = float(np.median(sers))
-                    cell["mean_ser"] = float(sers.mean())
-                if any(r.rate is not None for r in sel):
-                    rates = np.array([r.rate for r in sel if r.rate is not None])
-                    cell["median_rate"] = float(np.median(rates))
-                    cell["mean_rate"] = float(rates.mean())
+                for metric in ("ser", "rate"):
+                    values = [getattr(r, metric) for r in sel if getattr(r, metric) is not None]
+                    if values:
+                        cell.update(_median_mean(metric, values))
                 cells.append(cell)
     refs = [reference_floors(cfg, L, snr) for L in cfg.L for snr in cfg.snr_db]
     return {"config": cfg.to_dict(), "cells": cells, "crb": refs}
 
 
 def run_aq_trace(cfg: ExperimentConfig):
-    """Per-iteration AQ records for every (L, SNR, trial), plus aggregates."""
-    trial_rows = []
-    for L in cfg.L:
-        for snr in cfg.snr_db:
-            for trial in range(cfg.trials):
-                ss = trial_seed_seq(cfg.seed, "AQ", cfg.M, cfg.K, L, snr, trial)
-                seed_repr = int(ss.generate_state(1)[0])
-                rng = np.random.default_rng(ss)
-                model = pilot_model(cfg.M, cfg.K, L, snr, cfg.sigma2, cfg.pilot_method, rng)
-                ch = generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng)
-                _, state = run_aq(model, ch.h, cfg.i_max, rng, sigma_h2=cfg.sigma_h2)
-                for it in state.history:
-                    trial_rows.append({
-                        "M": cfg.M, "K": cfg.K, "L": L, "snr_db": snr,
-                        "trial": trial, "seed": seed_repr, "iteration": it.index,
-                        "mse": it.mse, "converged": it.converged,
-                        "threshold_rel_err": it.threshold_rel_err,
-                    })
+    """Per-round AQ records for every (L, SNR, trial), plus per-round aggregates."""
+    rows = run_sweep(replace(cfg, schemes=["AQ"], n_frames=0))
+    trial_rows = [{"M": r.M, "K": r.K, "L": r.L, "snr_db": r.snr_db, "trial": r.trial,
+                   "seed": r.seed, "iteration": it.index, "mse": it.mse,
+                   "converged": it.converged, "threshold_rel_err": it.threshold_rel_err}
+                  for r in rows for it in r.rounds]
     agg_rows = []
     for L in cfg.L:
         for snr in cfg.snr_db:
             ref = reference_floors(cfg, L, snr)
-            for i in range(1, cfg.i_max + 1):
-                sel = [r["mse"] for r in trial_rows
-                       if r["L"] == L and r["snr_db"] == snr and r["iteration"] == i]
-                if not sel:
-                    continue
+            cell = [r.rounds for r in rows if r.L == L and r.snr_db == snr]
+            for i in range(cfg.i_max):
                 agg_rows.append({
-                    "M": cfg.M, "K": cfg.K, "L": L, "snr_db": snr, "iteration": i,
-                    "n": len(sel), "median_mse": float(np.median(sel)),
-                    "mean_mse": float(np.mean(sel)),
+                    "M": cfg.M, "K": cfg.K, "L": L, "snr_db": snr, "iteration": i + 1,
+                    "n": len(cell), **_median_mean("mse", [rounds[i].mse for rounds in cell]),
                     "crb_oq_per_coeff": ref["crb_oq_per_coeff"],
                     "crb_nq_per_coeff": ref["crb_nq_per_coeff"],
                 })
@@ -369,16 +367,11 @@ def _fmt(value) -> str:
 
 def write_trials_csv(rows: list, path) -> None:
     """One row per trial, stable column order, shortest-roundtrip floats."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CSV_COLUMNS)
-        for r in rows:
-            w.writerow([_fmt(getattr(r, c)) for c in CSV_COLUMNS])
+    write_dict_csv([vars(r) for r in rows], CSV_COLUMNS, path)
 
 
 def write_dict_csv(rows: list, columns: list, path) -> None:
+    """Rows as mappings; a missing or None value is an empty cell."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:

@@ -108,7 +108,6 @@ class ChannelRealization:
 
     H: np.ndarray
     h: np.ndarray
-    sigma_h2: float
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=complex)
@@ -158,7 +157,7 @@ def generate_channel(M: int, K: int, sigma_h2: float = 1.0, rng_seed=None) -> Ch
     rng = as_rng(rng_seed)
     scale = np.sqrt(sigma_h2 / 2.0)
     H = rng.normal(0.0, scale, size=(M, K)) + 1j * rng.normal(0.0, scale, size=(M, K))
-    return ChannelRealization(H=H, h=channel_to_real(H), sigma_h2=sigma_h2)
+    return ChannelRealization(H=H, h=channel_to_real(H))
 
 
 def generate_pilots_orthogonal(K: int, L: int, P: float, rng_seed=None, method: str = "qr") -> np.ndarray:

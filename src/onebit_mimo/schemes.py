@@ -30,7 +30,6 @@ class AqIterate:
     index: int
     mse: float
     converged: bool
-    grad_norm: float
     threshold_rel_err: float  # ||tau_new - A h|| / ||A h||
 
 
@@ -120,7 +119,6 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
             index=i,
             mse=channel_mse(h_hat, h, model.M, model.K),
             converged=attempt.converged,
-            grad_norm=attempt.grad_norm,
             threshold_rel_err=rel_err,
         ))
     return replace(attempt, h_hat=h_hat), state

@@ -8,9 +8,10 @@ import pytest
 import yaml
 
 import onebit_mimo as om
-from onebit_mimo import cli
-from onebit_mimo.experiments import (CSV_COLUMNS, ExperimentConfig, run_aq_trace,
-                                     run_sweep, summarize, trial_seed_seq,
+from onebit_mimo import cli, experiments
+from onebit_mimo.experiments import (AQ_AGG_COLUMNS, AQ_TRACE_COLUMNS, CSV_COLUMNS,
+                                     ExperimentConfig, run_aq_trace, run_sweep,
+                                     summarize, trial_seed_seq, write_dict_csv,
                                      write_trials_csv)
 
 
@@ -30,6 +31,8 @@ def test_config_validation_messages():
         tiny_config(trials=0).validate()
     with pytest.raises(om.ConfigError, match="unknown config field"):
         ExperimentConfig.from_dict({"M": 2, "bogus": 1})
+    with pytest.raises(om.ConfigError, match="unknown config field"):
+        ExperimentConfig.from_dict({1: 2, "M": 2})
     with pytest.raises(om.ConfigError, match="schemes"):
         tiny_config(schemes=["XX"]).validate()
     with pytest.raises(om.ConfigError, match="seed"):
@@ -66,6 +69,16 @@ def test_thread_count_does_not_change_results(tmp_path):
     write_trials_csv(run_sweep(cfg1), p1)
     write_trials_csv(run_sweep(cfg2), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_aq_trace_thread_count_does_not_change_results(tmp_path):
+    for threads in (1, 2):
+        trial_rows, agg_rows = run_aq_trace(tiny_config(threads=threads).validate())
+        write_dict_csv(agg_rows, AQ_AGG_COLUMNS, tmp_path / f"t{threads}" / "aq_trace.csv")
+        write_dict_csv(trial_rows, AQ_TRACE_COLUMNS,
+                       tmp_path / f"t{threads}" / "aq_trace_trials.csv")
+    for name in ("aq_trace.csv", "aq_trace_trials.csv"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
 def test_csv_columns_and_timing_flag(tmp_path):
@@ -191,7 +204,7 @@ def test_cli_config_error_exit_code(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("L", "abc"), ("M", "x"), ("sigma2", "1"), ("threads", 2.5), ("L", [[1]]),
     ("schemes", 5), ("snr_db", "abc"), ("i_max", None), ("n_frames", 1.5), ("seed", 1.5),
-    ("snr_db", float("inf")), ("sigma2", float("nan")),
+    ("snr_db", float("inf")), ("sigma2", float("nan")), ("rate_cap", -3.0), ("rate_cap", 0.0),
 ])
 def test_cli_wrong_typed_config_value_exits_2(tmp_path, capsys, field, value):
     data = dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ"], trials=1, seed=1)
@@ -200,6 +213,18 @@ def test_cli_wrong_typed_config_value_exits_2(tmp_path, capsys, field, value):
     assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:")
+    assert not out.exists()
+
+
+def test_cli_unreadable_config_file_exits_2(tmp_path, capsys):
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("M: [1\n")
+    not_utf8 = tmp_path / "not_utf8.yaml"
+    not_utf8.write_bytes(b"M: \xff\n")
+    out = tmp_path / "out"
+    for path in (malformed, not_utf8, tmp_path / "missing.yaml"):
+        assert cli.main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config file {path}:")
     assert not out.exists()
 
 
@@ -266,7 +291,7 @@ def test_cli_flag_overrides(tmp_path):
     assert {r["scheme"] for r in rows} == {"NQ"}
 
 
-def test_benchmark_tracer_still_finds_its_targets():
+def test_benchmark_tracer_still_finds_its_targets(tmp_path):
     # perfbench/tracer.py wraps functions at their callers' module attributes;
     # a refactor that rebinds one of them must fail here rather than leave the
     # benchmark's per-layer metrics empty
@@ -276,9 +301,15 @@ def test_benchmark_tracer_still_finds_its_targets():
     spec.loader.exec_module(tracing)
     cfg = tiny_config(schemes=["FQ", "RQ", "AQ", "OQ", "NQ"], trials=1).validate()
     with tracing.installed(tracing.Tracer()) as tracer:
-        run_sweep(cfg)
+        rows = run_sweep(cfg)
+        # called through the module, whose attributes the tracer replaced
+        experiments.write_trials_csv(rows, tmp_path / "sweep.csv")
+        experiments.write_json(experiments.summarize(cfg, rows), tmp_path / "sweep.json")
     names = {span.name for span in tracer.spans}
     expected = {f"schemes.run_{s}" for s in ("fq", "rq", "aq", "oq", "nq")} | {
         "quant.thresholds_fixed", "quant.thresholds_random", "quant.thresholds_oracle",
-        "quant.quantize", "mle.solve_ml"}
+        "quant.quantize", "mle.solve_ml", "experiments.summarize",
+        "experiments.write_trials_csv", "experiments.write_json",
+        "experiments.trial_seed_seq", "model.generate_pilots_orthogonal", "model.realify",
+        "model.generate_channel", "crb.crb_trace", "crb.crb_nq_trace"}
     assert expected <= names, sorted(expected - names)
