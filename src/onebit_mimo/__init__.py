@@ -6,8 +6,7 @@ quantization-threshold and pilot design, the adaptive (AQ) and random
 reproducible Monte Carlo sweep harness.
 """
 
-from .crb import (CrbReport, crb_nq_trace, crb_trace, fim, g_bar_bound, g_weight,
-                  gaussian_cdf_bound)
+from .crb import crb_nq_trace, crb_trace, fim, g_bar_bound, g_weight, gaussian_cdf_bound
 from .detect import (QPSK, RateResult, SerResult, achievable_rate, detect_frames,
                      measure_ser, simulate_frames)
 from .errors import ConfigError, NumericalError

@@ -110,10 +110,10 @@ def cmd_crb(cfg: ExperimentConfig) -> int:
     entries = []
     for L in cfg.L:
         for snr in cfg.snr_db:
-            ref = reference_floors(cfg, L, snr)
+            model, ch, rng = instance = reference_instance(cfg, L, snr)
+            ref = reference_floors(cfg, L, snr, instance)
             policies = {"OQ": {"trace": ref["crb_oq_trace"], "per_coeff": ref["crb_oq_per_coeff"]},
                         "NQ": {"trace": ref["crb_nq_trace"], "per_coeff": ref["crb_nq_per_coeff"]}}
-            model, ch, rng = reference_instance(cfg, L, snr)
             if "FQ" in cfg.schemes:
                 fq = crb_trace(model, thresholds_fixed(model.N), ch.h)
                 policies["FQ"] = {"trace": fq, "per_coeff": fq / denom}

@@ -8,26 +8,14 @@ blocks raise instead of being silently regularized: a pseudo-inverted
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erf
 
 from .errors import NumericalError
 from .gauss import SQRT_2, mills_ratio
-from .model import RealModel
+from .model import RealModel, block_gram
 
 COND_LIMIT = 1e12
-
-
-@dataclass
-class CrbReport:
-    """Per-antenna Fisher blocks and their worst conditioning."""
-
-    fim_blocks: np.ndarray  # (M, 2K, 2K)
-    worst_condition: float
-    worst_block: int
-    near_singular: bool
 
 
 def g_weight(u, sigma2: float):
@@ -44,32 +32,27 @@ def g_weight(u, sigma2: float):
     return mills_ratio(t) * mills_ratio(-t) / sigma2
 
 
-def fim(model: RealModel, tau, h: np.ndarray) -> CrbReport:
-    """Fisher information sum_n g(u_n) a_n a_n^T as per-antenna blocks."""
+def fim(model: RealModel, tau, h: np.ndarray) -> np.ndarray:
+    """Fisher information sum_n g(u_n) a_n a_n^T as (M, 2K, 2K) per-antenna blocks."""
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (model.N,):
         raise ValueError("tau length does not match the model's N")
     u = (model.apply(h) - tau).reshape(model.M, 2 * model.L)
-    g = g_weight(u, model.sigma2)
-    blocks = np.einsum("mr,ri,rj->mij", g, model.A_tilde, model.A_tilde)
-    conds = np.linalg.cond(blocks)
-    worst = int(np.argmax(conds))
-    worst_cond = float(conds[worst])
-    near = bool(not np.isfinite(worst_cond) or worst_cond > COND_LIMIT)
-    return CrbReport(fim_blocks=blocks, worst_condition=worst_cond,
-                     worst_block=worst, near_singular=near)
+    return block_gram(model.A_tilde, g_weight(u, model.sigma2))
 
 
 def crb_trace(model: RealModel, tau, h: np.ndarray) -> float:
     """Trace of the CRB matrix for the given thresholds at channel h."""
-    report = fim(model, tau, h)
-    if report.near_singular:
+    blocks = fim(model, tau, h)
+    conds = np.linalg.cond(blocks)
+    worst = int(np.argmax(conds))
+    if not np.isfinite(conds[worst]) or conds[worst] > COND_LIMIT:
         raise NumericalError(
-            f"FIM block {report.worst_block} has condition number "
-            f"{report.worst_condition:.3g} (limit {COND_LIMIT:g}); the CRB is "
-            "unreliable -- check pilots (need L >= K) and threshold offsets"
+            f"FIM block {worst} has condition number {conds[worst]:.3g} (limit "
+            f"{COND_LIMIT:g}); the CRB is unreliable -- check pilots (need L >= K) "
+            "and threshold offsets"
         )
-    inv = np.linalg.inv(report.fim_blocks)
+    inv = np.linalg.inv(blocks)
     return float(np.diagonal(inv, axis1=1, axis2=2).sum())
 
 

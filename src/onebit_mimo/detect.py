@@ -10,7 +10,7 @@ single matrix product over hypotheses.
 
 from __future__ import annotations
 
-from itertools import product
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -24,16 +24,13 @@ QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 K_MAX_DEFAULT = 8  # largest K whose 4^K hypotheses detection searches
 FRAME_CHUNK = 256  # frames scored per matrix product
 
-_HYP_CACHE: dict[int, np.ndarray] = {}
 
-
+@cache
 def hypothesis_indices(K: int) -> np.ndarray:
     """All 4^K constellation index tuples, in lexicographic order."""
-    if K not in _HYP_CACHE:
-        idx = np.array(list(product(range(4), repeat=K)), dtype=np.uint8)
-        idx.setflags(write=False)
-        _HYP_CACHE[K] = idx
-    return _HYP_CACHE[K]
+    idx = np.ascontiguousarray(np.indices((4,) * K, dtype=np.uint8).reshape(K, -1).T)
+    idx.setflags(write=False)
+    return idx
 
 
 def _loglik_tables(H_hat: np.ndarray, sigma2: float, symbol_power: float):

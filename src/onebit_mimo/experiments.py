@@ -142,6 +142,17 @@ class ExperimentConfig:
             raise ConfigError("sigma_h2: must be positive")
         if self.sigma2 <= 0:
             raise ConfigError("sigma2: must be positive")
+        tiny = np.finfo(float).tiny  # pilot powers must be positive, finite, normal floats
+        for L in self.L:
+            for snr in self.snr_db:
+                try:
+                    P = power_for_snr(snr, self.K, L, self.sigma2)
+                except OverflowError:
+                    P = np.inf
+                if not tiny <= P < np.inf:
+                    name = "snr_db" if tiny <= self.K * L * self.sigma2 < np.inf else "sigma2"
+                    raise ConfigError(f"{name}: pilot power {P:g} at L={L}, snr_db={snr:g}, "
+                                      f"sigma2={self.sigma2:g} is not a positive normal float")
         if self.pilot_method not in ("qr", "dft"):
             raise ConfigError("pilot_method: must be 'qr' or 'dft'")
         if self.n_frames < 0:
@@ -284,15 +295,15 @@ def reference_instance(cfg: ExperimentConfig, L: int, snr_db: float):
     return model, generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng), rng
 
 
-def reference_floors(cfg: ExperimentConfig, L: int, snr_db: float) -> dict:
+def reference_floors(cfg: ExperimentConfig, L: int, snr_db: float, instance=None) -> dict:
     """Per-coefficient CRB floors for the quantized-oracle and unquantized cases.
 
     Orthogonal pilots make both traces pilot-independent, and oracle
     thresholds make every offset a_n^T h - tau_n zero, so the OQ trace
     does not depend on the channel either: the reference instance
-    represents the whole cell.
+    represents the whole cell.  Pass that instance if it is already drawn.
     """
-    model, ch, _ = reference_instance(cfg, L, snr_db)
+    model, ch, _ = instance or reference_instance(cfg, L, snr_db)
     oq = crb_trace(model, thresholds_oracle(model, ch.h), ch.h)
     nq = crb_nq_trace(model)
     denom = cfg.M * cfg.K

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .gauss import mills_ratio, norm_logcdf
-from .model import RealModel
+from .model import RealModel, block_gram
 
 GRAD_TOL = 1e-8    # converged when per-antenna ||grad|| <= GRAD_TOL * measurements
 MAX_ITER = 100
@@ -122,13 +122,12 @@ def gradient(prob: LikelihoodProblem, h: np.ndarray) -> np.ndarray:
 
 
 def hessian_action(prob: LikelihoodProblem, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply the (negative semidefinite) Hessian to v without forming it."""
+    """Apply the (negative semidefinite) Hessian to v, built from the Newton step's blocks."""
     m = prob.model
     _, S = _problem_margins(prob, h)
     curv = _curvature(S, mills_ratio(S), m.sigma2)
     V = np.asarray(v, dtype=float).reshape(m.M, 2 * m.K)
-    ZV = V @ m.A_tilde.T
-    return -((curv * ZV) @ m.A_tilde).reshape(-1)
+    return -(block_gram(m.A_tilde, curv) @ V[..., None]).reshape(-1)
 
 
 def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEstimate:
@@ -178,12 +177,16 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
             S, lam, G = S[:, keep], lam[:, keep], G[keep]
 
         curv = _curvature(S, lam, m.sigma2)
-        Hneg = np.einsum("ar,ri,rj->aij", curv, At, At)
+        Hneg = block_gram(At, curv)
         try:
             step = np.linalg.solve(Hneg, G[..., None])[..., 0]
         except np.linalg.LinAlgError:
             ridge = 1e-10 * np.maximum(np.trace(Hneg, axis1=1, axis2=2), 1.0)
-            step = np.linalg.solve(Hneg + ridge[:, None, None] * eye, G[..., None])[..., 0]
+            try:
+                step = np.linalg.solve(Hneg + ridge[:, None, None] * eye, G[..., None])[..., 0]
+            except np.linalg.LinAlgError as e:
+                raise NumericalError("Newton system is singular even after a ridge; "
+                                     "the curvature lost precision (check the SNR)") from e
 
         ll0 = norm_logcdf(S).sum(axis=(0, 2))
         slope = (G * step).sum(axis=1)

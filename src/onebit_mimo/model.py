@@ -102,6 +102,14 @@ class RealModel:
         return np.tile(per_block, self.M)
 
 
+def block_gram(A_tilde: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-antenna blocks sum_r w[a, r] a_r a_r^T: (M', 2L) weights -> (M', 2K, 2K).
+
+    Both the Newton step's -Hessian (w = curvature) and the FIM (w = g) are these.
+    """
+    return np.einsum("ar,ri,rj->aij", w, A_tilde, A_tilde)
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """A channel draw in both complex (M x K) and real (2MK) coordinates."""

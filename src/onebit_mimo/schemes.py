@@ -41,28 +41,26 @@ class AqState:
     history: list = field(default_factory=list)
 
 
-def run_fq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
-    """Zero threshold on every comparator: the conventional one-bit ADC."""
-    rng = as_rng(rng_seed)
-    tau = thresholds_fixed(model.N)
+def _single_shot(model: RealModel, h: np.ndarray, tau: np.ndarray, rng) -> ChannelEstimate:
+    """One noisy observation, quantized at tau, then one-bit ML."""
     y = generate_noisy_observation(model, h, rng)
     return solve_ml(LikelihoodProblem([quantize(y, tau)], model))
+
+
+def run_fq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
+    """Zero threshold on every comparator: the conventional one-bit ADC."""
+    return _single_shot(model, h, thresholds_fixed(model.N), as_rng(rng_seed))
 
 
 def run_rq(model: RealModel, h: np.ndarray, sigma_h2: float = 1.0, rng_seed=None) -> ChannelEstimate:
-    """Random thresholds drawn from the channel prior, then one-shot ML."""
+    """Random thresholds drawn from the channel prior (before the noise), then one-shot ML."""
     rng = as_rng(rng_seed)
-    tau = thresholds_random(model, sigma_h2, rng)
-    y = generate_noisy_observation(model, h, rng)
-    return solve_ml(LikelihoodProblem([quantize(y, tau)], model))
+    return _single_shot(model, h, thresholds_random(model, sigma_h2, rng), rng)
 
 
 def run_oq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
     """Thresholds set on the true noiseless signal (testing benchmark only)."""
-    rng = as_rng(rng_seed)
-    tau = thresholds_oracle(model, h)
-    y = generate_noisy_observation(model, h, rng)
-    return solve_ml(LikelihoodProblem([quantize(y, tau)], model))
+    return _single_shot(model, h, thresholds_oracle(model, h), as_rng(rng_seed))
 
 
 def run_nq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:

@@ -161,7 +161,7 @@ def test_criterion_05_score_covariance_matches_fim():
     from onebit_mimo.gauss import mills_ratio
     s = b * u[None, :] / np.sqrt(model.sigma2)
     scores = (b * mills_ratio(s) / np.sqrt(model.sigma2)) @ model.A_tilde
-    J = om.fim(model, tau, ch.h).fim_blocks[0]
+    J = om.fim(model, tau, ch.h)[0]
     rel = np.linalg.norm(np.cov(scores.T) - J) / np.linalg.norm(J)
     mean_ok = np.linalg.norm(scores.mean(0)) < 4 * np.sqrt(np.trace(J) / n_draws)
     report("05 score covariance vs Fisher information",

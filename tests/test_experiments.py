@@ -205,6 +205,7 @@ def test_cli_config_error_exit_code(tmp_path):
     ("L", "abc"), ("M", "x"), ("sigma2", "1"), ("threads", 2.5), ("L", [[1]]),
     ("schemes", 5), ("snr_db", "abc"), ("i_max", None), ("n_frames", 1.5), ("seed", 1.5),
     ("snr_db", float("inf")), ("sigma2", float("nan")), ("rate_cap", -3.0), ("rate_cap", 0.0),
+    ("snr_db", [-4000.0]), ("snr_db", [4000.0]), ("sigma2", 1.0e-320),
 ])
 def test_cli_wrong_typed_config_value_exits_2(tmp_path, capsys, field, value):
     data = dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ"], trials=1, seed=1)
@@ -235,6 +236,31 @@ def test_cli_numerical_failure_exit_code(tmp_path):
                                          schemes=["FQ"], trials=1, seed=1))
     out = tmp_path / "out"
     assert cli.main(["crb", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
+
+
+def test_cli_singular_newton_system_exits_3(tmp_path, capsys):
+    # at 200 dB the curvature loses all precision and the Newton system
+    # stays singular even after the ridge
+    cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[200.0],
+                                         schemes=["OQ"], trials=1, seed=1))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: Newton system")
+
+
+def test_cli_crb_draws_each_reference_instance_once(tmp_path, monkeypatch):
+    cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4, 6], snr_db=[5.0],
+                                         schemes=["OQ", "NQ", "FQ", "RQ"], trials=1, seed=1))
+    draws = []
+    original = experiments.generate_channel
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "generate_channel", counted)
+    assert cli.main(["crb", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(draws) == 2
 
 
 def test_cli_env_var_out_dir(tmp_path, monkeypatch):

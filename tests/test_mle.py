@@ -136,7 +136,7 @@ def test_score_identity_mean_and_covariance():
     s = b * u[None, :] / np.sqrt(model.sigma2)
     weights = b * mills_ratio(s) / np.sqrt(model.sigma2)
     scores = weights @ model.A_tilde
-    J = om.fim(model, tau, ch.h).fim_blocks[0]
+    J = om.fim(model, tau, ch.h)[0]
     assert np.linalg.norm(scores.mean(0)) < 4 * np.sqrt(np.trace(J) / n_draws)
     S = np.cov(scores.T)
     assert np.linalg.norm(S - J) < 0.10 * np.linalg.norm(J)
