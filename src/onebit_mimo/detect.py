@@ -66,13 +66,18 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray, sigma2: float,
     log_pos, log_neg = _loglik_tables(H_hat, sigma2, symbol_power)
     base = log_neg.sum(axis=1)      # score if every sign were -1
     delta = log_pos - log_neg       # added when a sign is +1
-    hyp = hypothesis_indices(K)
+    return _score_frames(base, delta, b_frames, hypothesis_indices(K))
 
-    out = np.empty((b_frames.shape[0], K), dtype=np.uint8)
+
+def _score_frames(base: np.ndarray, delta: np.ndarray, b_frames: np.ndarray,
+                  hyp: np.ndarray) -> np.ndarray:
+    """Best hypothesis per frame by score base + (b > 0) @ delta.T, FRAME_CHUNK frames at a time."""
+    out = np.empty((b_frames.shape[0], hyp.shape[1]), dtype=np.uint8)
     for lo in range(0, b_frames.shape[0], FRAME_CHUNK):
         sl = slice(lo, lo + FRAME_CHUNK)
         pos_mask = (b_frames[sl] > 0).astype(float)
-        scores = base[None, :] + pos_mask @ delta.T   # (f, 4^K)
+        scores = pos_mask @ delta.T   # (f, 4^K)
+        scores += base                # in place: no second (f, 4^K) temporary
         out[sl] = hyp[np.argmax(scores, axis=1)]
     return out
 

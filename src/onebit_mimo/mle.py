@@ -130,6 +130,47 @@ def hessian_action(prob: LikelihoodProblem, h: np.ndarray, v: np.ndarray) -> np.
     return -(block_gram(m.A_tilde, curv) @ V[..., None]).reshape(-1)
 
 
+def _newton_direction(Hneg: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Per-antenna Newton steps Hneg^{-1} G, retried with a small ridge if a block is singular."""
+    try:
+        return np.linalg.solve(Hneg, G[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        ridge = 1e-10 * np.maximum(np.trace(Hneg, axis1=1, axis2=2), 1.0)
+        try:
+            return np.linalg.solve(Hneg + ridge[:, None, None] * np.eye(Hneg.shape[-1]),
+                                   G[..., None])[..., 0]
+        except np.linalg.LinAlgError as e:
+            raise NumericalError("Newton system is singular even after a ridge; "
+                                 "the curvature lost precision (check the SNR)") from e
+
+
+def _line_search(Hs, step, G, S, Bs, Ts, At, sigma):
+    """Armijo backtracking along each antenna's step from the rows Hs with margins S.
+
+    Returns the new rows (a row whose search failed keeps its Hs value) and
+    which antennas accepted a step.
+    """
+    ll0 = norm_logcdf(S).sum(axis=(0, 2))
+    slope = (G * step).sum(axis=1)
+
+    t = np.ones(len(Hs))
+    Hnew = Hs.copy()
+    accepted = np.zeros(len(Hs), dtype=bool)
+    pend = np.arange(len(Hs))
+    for _bt in range(MAX_BACKTRACKS):
+        if pend.size == 0:
+            break
+        trial = Hs[pend] + t[pend, None] * step[pend]
+        llt = norm_logcdf(_margins(trial, Bs[:, pend], Ts[:, pend], At, sigma)).sum(axis=(0, 2))
+        ok = llt >= ll0[pend] + ARMIJO_C1 * t[pend] * slope[pend]
+        good = pend[ok]
+        Hnew[good] = trial[ok]
+        accepted[good] = True
+        t[pend[~ok]] *= BACKTRACK
+        pend = pend[~ok]
+    return Hnew, accepted
+
+
 def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEstimate:
     """Damped Newton ascent on the concave log-likelihood.
 
@@ -148,7 +189,6 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
     tol = GRAD_TOL * meas_per_antenna
 
     H = np.zeros((M, K2)) if h0 is None else np.asarray(h0, dtype=float).reshape(M, K2).copy()
-    eye = np.eye(K2)
 
     active = np.ones(M, dtype=bool)
     capped = np.zeros(M, dtype=bool)
@@ -176,37 +216,8 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
             Hs, Bs, Ts = Hs[keep], Bs[:, keep], Ts[:, keep]
             S, lam, G = S[:, keep], lam[:, keep], G[keep]
 
-        curv = _curvature(S, lam, m.sigma2)
-        Hneg = block_gram(At, curv)
-        try:
-            step = np.linalg.solve(Hneg, G[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            ridge = 1e-10 * np.maximum(np.trace(Hneg, axis1=1, axis2=2), 1.0)
-            try:
-                step = np.linalg.solve(Hneg + ridge[:, None, None] * eye, G[..., None])[..., 0]
-            except np.linalg.LinAlgError as e:
-                raise NumericalError("Newton system is singular even after a ridge; "
-                                     "the curvature lost precision (check the SNR)") from e
-
-        ll0 = norm_logcdf(S).sum(axis=(0, 2))
-        slope = (G * step).sum(axis=1)
-
-        t = np.ones(idx.size)
-        Hnew = Hs.copy()
-        accepted = np.zeros(idx.size, dtype=bool)
-        pend = np.arange(idx.size)
-        for _bt in range(MAX_BACKTRACKS):
-            if pend.size == 0:
-                break
-            trial = Hs[pend] + t[pend, None] * step[pend]
-            llt = norm_logcdf(_margins(trial, Bs[:, pend], Ts[:, pend], At, sigma)).sum(axis=(0, 2))
-            ok = llt >= ll0[pend] + ARMIJO_C1 * t[pend] * slope[pend]
-            good = pend[ok]
-            Hnew[good] = trial[ok]
-            accepted[good] = True
-            t[pend[~ok]] *= BACKTRACK
-            pend = pend[~ok]
-
+        step = _newton_direction(block_gram(At, _curvature(S, lam, m.sigma2)), G)
+        Hnew, accepted = _line_search(Hs, step, G, S, Bs, Ts, At, sigma)
         H[idx] = Hnew
 
         norms = np.linalg.norm(Hnew, axis=1)

@@ -107,7 +107,7 @@ def block_gram(A_tilde: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Both the Newton step's -Hessian (w = curvature) and the FIM (w = g) are these.
     """
-    return np.einsum("ar,ri,rj->aij", w, A_tilde, A_tilde)
+    return (A_tilde.T[None] * w[:, None, :]) @ A_tilde
 
 
 @dataclass(frozen=True)

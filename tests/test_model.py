@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import onebit_mimo as om
+from onebit_mimo.model import block_gram
 
 
 def random_system(M, K, L, seed, snr_db=10.0):
@@ -69,6 +70,21 @@ def test_block_application_equals_per_antenna():
         # identical up to summation order inside the matmul kernels
         assert np.allclose(y[m * 2 * model.L:(m + 1) * 2 * model.L],
                            model.A_tilde @ block, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("M_blocks", [1, 16])
+@pytest.mark.parametrize("K,L", [(1, 1), (8, 32)])
+def test_block_gram_matches_reference_contraction(M_blocks, K, L):
+    rng = np.random.default_rng(100 * M_blocks + L)
+    A_tilde = rng.normal(size=(2 * L, 2 * K))
+    w = rng.normal(size=(M_blocks, 2 * L))   # mixed signs: the contraction must not assume w >= 0
+    assert (w > 0).any() and (w < 0).any()
+    ref = np.einsum("ar,ri,rj->aij", w, A_tilde, A_tilde)
+    got = block_gram(A_tilde, w)
+    assert got.shape == (M_blocks, 2 * K, 2 * K)
+    # rtol 1e-12 against the size of the summed terms, so cancelling entries are judged fairly
+    scale = np.einsum("ar,ri,rj->aij", np.abs(w), np.abs(A_tilde), np.abs(A_tilde))
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
 
 def test_channel_round_trip_exact():
