@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
-complete.  The heavy Monte Carlo criteria (08-10) take about 8.5 minutes
-single-threaded on a 2-vCPU VM, almost all of it in criterion 09's 5200
-trials.
+complete.  The heavy Monte Carlo criteria (08-10) take about 3.3 minutes
+(198 s) single-threaded on a 2-vCPU VM, almost all of it in criterion 09's
+5200 trials.
 """
 
 import numpy as np
