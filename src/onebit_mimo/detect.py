@@ -4,8 +4,11 @@ correlation-based achievable-rate metric.
 The data phase quantizes with zero thresholds (the comparators have no
 side information about payload symbols).  Detection is exhaustive ML
 over all 4^K QPSK hypotheses; per channel estimate the per-measurement
-log Phi tables are precomputed once, after which scoring a frame is a
-single matrix product over hypotheses.
+log Phi tables are precomputed once (the table for the negated signs is
+the first one read backwards).  Frames are then scored in cache-sized
+tiles of FRAME_CHUNK frames by HYP_CHUNK hypotheses, one matrix product
+per tile, keeping a running best per frame, so the full frames-by-
+hypotheses score array is never built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .model import as_rng
 # (lexicographically smallest) hypothesis under this indexing.
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 K_MAX_DEFAULT = 8  # largest K whose 4^K hypotheses detection searches
-FRAME_CHUNK = 256  # frames scored per matrix product
+FRAME_CHUNK = 256  # frames per score tile
+HYP_CHUNK = 512    # hypotheses per score tile (256 x 512 float64 = 1 MB)
 
 
 @cache
@@ -37,12 +41,16 @@ def _loglik_tables(H_hat: np.ndarray, sigma2: float, symbol_power: float):
     """log Phi(+u/sigma) and log Phi(-u/sigma) for every hypothesis.
 
     u stacks [Re, Im] of H_hat @ s over the 2M comparators: (4^K, 2M).
+    Negating every symbol maps constellation index d to 3 - d, which sends
+    hypothesis row i to row 4^K - 1 - i and u to -u exactly (IEEE negation
+    is exact), so the second table is the first one reversed.
     """
     K = H_hat.shape[1]
     S = QPSK[hypothesis_indices(K)] * np.sqrt(symbol_power)  # (4^K, K)
     R = S @ H_hat.T                                          # (4^K, M)
     U = np.concatenate([R.real, R.imag], axis=1) / np.sqrt(sigma2)
-    return norm_logcdf(U), norm_logcdf(-U)
+    log_pos = norm_logcdf(U)
+    return log_pos, log_pos[::-1]
 
 
 def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray, sigma2: float,
@@ -53,6 +61,11 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray, sigma2: float,
     order.  Returns (F, K) constellation indices.
     """
     H_hat = np.asarray(H_hat, dtype=complex)
+    if not np.isfinite(H_hat).all():
+        raise ValueError("H_hat must be finite")
+    for name, value in (("sigma2", sigma2), ("symbol_power", symbol_power)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a positive finite number, got {value}")
     M, K = H_hat.shape
     if K > K_MAX_DEFAULT:
         raise ValueError(
@@ -71,15 +84,29 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray, sigma2: float,
 
 def _score_frames(base: np.ndarray, delta: np.ndarray, b_frames: np.ndarray,
                   hyp: np.ndarray) -> np.ndarray:
-    """Best hypothesis per frame by score base + (b > 0) @ delta.T, FRAME_CHUNK frames at a time."""
-    out = np.empty((b_frames.shape[0], hyp.shape[1]), dtype=np.uint8)
+    """Best hypothesis per frame by score base + (b > 0) @ delta.T.
+
+    Scores FRAME_CHUNK x HYP_CHUNK tiles and keeps a running best per frame.
+    A later tile replaces a frame's best only on a strictly higher score, so
+    ties go to the lexicographically first hypothesis, as with one argmax.
+    """
+    best = np.empty(b_frames.shape[0], dtype=np.intp)
     for lo in range(0, b_frames.shape[0], FRAME_CHUNK):
         sl = slice(lo, lo + FRAME_CHUNK)
         pos_mask = (b_frames[sl] > 0).astype(float)
-        scores = pos_mask @ delta.T   # (f, 4^K)
-        scores += base                # in place: no second (f, 4^K) temporary
-        out[sl] = hyp[np.argmax(scores, axis=1)]
-    return out
+        rows = np.arange(pos_mask.shape[0])
+        best_score = np.full(pos_mask.shape[0], -np.inf)
+        best_idx = np.zeros(pos_mask.shape[0], dtype=np.intp)
+        for h in range(0, delta.shape[0], HYP_CHUNK):
+            scores = pos_mask @ delta[h:h + HYP_CHUNK].T   # (f, HYP_CHUNK)
+            scores += base[h:h + HYP_CHUNK]
+            arg = np.argmax(scores, axis=1)
+            score = scores[rows, arg]
+            better = score > best_score
+            best_score[better] = score[better]
+            best_idx[better] = arg[better] + h
+        best[sl] = best_idx
+    return hyp[best]
 
 
 def simulate_frames(H: np.ndarray, sigma2: float, symbol_power: float,

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import onebit_mimo as om
+from onebit_mimo import detect
 from onebit_mimo.detect import QPSK, hypothesis_indices
+from onebit_mimo.gauss import norm_logcdf
 
 
 def brute_force_detect(H, b, sigma2, symbol_power):
@@ -55,6 +59,88 @@ def test_tie_break_is_lexicographic():
     b = np.ones(6)
     out = om.detect_frames(H, b, 1.0)
     assert np.array_equal(out[0], [0, 0])
+
+
+def _channel(M, K, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
+
+
+def _full_matrix_decisions(H, b, sigma2, symbol_power):
+    """Reference: the whole frames-by-hypotheses score array and one argmax."""
+    log_pos, log_neg = detect._loglik_tables(H, sigma2, symbol_power)
+    scores = log_neg.sum(axis=1) + (b > 0).astype(float) @ (log_pos - log_neg).T
+    return hypothesis_indices(H.shape[1])[np.argmax(scores, axis=1)]
+
+
+@pytest.mark.parametrize("M, K, n_frames", [(16, 8, 300), (4, 3, 40)])
+def test_tiled_scorer_matches_full_matrix(M, K, n_frames):
+    # K=8: 300 frames is not a multiple of FRAME_CHUNK; K=3: 64 hypotheses
+    # fit in less than one tile
+    H = _channel(M, K, 12)
+    _, b = om.simulate_frames(H, 1.0, 10.0, n_frames, rng_seed=13)
+    log_pos, log_neg = detect._loglik_tables(H, 1.0, 10.0)
+    ours = detect._score_frames(log_neg.sum(axis=1), log_pos - log_neg, b, hypothesis_indices(K))
+    assert np.array_equal(ours, _full_matrix_decisions(H, b, 1.0, 10.0))
+
+
+def test_tie_break_is_lexicographic_across_tiles():
+    b = np.where(np.random.default_rng(14).normal(size=(300, 32)) >= 0, 1, -1)
+    out = om.detect_frames(np.zeros((16, 8), dtype=complex), b, 1.0)
+    assert not out.any()
+    # user 0 unseen: hypotheses differing only in its symbol tie, and they
+    # sit 4^7 rows apart, in different tiles
+    H = _channel(16, 8, 15)
+    H[:, 0] = 0.0
+    _, b = om.simulate_frames(H, 1.0, 10.0, 300, rng_seed=16)
+    out = om.detect_frames(H, b, 1.0, symbol_power=10.0)
+    assert not out[:, 0].any()
+    assert np.array_equal(out, _full_matrix_decisions(H, b, 1.0, 10.0))
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_negated_table_is_first_table_reversed(K):
+    H = _channel(6, K, 20 + K)
+    S = QPSK[hypothesis_indices(K)] * np.sqrt(3.0)
+    R = S @ H.T
+    U = np.concatenate([R.real, R.imag], axis=1) / np.sqrt(0.7)
+    log_pos, log_neg = detect._loglik_tables(H, 0.7, 3.0)
+    assert np.array_equal(log_pos, norm_logcdf(U))
+    assert np.array_equal(log_neg, norm_logcdf(-U))
+
+
+def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(np.shape(t))
+        return norm_logcdf(t)
+
+    monkeypatch.setattr(detect, "norm_logcdf", counting)
+    H = _channel(16, 8, 17)
+    _, b = om.simulate_frames(H, 1.0, 10.0, 600, rng_seed=18)
+    tracemalloc.start()
+    try:
+        om.detect_frames(H, b, 1.0, symbol_power=10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [(4 ** 8, 32)]
+    # less than one FRAME_CHUNK x 4^K float64 score block
+    assert peak < detect.FRAME_CHUNK * 4 ** 8 * 8
+
+
+@pytest.mark.parametrize("H_bad, sigma2, symbol_power, name", [
+    (np.nan, 1.0, 1.0, "H_hat"),
+    (None, 0.0, 1.0, "sigma2"),
+    (None, 1.0, np.inf, "symbol_power"),
+])
+def test_non_finite_inputs_raise(H_bad, sigma2, symbol_power, name):
+    H = _channel(4, 2, 19)
+    if H_bad is not None:
+        H[1, 1] = H_bad
+    with pytest.raises(ValueError, match=name):
+        om.detect_frames(H, np.ones((3, 8)), sigma2, symbol_power=symbol_power)
 
 
 def test_k_max_guard():
