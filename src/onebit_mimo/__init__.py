@@ -10,13 +10,13 @@ from .crb import crb_nq_trace, crb_trace, fim, g_bar_bound, g_weight, gaussian_c
 from .detect import (QPSK, RateResult, SerResult, achievable_rate, detect_frames,
                      measure_ser, simulate_frames)
 from .errors import ConfigError, NumericalError
-from .experiments import ExperimentConfig, TrialResult, run_sweep, run_trial, summarize
+from .experiments import (ExperimentConfig, TrialResult, pilot_model, run_sweep, run_trial,
+                          summarize)
 from .mle import (ChannelEstimate, LikelihoodProblem, gradient, hessian_action,
                   log_likelihood, solve_ml, solve_nq)
-from .model import (ChannelRealization, ComplexSystem, RealModel, build_system,
-                    channel_mse, channel_to_real, generate_channel,
-                    generate_noisy_observation, generate_pilots_orthogonal,
-                    power_for_snr, real_to_channel, realify, snr_of)
+from .model import (ChannelRealization, ComplexSystem, RealModel, channel_mse,
+                    channel_to_real, generate_channel, generate_noisy_observation,
+                    generate_pilots_orthogonal, power_for_snr, real_to_channel, realify)
 from .quant import (QuantizedBatch, quantize, thresholds_fixed, thresholds_oracle,
                     thresholds_random)
 from .schemes import AqIterate, AqState, run_aq, run_fq, run_nq, run_oq, run_rq

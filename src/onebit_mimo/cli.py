@@ -33,8 +33,6 @@ def _add_common(sp):
     sp.add_argument("--trials", type=int, help="trials per cell override")
     sp.add_argument("--schemes", type=str, help="comma-separated scheme list override")
     sp.add_argument("--threads", type=int, help="worker processes (default 1)")
-    sp.add_argument("--timing", action="store_true",
-                    help="record per-trial wall time (makes reruns differ byte-wise)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,8 +63,6 @@ def load_config(args) -> ExperimentConfig:
         overrides["schemes"] = args.schemes
     if args.threads is not None:
         overrides["threads"] = args.threads
-    if args.timing:
-        overrides["timing"] = True
     if args.out_dir is not None:
         overrides["out_dir"] = str(args.out_dir)
     if args.command in ("detect-ser", "rate") and cfg.n_frames == 0:

@@ -24,7 +24,7 @@ from .model import as_rng
 # Fixed constellation order; ties in the likelihood resolve to the first
 # (lexicographically smallest) hypothesis under this indexing.
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-K_MAX_DEFAULT = 8  # largest K whose 4^K hypotheses detection searches
+K_MAX = 8  # largest K whose 4^K hypotheses detection searches
 FRAME_CHUNK = 256  # frames per score tile
 HYP_CHUNK = 512    # hypotheses per score tile (256 x 512 float64 = 1 MB)
 
@@ -67,10 +67,10 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray, sigma2: float,
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a positive finite number, got {value}")
     M, K = H_hat.shape
-    if K > K_MAX_DEFAULT:
+    if K > K_MAX:
         raise ValueError(
             f"K={K} needs 4^{K} hypotheses, beyond the exhaustive-search "
-            f"limit K <= {K_MAX_DEFAULT}; reduce the number of users"
+            f"limit K <= {K_MAX}; reduce the number of users"
         )
     b_frames = np.atleast_2d(np.asarray(b_frames))
     if b_frames.shape[1] != 2 * M:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .crb import crb_nq_trace, crb_trace
-from .detect import K_MAX_DEFAULT, QPSK, achievable_rate, detect_frames, simulate_frames
+from .detect import K_MAX, QPSK, achievable_rate, detect_frames, simulate_frames
 from .errors import ConfigError
 from .mle import ChannelEstimate
 from .model import (ComplexSystem, RealModel, channel_mse, generate_channel,
@@ -32,7 +31,7 @@ SCHEME_IDS = {"FQ": 0, "RQ": 1, "AQ": 2, "OQ": 3, "NQ": 4, "PCSI": 5}
 _REF_ID = 9  # pseudo-scheme id for CRB reference models
 
 CSV_COLUMNS = ["scheme", "M", "K", "L", "snr_db", "trial", "seed", "mse",
-               "converged", "iters", "ser", "rate", "wall_ms"]
+               "converged", "iters", "ser", "rate"]
 
 AQ_TRACE_COLUMNS = ["M", "K", "L", "snr_db", "trial", "seed", "iteration",
                     "mse", "converged", "threshold_rel_err"]
@@ -77,7 +76,6 @@ class ExperimentConfig:
     n_frames: int = 0       # data-phase frames per trial; 0 skips SER/rate
     rate_cap: float = 20.0
     threads: int = 1
-    timing: bool = False    # wall_ms column stays empty unless enabled (keeps CSV reruns byte-identical)
     out_dir: str | None = None
 
     @classmethod
@@ -157,9 +155,9 @@ class ExperimentConfig:
             raise ConfigError("pilot_method: must be 'qr' or 'dft'")
         if self.n_frames < 0:
             raise ConfigError("n_frames: must be non-negative")
-        if self.n_frames > 0 and self.K > K_MAX_DEFAULT:
+        if self.n_frames > 0 and self.K > K_MAX:
             raise ConfigError(f"K: one-bit detection in the data phase allows "
-                              f"K <= {K_MAX_DEFAULT} (got K={self.K})")
+                              f"K <= {K_MAX} (got K={self.K})")
         if self.rate_cap <= 0:
             raise ConfigError("rate_cap: must be positive")
         if self.threads < 1:
@@ -186,7 +184,6 @@ class TrialResult:
     iters: int
     ser: float | None = None
     rate: float | None = None
-    wall_ms: float | None = None
     rounds: list | None = None  # AQ only: one AqIterate per adaptive round
 
 
@@ -200,9 +197,12 @@ def trial_seed_seq(master: int, scheme: str, M: int, K: int, L: int,
     )
 
 
-def pilot_model(M: int, K: int, L: int, snr_db: float, sigma2: float,
-                pilot_method: str, rng) -> RealModel:
-    """Orthogonal pilots at the power the SNR implies, in real block form."""
+def pilot_model(M: int, K: int, L: int, snr_db: float, rng, sigma2: float = 1.0,
+                pilot_method: str = "qr") -> RealModel:
+    """Orthogonal pilots at the power the SNR implies, in real block form.
+
+    ``rng`` is a Generator (the "qr" pilots are its next draw) or a seed.
+    """
     P = power_for_snr(snr_db, K, L, sigma2)
     X = generate_pilots_orthogonal(K, L, P, rng_seed=rng, method=pilot_method)
     return realify(ComplexSystem(M=M, K=K, L=L, X=X, sigma2=sigma2, P=P))
@@ -211,14 +211,13 @@ def pilot_model(M: int, K: int, L: int, snr_db: float, sigma2: float,
 def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
               master_seed: int, sigma2: float = 1.0, sigma_h2: float = 1.0,
               i_max: int = 5, pilot_method: str = "qr", n_frames: int = 0,
-              rate_cap: float = 20.0, timing: bool = False) -> TrialResult:
+              rate_cap: float = 20.0) -> TrialResult:
     """Draw pilots + channel, run one scheme, optionally run the data phase."""
     ss = trial_seed_seq(master_seed, scheme, M, K, L, snr_db, trial)
     seed_repr = int(ss.generate_state(1)[0])
     rng = np.random.default_rng(ss)
-    t0 = time.perf_counter() if timing else None
 
-    model = pilot_model(M, K, L, snr_db, sigma2, pilot_method, rng)
+    model = pilot_model(M, K, L, snr_db, rng, sigma2, pilot_method)
     ch = generate_channel(M, K, sigma_h2, rng_seed=rng)
 
     rounds = None
@@ -249,11 +248,10 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
         rr = achievable_rate(QPSK[s_idx], QPSK[det], cap=rate_cap)
         rate = float(rr.rate.mean())
 
-    wall_ms = (time.perf_counter() - t0) * 1e3 if timing else None
     return TrialResult(
         scheme=scheme, M=M, K=K, L=L, snr_db=snr_db, trial=trial, seed=seed_repr,
         mse=channel_mse(est.h_hat, ch.h, M, K), converged=bool(est.converged),
-        iters=int(est.iterations), ser=ser, rate=rate, wall_ms=wall_ms, rounds=rounds,
+        iters=int(est.iterations), ser=ser, rate=rate, rounds=rounds,
     )
 
 
@@ -273,7 +271,7 @@ def sweep_tasks(cfg: ExperimentConfig) -> list:
                         trial=trial, master_seed=cfg.seed, sigma2=cfg.sigma2,
                         sigma_h2=cfg.sigma_h2, i_max=cfg.i_max,
                         pilot_method=cfg.pilot_method, n_frames=cfg.n_frames,
-                        rate_cap=cfg.rate_cap, timing=cfg.timing,
+                        rate_cap=cfg.rate_cap,
                     ))
     return tasks
 
@@ -283,15 +281,16 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     tasks = sweep_tasks(cfg)
     if cfg.threads <= 1:
         return [run_trial(**t) for t in tasks]
-    chunk = max(1, len(tasks) // (cfg.threads * 8))
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    workers = min(cfg.threads, len(tasks))  # the pool forks every worker up front
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trial_worker, tasks, chunksize=chunk))
 
 
 def reference_instance(cfg: ExperimentConfig, L: int, snr_db: float):
     """The cell's seeded reference instance: (pilot model, channel, generator after both draws)."""
     rng = np.random.default_rng(trial_seed_seq(cfg.seed, "REF", cfg.M, cfg.K, L, snr_db, 0))
-    model = pilot_model(cfg.M, cfg.K, L, snr_db, cfg.sigma2, cfg.pilot_method, rng)
+    model = pilot_model(cfg.M, cfg.K, L, snr_db, rng, cfg.sigma2, cfg.pilot_method)
     return model, generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng), rng
 
 

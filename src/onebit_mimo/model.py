@@ -87,11 +87,6 @@ class RealModel:
         H = np.asarray(h, dtype=float).reshape(self.M, 2 * self.K)
         return (H @ self.A_tilde.T).reshape(-1)
 
-    def apply_t(self, v: np.ndarray) -> np.ndarray:
-        """A.T @ v without forming A."""
-        V = np.asarray(v, dtype=float).reshape(self.M, 2 * self.L)
-        return (V @ self.A_tilde).reshape(-1)
-
     def gram(self) -> np.ndarray:
         """A_tilde^T A_tilde, the repeated diagonal block of A^T A."""
         return self.A_tilde.T @ self.A_tilde
@@ -200,11 +195,6 @@ def generate_noisy_observation(model: RealModel, h: np.ndarray, rng_seed=None) -
     return y
 
 
-def snr_of(sys: ComplexSystem) -> float:
-    """Training SNR P / (K L sigma2)."""
-    return sys.P / (sys.K * sys.L * sys.sigma2)
-
-
 def power_for_snr(snr_db: float, K: int, L: int, sigma2: float = 1.0) -> float:
     """Pilot power budget that realizes a target SNR in dB."""
     return 10.0 ** (snr_db / 10.0) * K * L * sigma2
@@ -214,11 +204,3 @@ def channel_mse(h_hat: np.ndarray, h_true: np.ndarray, M: int, K: int) -> float:
     """||H - H_hat||_F^2 / (K M), evaluated on the real coordinates."""
     e = np.asarray(h_hat, dtype=float) - np.asarray(h_true, dtype=float)
     return float(np.dot(e, e)) / (M * K)
-
-
-def build_system(M: int, K: int, L: int, snr_db: float, sigma2: float = 1.0,
-                 rng_seed=None, pilot_method: str = "qr") -> ComplexSystem:
-    """Convenience constructor: orthogonal pilots at the power a target SNR implies."""
-    P = power_for_snr(snr_db, K, L, sigma2)
-    X = generate_pilots_orthogonal(K, L, P, rng_seed=rng_seed, method=pilot_method)
-    return ComplexSystem(M=M, K=K, L=L, X=X, sigma2=sigma2, P=P)

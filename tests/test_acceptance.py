@@ -30,8 +30,7 @@ def test_criterion_01_pi_half_ratio_analytic():
         L = int(K + rng.integers(0, 6))
         snr = float(rng.uniform(-5.0, 20.0))
         sigma2 = float(rng.uniform(0.3, 3.0))
-        sys = om.build_system(M, K, L, snr, sigma2=sigma2, rng_seed=rng)
-        model = om.realify(sys)
+        model = om.pilot_model(M, K, L, snr, rng, sigma2=sigma2)
         ch = om.generate_channel(M, K, 1.0, rng)
         ratio = om.crb_trace(model, om.thresholds_oracle(model, ch.h), ch.h) \
             / om.crb_nq_trace(model)
@@ -45,8 +44,7 @@ def test_criterion_02_orthogonal_pilots_are_optimal():
     M, K, L = 3, 3, 6
     snr, sigma2 = 8.0, 1.0
     P = om.power_for_snr(snr, K, L, sigma2)
-    sys = om.build_system(M, K, L, snr, sigma2=sigma2, rng_seed=rng)
-    model = om.realify(sys)
+    model = om.pilot_model(M, K, L, snr, rng, sigma2=sigma2)
     h = om.generate_channel(M, K, 1.0, rng).h
     tr_opt = om.crb_trace(model, om.thresholds_oracle(model, h), h)
     target = np.pi * sigma2 * M * K ** 2 / P
@@ -82,8 +80,7 @@ def test_criterion_03_newton_matches_grid_oracle():
         seed += 1
         assert seed < 400, "too many degenerate instances: check the solver"
         rng = np.random.default_rng(seed)
-        sys = om.build_system(1, 1, 4, snr_db=0.0, rng_seed=rng)
-        model = om.realify(sys)
+        model = om.pilot_model(1, 1, 4, 0.0, rng)
         ch = om.generate_channel(1, 1, 1.0, rng)
         tau = om.thresholds_random(model, 1.0, rng)
         y = om.generate_noisy_observation(model, ch.h, rng)
@@ -117,8 +114,7 @@ def test_criterion_04_calculus_suite():
         M = int(rng.integers(1, 3))
         K = int(rng.integers(1, 3))
         L = int(2 * K + rng.integers(0, 4))
-        sys = om.build_system(M, K, L, float(rng.uniform(-3, 12)), rng_seed=rng)
-        model = om.realify(sys)
+        model = om.pilot_model(M, K, L, float(rng.uniform(-3, 12)), rng)
         ch = om.generate_channel(M, K, 1.0, rng)
         tau = om.thresholds_random(model, 1.0, rng)
         y = om.generate_noisy_observation(model, ch.h, rng)
@@ -150,8 +146,7 @@ def test_criterion_04_calculus_suite():
 
 def test_criterion_05_score_covariance_matches_fim():
     rng = np.random.default_rng(5)
-    sys = om.build_system(1, 1, 4, snr_db=3.0, rng_seed=rng)
-    model = om.realify(sys)
+    model = om.pilot_model(1, 1, 4, 3.0, rng)
     ch = om.generate_channel(1, 1, 1.0, rng)
     tau = om.thresholds_random(model, 1.0, rng)
     u = model.apply(ch.h) - tau

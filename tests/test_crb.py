@@ -18,8 +18,7 @@ def mp_g(u, sigma2=1.0):
 
 
 def make_model(M=3, K=2, L=6, snr_db=10.0, seed=0, sigma2=1.0):
-    sys = om.build_system(M, K, L, snr_db, sigma2=sigma2, rng_seed=seed)
-    return sys, om.realify(sys)
+    return om.pilot_model(M, K, L, snr_db, seed, sigma2=sigma2)
 
 
 def test_g_weight_peak_value():
@@ -45,7 +44,7 @@ def test_g_weight_positive_bounded_symmetric(u):
 
 
 def test_fim_with_oracle_thresholds_is_scaled_gram():
-    sys, model = make_model(seed=1)
+    model = make_model(seed=1)
     ch = om.generate_channel(model.M, model.K, 1.0, 1)
     J = om.fim(model, om.thresholds_oracle(model, ch.h), ch.h)
     assert isinstance(J, np.ndarray) and J.shape == (model.M, 2 * model.K, 2 * model.K)
@@ -58,7 +57,7 @@ def test_fim_with_oracle_thresholds_is_scaled_gram():
 
 
 def test_fim_dominance_of_oracle_thresholds():
-    sys, model = make_model(seed=2)
+    model = make_model(seed=2)
     ch = om.generate_channel(model.M, model.K, 1.0, 2)
     J_star = om.fim(model, om.thresholds_oracle(model, ch.h), ch.h)
     for seed in range(5):
@@ -69,23 +68,24 @@ def test_fim_dominance_of_oracle_thresholds():
 
 
 def test_crb_trace_optimal_design_value():
-    sys, model = make_model(M=4, K=3, L=8, snr_db=12.0, seed=3)
+    model = make_model(M=4, K=3, L=8, snr_db=12.0, seed=3)
     ch = om.generate_channel(4, 3, 1.0, 3)
     tr = om.crb_trace(model, om.thresholds_oracle(model, ch.h), ch.h)
-    expected = np.pi * model.sigma2 * model.M * model.K ** 2 / sys.P
+    P = om.power_for_snr(12.0, 3, 8)
+    expected = np.pi * model.sigma2 * model.M * model.K ** 2 / P
     assert abs(tr - expected) < 1e-10 * expected
 
 
 def test_pi_half_ratio_exact():
     for seed, (M, K, L, snr) in enumerate([(2, 2, 4, 5.0), (4, 3, 7, 12.0), (1, 1, 2, 0.0)]):
-        sys, model = make_model(M, K, L, snr, seed=seed)
+        model = make_model(M, K, L, snr, seed=seed)
         ch = om.generate_channel(M, K, 1.0, seed)
         ratio = om.crb_trace(model, om.thresholds_oracle(model, ch.h), ch.h) / om.crb_nq_trace(model)
         assert abs(ratio - np.pi / 2) < 1e-12 * (np.pi / 2)
 
 
 def test_crb_trace_uniform_offset_formula_and_monotonicity():
-    sys, model = make_model(M=2, K=2, L=5, seed=4)
+    model = make_model(M=2, K=2, L=5, seed=4)
     ch = om.generate_channel(2, 2, 1.0, 4)
     gram_inv_tr = model.M * np.trace(np.linalg.inv(model.gram()))
     prev = None
@@ -100,8 +100,8 @@ def test_crb_trace_uniform_offset_formula_and_monotonicity():
 
 
 def test_crb_nq_trace_values():
-    sys, model = make_model(M=5, K=2, L=6, snr_db=7.0, seed=5)
-    expected = 2.0 * model.sigma2 * model.M * model.K ** 2 / sys.P
+    model = make_model(M=5, K=2, L=6, snr_db=7.0, seed=5)
+    expected = 2.0 * model.sigma2 * model.M * model.K ** 2 / om.power_for_snr(7.0, 2, 6)
     assert abs(om.crb_nq_trace(model) - expected) < 1e-10 * expected
     # identity operator: trace is sigma2 * 2MK
     ident = om.realify(om.ComplexSystem(M=3, K=1, L=1, X=np.array([[1.0 + 0j]]),
@@ -110,7 +110,7 @@ def test_crb_nq_trace_values():
 
 
 def test_quantization_never_beats_unquantized():
-    sys, model = make_model(seed=6)
+    model = make_model(seed=6)
     ch = om.generate_channel(model.M, model.K, 1.0, 6)
     nq = om.crb_nq_trace(model)
     for seed in range(4):
@@ -119,7 +119,7 @@ def test_quantization_never_beats_unquantized():
 
 
 def test_ill_conditioned_fim_raises_with_block_index():
-    sys, model = make_model(M=2, K=2, L=5, seed=7)
+    model = make_model(M=2, K=2, L=5, seed=7)
     ch = om.generate_channel(2, 2, 1.0, 7)
     # push one antenna's thresholds far away: its block weights vanish
     tau = model.apply(ch.h)

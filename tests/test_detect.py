@@ -183,8 +183,7 @@ def test_ser_improves_with_more_pilots():
     for L in [16, 48, 144]:
         vals = []
         for t in range(8):
-            sys = om.build_system(4, 2, L, 10.0, rng_seed=700 + t)
-            model = om.realify(sys)
+            model = om.pilot_model(4, 2, L, 10.0, 700 + t)
             ch = om.generate_channel(4, 2, 1.0, 700 + t)
             est = om.run_rq(model, ch.h, 1.0, 800 + t)
             H_est = om.real_to_channel(est.h_hat, 4, 2)
@@ -240,8 +239,7 @@ def test_ser_level_full_scale_random_thresholds():
     snr_lin = 10 ** (snr / 10)
     sers = []
     for t in range(5):
-        sys = om.build_system(M, K, L, snr, rng_seed=2000 + t)
-        model = om.realify(sys)
+        model = om.pilot_model(M, K, L, snr, 2000 + t)
         ch = om.generate_channel(M, K, 1.0, 2000 + t)
         est = om.run_rq(model, ch.h, 1.0, 2100 + t)
         H_est = om.real_to_channel(est.h_hat, M, K)

@@ -81,23 +81,40 @@ def test_aq_trace_thread_count_does_not_change_results(tmp_path):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
-def test_csv_columns_and_timing_flag(tmp_path):
+def test_csv_columns(tmp_path):
     cfg = tiny_config().validate()
     path = tmp_path / "sweep.csv"
     write_trials_csv(run_sweep(cfg), path)
     with open(path) as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        first = next(reader)
+        header = next(csv.reader(f))
     assert header == CSV_COLUMNS
-    assert first[header.index("wall_ms")] == ""  # timing disabled by default
-    cfg_t = tiny_config(timing=True).validate()
-    write_trials_csv(run_sweep(cfg_t), path)
-    with open(path) as f:
-        reader = csv.reader(f)
-        next(reader)
-        first = next(reader)
-    assert float(first[header.index("wall_ms")]) > 0.0
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("trials,threads,workers", [(1, 3, 1), (2, 3, 2), (3, 2, 2)])
+def test_pool_never_outnumbers_tasks(monkeypatch, trials, threads, workers):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    rows = run_sweep(tiny_config(schemes=["NQ"], trials=trials, threads=threads).validate())
+    assert len(rows) == trials
+    assert RecordingPool.sizes == [workers]
 
 
 def test_summary_aggregates_recomputable_from_csv(tmp_path):
@@ -261,6 +278,21 @@ def test_cli_crb_draws_each_reference_instance_once(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "generate_channel", counted)
     assert cli.main(["crb", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
     assert len(draws) == 2
+
+
+def test_cli_rejects_timing(tmp_path, capsys):
+    cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ"],
+                                         trials=1, seed=1, timing=True))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert "timing" in capsys.readouterr().err
+    cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ"],
+                                         trials=1, seed=1))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out), "--timing"])
+    assert exc.value.code == 2
+    assert "--timing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_env_var_out_dir(tmp_path, monkeypatch):

@@ -16,8 +16,7 @@ def identity_pilot_model(sigma2=1.0):
 
 def make_problem(M=2, K=2, L=6, seed=0, snr_db=8.0, n_batches=1, policy="random"):
     rng = np.random.default_rng(seed)
-    sys = om.build_system(M, K, L, snr_db, rng_seed=rng)
-    model = om.realify(sys)
+    model = om.pilot_model(M, K, L, snr_db, rng)
     ch = om.generate_channel(M, K, 1.0, rng)
     batches = []
     for _ in range(n_batches):
@@ -124,8 +123,7 @@ def test_log_likelihood_concave_along_segments(seed, lam):
 def test_score_identity_mean_and_covariance():
     # sample score statistics at the true channel against the Fisher blocks
     rng = np.random.default_rng(0)
-    sys = om.build_system(1, 1, 4, snr_db=3.0, rng_seed=rng)
-    model = om.realify(sys)
+    model = om.pilot_model(1, 1, 4, 3.0, rng)
     ch = om.generate_channel(1, 1, 1.0, rng)
     tau = om.thresholds_random(model, 1.0, rng)
     u = model.apply(ch.h) - tau
@@ -153,8 +151,7 @@ def test_solver_reaches_stated_tolerance():
 
 def test_solver_matches_grid_on_tiny_instance():
     rng = np.random.default_rng(14)
-    sys = om.build_system(1, 1, 4, snr_db=0.0, rng_seed=rng)
-    model = om.realify(sys)
+    model = om.pilot_model(1, 1, 4, 0.0, rng)
     ch = om.generate_channel(1, 1, 1.0, rng)
     tau = om.thresholds_random(model, 1.0, rng)
     y = om.generate_noisy_observation(model, ch.h, rng)
@@ -189,8 +186,7 @@ def test_separable_data_flagged_not_converged():
     # signs generated noiselessly from a channel are consistent with an
     # entire ray: the likelihood supremum is at infinity
     rng = np.random.default_rng(21)
-    sys = om.build_system(1, 2, 8, snr_db=10.0, rng_seed=rng)
-    model = om.realify(sys)
+    model = om.pilot_model(1, 2, 8, 10.0, rng)
     ch = om.generate_channel(1, 2, 1.0, rng)
     b = om.quantize(model.apply(ch.h), om.thresholds_fixed(model.N, 0.0))
     est = om.solve_ml(LikelihoodProblem([b], model))
@@ -207,8 +203,7 @@ def test_solve_nq_identity_pilot_returns_observation():
 
 
 def test_solve_nq_noiseless_exact():
-    sys = om.build_system(3, 2, 5, snr_db=10.0, rng_seed=2)
-    model = om.realify(sys)
+    model = om.pilot_model(3, 2, 5, 10.0, 2)
     ch = om.generate_channel(3, 2, 1.0, 2)
     est = om.solve_nq(model, model.apply(ch.h))
     assert np.allclose(est.h_hat, ch.h, atol=1e-10)
@@ -218,8 +213,7 @@ def test_solve_nq_noiseless_exact():
 def test_solve_nq_mse_matches_closed_form():
     rng = np.random.default_rng(3)
     M, K, L = 4, 2, 6
-    sys = om.build_system(M, K, L, snr_db=5.0, rng_seed=rng)
-    model = om.realify(sys)
+    model = om.pilot_model(M, K, L, 5.0, rng)
     # hat(h) - h = (A^T A)^{-1} A^T w per antenna; 10^4 trials vectorized
     AtA = model.gram()
     Q = model.A_tilde @ np.linalg.inv(AtA)

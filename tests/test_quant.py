@@ -6,8 +6,7 @@ import onebit_mimo as om
 
 
 def small_model(M=2, K=2, L=4, seed=0, snr_db=10.0):
-    sys = om.build_system(M, K, L, snr_db, rng_seed=seed)
-    return om.realify(sys)
+    return om.pilot_model(M, K, L, snr_db, seed)
 
 
 def test_quantize_basic():

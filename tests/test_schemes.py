@@ -5,15 +5,14 @@ import onebit_mimo as om
 
 
 def setup(M, K, L, snr_db, seed, sigma2=1.0):
-    sys = om.build_system(M, K, L, snr_db, sigma2=sigma2, rng_seed=seed)
-    model = om.realify(sys)
+    model = om.pilot_model(M, K, L, snr_db, seed, sigma2=sigma2)
     ch = om.generate_channel(M, K, 1.0, seed + 10_000)
-    return sys, model, ch
+    return model, ch
 
 
 @pytest.mark.parametrize("name", ["FQ", "RQ", "OQ", "NQ"])
 def test_schemes_deterministic_under_seed(name):
-    _, model, ch = setup(2, 2, 8, 8.0, 1)
+    model, ch = setup(2, 2, 8, 8.0, 1)
     runner = {
         "FQ": lambda s: om.run_fq(model, ch.h, s),
         "RQ": lambda s: om.run_rq(model, ch.h, 1.0, s),
@@ -26,7 +25,7 @@ def test_schemes_deterministic_under_seed(name):
 
 
 def test_aq_deterministic_under_seed():
-    _, model, ch = setup(2, 2, 8, 8.0, 2)
+    model, ch = setup(2, 2, 8, 8.0, 2)
     e1, s1 = om.run_aq(model, ch.h, 3, 7)
     e2, s2 = om.run_aq(model, ch.h, 3, 7)
     assert np.array_equal(e1.h_hat, e2.h_hat)
@@ -35,7 +34,7 @@ def test_aq_deterministic_under_seed():
 
 def test_aq_single_round_is_fixed_quantization():
     # benign regime so the round converges and no fallback edits the estimate
-    _, model, ch = setup(3, 2, 16, 0.0, 3)
+    model, ch = setup(3, 2, 16, 0.0, 3)
     fq = om.run_fq(model, ch.h, 55)
     aq, state = om.run_aq(model, ch.h, 1, 55)
     assert fq.converged
@@ -45,7 +44,7 @@ def test_aq_single_round_is_fixed_quantization():
 
 
 def test_rq_zero_prior_variance_reduces_to_fixed_thresholds():
-    _, model, ch = setup(2, 2, 8, 5.0, 4)
+    model, ch = setup(2, 2, 8, 5.0, 4)
     rng = np.random.default_rng(9)
     tau = om.thresholds_random(model, 0.0, rng)
     assert np.array_equal(tau, np.zeros(model.N))
@@ -57,7 +56,7 @@ def test_rq_zero_prior_variance_reduces_to_fixed_thresholds():
 
 
 def test_aq_state_invariants():
-    _, model, ch = setup(2, 2, 12, 8.0, 5)
+    model, ch = setup(2, 2, 12, 8.0, 5)
     est, state = om.run_aq(model, ch.h, 4, 11)
     assert len(state.batches) == 4
     assert len(state.history) == 4
@@ -77,7 +76,7 @@ def test_aq_converges_toward_oracle_thresholds():
     rel_err = []
     mse = []
     for t in range(25):
-        _, model, ch = setup(8, 4, 16, 12.0, 600 + t)
+        model, ch = setup(8, 4, 16, 12.0, 600 + t)
         _, state = om.run_aq(model, ch.h, 5, 600 + t)
         rel_err.append([it.threshold_rel_err for it in state.history])
         mse.append([it.mse for it in state.history])
@@ -93,7 +92,7 @@ def test_aq_identifiability_fallback_recovers_from_separable_rounds():
     # must still pull the estimate to a sensible error level
     mses = []
     for t in range(12):
-        _, model, ch = setup(4, 4, 16, 15.0, 900 + t)
+        model, ch = setup(4, 4, 16, 15.0, 900 + t)
         _, state = om.run_aq(model, ch.h, 5, 900 + t)
         assert not state.history[0].converged  # the event is recorded
         mses.append(state.history[-1].mse)
@@ -105,7 +104,7 @@ def test_oq_and_nq_attain_their_bounds_with_pi_half_gap():
     M, K, L = 8, 1, 64
     ratios = []
     mses_oq, mses_nq = [], []
-    _, model, ch = setup(M, K, L, 10.0, 77)
+    model, ch = setup(M, K, L, 10.0, 77)
     crb_oq = om.crb_trace(model, om.thresholds_oracle(model, ch.h), ch.h) / (M * K)
     crb_nq = om.crb_nq_trace(model) / (M * K)
     for t in range(1000):
@@ -121,7 +120,7 @@ def test_oq_mse_approaches_its_crb_at_large_sample():
     # estimator consistency: with oracle thresholds and many pilots the MSE
     # sits on the quantized-oracle CRB floor
     M, K, L = 4, 1, 256
-    _, model, ch = setup(M, K, L, 10.0, 12)
+    model, ch = setup(M, K, L, 10.0, 12)
     floor = om.crb_trace(model, om.thresholds_oracle(model, ch.h), ch.h) / (M * K)
     mses = [om.channel_mse(om.run_oq(model, ch.h, 7000 + t).h_hat, ch.h, M, K)
             for t in range(200)]
@@ -130,14 +129,14 @@ def test_oq_mse_approaches_its_crb_at_large_sample():
 
 def test_nq_noiseless_exact_recovery():
     # effectively noise-free: pilot power 300 dB above the noise floor
-    _, model, ch = setup(3, 2, 8, 300.0, 6)
+    model, ch = setup(3, 2, 8, 300.0, 6)
     est = om.run_nq(model, ch.h, 4)
     assert np.allclose(est.h_hat, ch.h, atol=1e-10)
 
 
 def test_nq_mse_matches_closed_form_over_trials():
     M, K, L = 2, 2, 6
-    _, model, ch = setup(M, K, L, 5.0, 8)
+    model, ch = setup(M, K, L, 5.0, 8)
     predicted = om.crb_nq_trace(model) / (M * K)
     mses = [om.channel_mse(om.run_nq(model, ch.h, 100 + t).h_hat, ch.h, M, K)
             for t in range(2000)]
@@ -146,7 +145,7 @@ def test_nq_mse_matches_closed_form_over_trials():
 
 def test_fq_zero_channel_estimates_near_zero():
     M, K, L = 2, 1, 64
-    _, model, _ = setup(M, K, L, 10.0, 9)
+    model, _ = setup(M, K, L, 10.0, 9)
     h0 = np.zeros(model.dim)
     per_coeff = om.crb_trace(model, om.thresholds_fixed(model.N, 0.0), h0) / (M * K)
     mses = [om.channel_mse(om.run_fq(model, h0, 300 + t).h_hat, h0, M, K)
@@ -163,7 +162,7 @@ def test_scheme_quality_relations_hold_at_matched_config():
     for name in ["NQ", "OQ", "RQ", "FQ"]:
         vals = []
         for t in range(60):
-            _, model, ch = setup(M, K, L, snr, 5000 + t)
+            model, ch = setup(M, K, L, snr, 5000 + t)
             run = {"NQ": om.run_nq, "OQ": om.run_oq, "FQ": om.run_fq}.get(name)
             est = run(model, ch.h, t) if run else om.run_rq(model, ch.h, 1.0, t)
             vals.append(om.channel_mse(est.h_hat, ch.h, M, K))
