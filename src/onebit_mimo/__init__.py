@@ -7,11 +7,10 @@ reproducible Monte Carlo sweep harness.
 """
 
 from .crb import crb_nq_trace, crb_trace, fim, g_bar_bound, g_weight, gaussian_cdf_bound
-from .detect import (QPSK, RateResult, SerResult, achievable_rate, detect_frames,
-                     measure_ser, simulate_frames)
+from .detect import QPSK, RateResult, achievable_rate, detect_frames, simulate_frames
 from .errors import ConfigError, NumericalError
-from .experiments import (ExperimentConfig, TrialResult, pilot_model, run_sweep, run_trial,
-                          summarize)
+from .experiments import (ExperimentConfig, TrialResult, data_phase, pilot_model, run_sweep,
+                          run_trial, summarize)
 from .mle import (ChannelEstimate, LikelihoodProblem, gradient, hessian_action,
                   log_likelihood, solve_ml, solve_nq)
 from .model import (ChannelRealization, ComplexSystem, RealModel, channel_mse,

@@ -24,6 +24,7 @@ from .quant import thresholds_fixed, thresholds_random
 
 ENV_OUT = "ONEBIT_MIMO_OUT"
 DETECT_FRAMES = 2000  # data-phase frames per trial when the config asks for none
+OVERRIDES = ("seed", "trials", "schemes", "threads", "out_dir")  # flags that replace config fields
 
 
 def _add_common(sp):
@@ -54,17 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_yaml(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.schemes is not None:
-        overrides["schemes"] = args.schemes
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.out_dir is not None:
-        overrides["out_dir"] = str(args.out_dir)
+    overrides = {name: getattr(args, name) for name in OVERRIDES
+                 if getattr(args, name) is not None}
+    if "out_dir" in overrides:
+        overrides["out_dir"] = str(overrides["out_dir"])
     if args.command in ("detect-ser", "rate") and cfg.n_frames == 0:
         overrides["n_frames"] = DETECT_FRAMES
     if overrides:

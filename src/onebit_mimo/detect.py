@@ -1,5 +1,5 @@
-"""One-bit QPSK detection, symbol-error-rate measurement, and the
-correlation-based achievable-rate metric.
+"""One-bit QPSK detection, frame simulation, and the correlation-based
+achievable-rate metric.
 
 The data phase quantizes with zero thresholds (the comparators have no
 side information about payload symbols).  Detection is exhaustive ML
@@ -125,20 +125,6 @@ def simulate_frames(H: np.ndarray, sigma2: float, symbol_power: float,
     R = S @ H.T + noise
     b = np.where(np.concatenate([R.real, R.imag], axis=1) >= 0.0, 1, -1).astype(np.int8)
     return idx, b
-
-
-class SerResult(NamedTuple):
-    per_user: np.ndarray
-    average: float
-
-
-def measure_ser(H_true: np.ndarray, H_est: np.ndarray, sigma2: float,
-                symbol_power: float, n_frames: int, rng_seed=None) -> SerResult:
-    """Monte Carlo symbol error rate of the exhaustive one-bit detector."""
-    idx, b = simulate_frames(H_true, sigma2, symbol_power, n_frames, rng_seed)
-    det = detect_frames(H_est, b, sigma2, symbol_power=symbol_power)
-    per_user = (det != idx).mean(axis=0)
-    return SerResult(per_user=per_user, average=float(per_user.mean()))
 
 
 class RateResult(NamedTuple):

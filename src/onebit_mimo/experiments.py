@@ -72,7 +72,6 @@ class ExperimentConfig:
     seed: int = 0
     sigma_h2: float = 1.0
     sigma2: float = 1.0
-    pilot_method: str = "qr"
     n_frames: int = 0       # data-phase frames per trial; 0 skips SER/rate
     rate_cap: float = 20.0
     threads: int = 1
@@ -151,8 +150,6 @@ class ExperimentConfig:
                     name = "snr_db" if tiny <= self.K * L * self.sigma2 < np.inf else "sigma2"
                     raise ConfigError(f"{name}: pilot power {P:g} at L={L}, snr_db={snr:g}, "
                                       f"sigma2={self.sigma2:g} is not a positive normal float")
-        if self.pilot_method not in ("qr", "dft"):
-            raise ConfigError("pilot_method: must be 'qr' or 'dft'")
         if self.n_frames < 0:
             raise ConfigError("n_frames: must be non-negative")
         if self.n_frames > 0 and self.K > K_MAX:
@@ -189,35 +186,40 @@ class TrialResult:
 
 def trial_seed_seq(master: int, scheme: str, M: int, K: int, L: int,
                    snr_db: float, trial: int) -> np.random.SeedSequence:
-    """Deterministic per-trial seed; cell values (not indices) enter the entropy."""
-    scheme_id = SCHEME_IDS[scheme] if scheme in SCHEME_IDS else _REF_ID
+    """Deterministic per-trial seed; cell values (not indices) enter the entropy.
+
+    ``scheme`` is a name in SCHEME_IDS or "REF" for a cell's reference instance.
+    """
+    scheme_id = _REF_ID if scheme == "REF" else SCHEME_IDS.get(scheme)
+    if scheme_id is None:
+        raise ConfigError(f"schemes: unknown scheme {scheme!r}")
     snr_key = int(round(snr_db * 1000.0)) + 2**31
     return np.random.SeedSequence(
         entropy=(int(master), scheme_id, int(M), int(K), int(L), snr_key, int(trial))
     )
 
 
-def pilot_model(M: int, K: int, L: int, snr_db: float, rng, sigma2: float = 1.0,
-                pilot_method: str = "qr") -> RealModel:
+def pilot_model(M: int, K: int, L: int, snr_db: float, rng, sigma2: float = 1.0) -> RealModel:
     """Orthogonal pilots at the power the SNR implies, in real block form.
 
-    ``rng`` is a Generator (the "qr" pilots are its next draw) or a seed.
+    ``rng`` is a Generator (the pilots are its next draw) or a seed.
     """
     P = power_for_snr(snr_db, K, L, sigma2)
-    X = generate_pilots_orthogonal(K, L, P, rng_seed=rng, method=pilot_method)
+    X = generate_pilots_orthogonal(K, L, P, rng_seed=rng)
     return realify(ComplexSystem(M=M, K=K, L=L, X=X, sigma2=sigma2, P=P))
 
 
 def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
               master_seed: int, sigma2: float = 1.0, sigma_h2: float = 1.0,
-              i_max: int = 5, pilot_method: str = "qr", n_frames: int = 0,
-              rate_cap: float = 20.0) -> TrialResult:
+              i_max: int = 5, n_frames: int = 0, rate_cap: float = 20.0) -> TrialResult:
     """Draw pilots + channel, run one scheme, optionally run the data phase."""
+    if scheme not in SCHEME_IDS:
+        raise ConfigError(f"schemes: unknown scheme {scheme!r}")
     ss = trial_seed_seq(master_seed, scheme, M, K, L, snr_db, trial)
     seed_repr = int(ss.generate_state(1)[0])
     rng = np.random.default_rng(ss)
 
-    model = pilot_model(M, K, L, snr_db, rng, sigma2, pilot_method)
+    model = pilot_model(M, K, L, snr_db, rng, sigma2)
     ch = generate_channel(M, K, sigma_h2, rng_seed=rng)
 
     rounds = None
@@ -232,27 +234,34 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
         est = run_oq(model, ch.h, rng)
     elif scheme == "NQ":
         est = run_nq(model, ch.h, rng)
-    elif scheme == "PCSI":
+    else:  # PCSI
         est = ChannelEstimate(h_hat=ch.h.copy(), iterations=0, grad_norm=0.0,
                               converged=True, objective=np.nan)
-    else:
-        raise ConfigError(f"schemes: unknown scheme {scheme!r}")
 
     ser = rate = None
     if n_frames > 0:
-        H_est = real_to_channel(est.h_hat, M, K)
         symbol_power = 10.0 ** (snr_db / 10.0) * sigma2
-        s_idx, b = simulate_frames(ch.H, sigma2, symbol_power, n_frames, rng)
-        det = detect_frames(H_est, b, sigma2, symbol_power=symbol_power)
-        ser = float((det != s_idx).mean())
-        rr = achievable_rate(QPSK[s_idx], QPSK[det], cap=rate_cap)
-        rate = float(rr.rate.mean())
+        ser, rate = data_phase(ch.H, real_to_channel(est.h_hat, M, K), sigma2,
+                               symbol_power, n_frames, rng, rate_cap)
 
     return TrialResult(
         scheme=scheme, M=M, K=K, L=L, snr_db=snr_db, trial=trial, seed=seed_repr,
         mse=channel_mse(est.h_hat, ch.h, M, K), converged=bool(est.converged),
         iters=int(est.iterations), ser=ser, rate=rate, rounds=rounds,
     )
+
+
+def data_phase(H: np.ndarray, H_est: np.ndarray, sigma2: float, symbol_power: float,
+               n_frames: int, rng_seed=None, rate_cap: float = 20.0) -> tuple[float, float]:
+    """Send frames through the true channel H, detect them with H_est; (SER, rate).
+
+    SER is the error share over all frames and users; rate is the per-user
+    achievable rate averaged over users.
+    """
+    s_idx, b = simulate_frames(H, sigma2, symbol_power, n_frames, rng_seed)
+    det = detect_frames(H_est, b, sigma2, symbol_power=symbol_power)
+    rr = achievable_rate(QPSK[s_idx], QPSK[det], cap=rate_cap)
+    return float((det != s_idx).mean()), float(rr.rate.mean())
 
 
 def _trial_worker(kwargs: dict) -> TrialResult:
@@ -270,8 +279,7 @@ def sweep_tasks(cfg: ExperimentConfig) -> list:
                         scheme=scheme, M=cfg.M, K=cfg.K, L=L, snr_db=snr,
                         trial=trial, master_seed=cfg.seed, sigma2=cfg.sigma2,
                         sigma_h2=cfg.sigma_h2, i_max=cfg.i_max,
-                        pilot_method=cfg.pilot_method, n_frames=cfg.n_frames,
-                        rate_cap=cfg.rate_cap,
+                        n_frames=cfg.n_frames, rate_cap=cfg.rate_cap,
                     ))
     return tasks
 
@@ -290,7 +298,7 @@ def run_sweep(cfg: ExperimentConfig) -> list:
 def reference_instance(cfg: ExperimentConfig, L: int, snr_db: float):
     """The cell's seeded reference instance: (pilot model, channel, generator after both draws)."""
     rng = np.random.default_rng(trial_seed_seq(cfg.seed, "REF", cfg.M, cfg.K, L, snr_db, 0))
-    model = pilot_model(cfg.M, cfg.K, L, snr_db, rng, cfg.sigma2, cfg.pilot_method)
+    model = pilot_model(cfg.M, cfg.K, L, snr_db, rng, cfg.sigma2)
     return model, generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng), rng
 
 

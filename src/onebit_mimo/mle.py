@@ -253,8 +253,7 @@ def solve_nq(model: RealModel, y: np.ndarray) -> ChannelEstimate:
     """Closed-form least squares (A^T A)^{-1} A^T y via per-antenna blocks.
 
     This is the ML estimator when the unquantized observations are
-    available; also the Gaussian log-density at the solution is reported
-    as the objective.
+    available.  No objective is reported (it is NaN, as for perfect CSI).
     """
     AtA = model.gram()
     K2 = 2 * model.K
@@ -265,10 +264,6 @@ def solve_nq(model: RealModel, y: np.ndarray) -> ChannelEstimate:
         )
     Y = np.asarray(y, dtype=float).reshape(model.M, 2 * model.L)
     H_hat = np.linalg.solve(AtA, model.A_tilde.T @ Y.T).T
-    h_flat = H_hat.reshape(-1)
-    resid = y - model.apply(h_flat)
-    objective = -0.5 * float(np.dot(resid, resid)) / model.sigma2 \
-        - 0.5 * model.N * np.log(2.0 * np.pi * model.sigma2)
-    return ChannelEstimate(h_hat=h_flat, iterations=0, grad_norm=0.0,
-                           converged=True, objective=objective,
+    return ChannelEstimate(h_hat=H_hat.reshape(-1), iterations=0, grad_norm=0.0,
+                           converged=True, objective=np.nan,
                            antenna_converged=np.ones(model.M, dtype=bool))

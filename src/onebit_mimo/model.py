@@ -163,27 +163,18 @@ def generate_channel(M: int, K: int, sigma_h2: float = 1.0, rng_seed=None) -> Ch
     return ChannelRealization(H=H, h=channel_to_real(H))
 
 
-def generate_pilots_orthogonal(K: int, L: int, P: float, rng_seed=None, method: str = "qr") -> np.ndarray:
+def generate_pilots_orthogonal(K: int, L: int, P: float, rng_seed=None) -> np.ndarray:
     """Random K x L pilot matrix with X X^H = (P/K) I_K.
 
-    method="qr" takes K orthonormal rows from the Q factor of a complex
-    Gaussian matrix; method="dft" takes the first K rows of the unitary
-    DFT matrix. Both spend the power budget exactly: tr(X X^H) = P.
+    The rows are K orthonormal rows from the Q factor of a complex Gaussian
+    matrix, scaled to spend the power budget exactly: tr(X X^H) = P.
     """
     if L < K:
         raise ValueError(f"orthogonal pilots need L >= K (got K={K}, L={L})")
-    if method == "qr":
-        rng = as_rng(rng_seed)
-        G = rng.normal(size=(L, K)) + 1j * rng.normal(size=(L, K))
-        Q, _ = np.linalg.qr(G)
-        X = np.sqrt(P / K) * Q.conj().T
-    elif method == "dft":
-        n = np.arange(L)
-        F = np.exp(-2j * np.pi * np.outer(np.arange(K), n) / L) / np.sqrt(L)
-        X = np.sqrt(P / K) * F
-    else:
-        raise ValueError(f"unknown pilot method {method!r} (use 'qr' or 'dft')")
-    return X
+    rng = as_rng(rng_seed)
+    G = rng.normal(size=(L, K)) + 1j * rng.normal(size=(L, K))
+    Q, _ = np.linalg.qr(G)
+    return np.sqrt(P / K) * Q.conj().T
 
 
 def generate_noisy_observation(model: RealModel, h: np.ndarray, rng_seed=None) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,20 @@ def test_detect_metrics_populated_when_frames_requested():
     assert all(r.mse == 0.0 for r in rows)
 
 
+def test_trial_seed_rejects_unknown_scheme(monkeypatch):
+    # only "REF" names the reference stream; any other unknown name is an error
+    ref = trial_seed_seq(0, "REF", 2, 2, 4, 5.0, 0)
+    assert ref.entropy == (0, experiments._REF_ID, 2, 2, 4, 5000 + 2**31, 0)
+    with pytest.raises(om.ConfigError, match="XX"):
+        trial_seed_seq(0, "XX", 2, 2, 4, 5.0, 0)
+    monkeypatch.setattr(experiments, "generate_pilots_orthogonal",
+                        lambda *a, **k: pytest.fail("pilots drawn"))
+    monkeypatch.setattr(experiments, "generate_channel", lambda *a, **k: pytest.fail("channel drawn"))
+    for scheme in ("XX", "REF"):
+        with pytest.raises(om.ConfigError, match=scheme):
+            experiments.run_trial(scheme, 2, 2, 4, 5.0, 0, master_seed=0)
+
+
 def test_aq_trace_first_iteration_is_fixed_quantization():
     # benign regime (low SNR, enough pilots) so round 1 converges and the
     # adaptive run is exactly a fixed-threshold run
@@ -153,10 +168,7 @@ def test_aq_trace_first_iteration_is_fixed_quantization():
     for r in trial_rows:
         ss = trial_seed_seq(cfg.seed, "AQ", cfg.M, cfg.K, r["L"], r["snr_db"], r["trial"])
         rng = np.random.default_rng(ss)
-        P = om.power_for_snr(r["snr_db"], cfg.K, r["L"], cfg.sigma2)
-        X = om.generate_pilots_orthogonal(cfg.K, r["L"], P, rng_seed=rng)
-        model = om.realify(om.ComplexSystem(M=cfg.M, K=cfg.K, L=r["L"], X=X,
-                                            sigma2=cfg.sigma2, P=P))
+        model = om.pilot_model(cfg.M, cfg.K, r["L"], r["snr_db"], rng, cfg.sigma2)
         ch = om.generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng)
         fq = om.run_fq(model, ch.h, rng)
         assert om.channel_mse(fq.h_hat, ch.h, cfg.M, cfg.K) == r["mse"]
@@ -281,11 +293,12 @@ def test_cli_crb_draws_each_reference_instance_once(tmp_path, monkeypatch):
 
 
 def test_cli_rejects_timing(tmp_path, capsys):
-    cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ"],
-                                         trials=1, seed=1, timing=True))
     out = tmp_path / "out"
-    assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
-    assert "timing" in capsys.readouterr().err
+    for field, value in (("timing", True), ("pilot_method", "qr")):
+        cfg_path = write_yaml(tmp_path, {"M": 2, "K": 2, "L": [4], "snr_db": [5.0],
+                                         "schemes": ["NQ"], "trials": 1, "seed": 1, field: value})
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        assert field in capsys.readouterr().err
     cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ"],
                                          trials=1, seed=1))
     with pytest.raises(SystemExit) as exc:
@@ -351,23 +364,33 @@ def test_cli_flag_overrides(tmp_path):
 
 def test_benchmark_tracer_still_finds_its_targets(tmp_path):
     # perfbench/tracer.py wraps functions at their callers' module attributes;
-    # a refactor that rebinds one of them must fail here rather than leave the
-    # benchmark's per-layer metrics empty
+    # a refactor that rebinds one of them, or stops calling it through that
+    # module, must fail here rather than leave a per-layer metric at zero
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    cfg = tiny_config(schemes=["FQ", "RQ", "AQ", "OQ", "NQ"], trials=1).validate()
-    with tracing.installed(tracing.Tracer()) as tracer:
+    targets = [(importlib.import_module(f"onebit_mimo.{mod}"), attr)
+               for mod, attr, _ in tracing.TARGETS]
+    expected = {tracing.span_name(getattr(module, attr)) for module, attr in targets}
+    cfg = tiny_config(schemes=["FQ", "RQ", "AQ", "OQ", "NQ"], trials=1, n_frames=8).validate()
+    calls = Counter()
+
+    def counting(key, wrapper):
+        def shim(*args, **kwargs):
+            calls[key] += 1
+            return wrapper(*args, **kwargs)
+        return shim
+
+    # the shims sit over the installed wrappers and come off before the tracer's restore
+    with tracing.installed(tracing.Tracer()) as tracer, pytest.MonkeyPatch.context() as mp:
+        for module, attr in targets:
+            mp.setattr(module, attr, counting((module.__name__, attr), getattr(module, attr)))
         rows = run_sweep(cfg)
         # called through the module, whose attributes the tracer replaced
         experiments.write_trials_csv(rows, tmp_path / "sweep.csv")
         experiments.write_json(experiments.summarize(cfg, rows), tmp_path / "sweep.json")
+    uncalled = [key for key in ((m.__name__, attr) for m, attr in targets) if not calls[key]]
+    assert not uncalled, uncalled
     names = {span.name for span in tracer.spans}
-    expected = {f"schemes.run_{s}" for s in ("fq", "rq", "aq", "oq", "nq")} | {
-        "quant.thresholds_fixed", "quant.thresholds_random", "quant.thresholds_oracle",
-        "quant.quantize", "mle.solve_ml", "experiments.summarize",
-        "experiments.write_trials_csv", "experiments.write_json",
-        "experiments.trial_seed_seq", "model.generate_pilots_orthogonal", "model.realify",
-        "model.generate_channel", "crb.crb_trace", "crb.crb_nq_trace"}
-    assert expected <= names, sorted(expected - names)
+    assert expected | {"experiments.run_trial"} <= names, sorted(expected - names)
