@@ -18,6 +18,6 @@ from .model import (ChannelRealization, ComplexSystem, RealModel, channel_mse,
                     generate_pilots_orthogonal, power_for_snr, real_to_channel, realify)
 from .quant import (QuantizedBatch, quantize, thresholds_fixed, thresholds_oracle,
                     thresholds_random)
-from .schemes import AqIterate, AqState, run_aq, run_fq, run_nq, run_oq, run_rq
+from .schemes import AqIterate, run_aq, run_fq, run_nq, run_oq, run_rq
 
 __version__ = "0.1.0"

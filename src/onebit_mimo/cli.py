@@ -42,13 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="One-bit ADC massive MIMO channel estimation experiments",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, desc in [
-        ("sweep", "Monte Carlo MSE sweep over (scheme, L, SNR, trial)"),
-        ("crb", "CRB traces per threshold policy and the quantized/ideal ratio"),
-        ("aq-trace", "per-iteration MSE of the adaptive-threshold scheme"),
-        ("detect-ser", "symbol error rate with estimated channels"),
-        ("rate", "achievable rate with estimated channels"),
-    ]:
+    for name, (desc, _) in COMMANDS.items():
         _add_common(sub.add_parser(name, help=desc))
     return p
 
@@ -67,14 +61,9 @@ def load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def resolve_out_dir(cfg: ExperimentConfig) -> Path:
-    out = cfg.out_dir or os.environ.get(ENV_OUT) or "results"
-    return Path(out)
-
-
-def cmd_sweep(cfg: ExperimentConfig, filename: str, metric: str) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: Path, filename: str, metric: str) -> int:
     """Run the sweep, write its per-trial CSV and summary JSON, print a metric per cell."""
-    csv_path = resolve_out_dir(cfg) / filename
+    csv_path = out / filename
     json_path = csv_path.with_suffix(".json")
     rows = run_sweep(cfg)
     write_trials_csv(rows, csv_path)
@@ -88,14 +77,13 @@ def cmd_sweep(cfg: ExperimentConfig, filename: str, metric: str) -> int:
     return 0
 
 
-def cmd_crb(cfg: ExperimentConfig) -> int:
+def cmd_crb(cfg: ExperimentConfig, out: Path) -> int:
     """CRB traces per policy on the reference instance of each cell.
 
     The quantized-oracle and unquantized traces are the cell's reference
     floors; the fixed/random-threshold traces are evaluated at the
     reference instance's channel draw.
     """
-    out = resolve_out_dir(cfg)
     denom = cfg.M * cfg.K
     entries = []
     for L in cfg.L:
@@ -119,8 +107,7 @@ def cmd_crb(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_aq_trace(cfg: ExperimentConfig) -> int:
-    out = resolve_out_dir(cfg)
+def cmd_aq_trace(cfg: ExperimentConfig, out: Path) -> int:
     trial_rows, agg_rows = run_aq_trace(cfg)
     write_dict_csv(agg_rows, AQ_AGG_COLUMNS, out / "aq_trace.csv")
     write_dict_csv(trial_rows, AQ_TRACE_COLUMNS, out / "aq_trace_trials.csv")
@@ -131,21 +118,29 @@ def cmd_aq_trace(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# name -> (help, handler(cfg, out_dir))
+COMMANDS = {
+    "sweep": ("Monte Carlo MSE sweep over (scheme, L, SNR, trial)",
+              lambda cfg, out: cmd_sweep(cfg, out, "sweep.csv", "mse")),
+    "crb": ("CRB traces per threshold policy and the quantized/ideal ratio", cmd_crb),
+    "aq-trace": ("per-iteration MSE of the adaptive-threshold scheme", cmd_aq_trace),
+    "detect-ser": ("symbol error rate with estimated channels",
+                   lambda cfg, out: cmd_sweep(cfg, out, "detect_ser.csv", "ser")),
+    "rate": ("achievable rate with estimated channels",
+             lambda cfg, out: cmd_sweep(cfg, out, "rate.csv", "rate")),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, "sweep.csv", "mse")
-        if args.command == "crb":
-            return cmd_crb(cfg)
-        if args.command == "aq-trace":
-            return cmd_aq_trace(cfg)
-        if args.command == "detect-ser":
-            return cmd_sweep(cfg, "detect_ser.csv", "ser")
-        if args.command == "rate":
-            return cmd_sweep(cfg, "rate.csv", "rate")
-        raise ConfigError(f"unknown command {args.command!r}")
+        out = Path(cfg.out_dir or os.environ.get(ENV_OUT) or "results")
+        try:  # before any trial runs, so a bad directory costs no work
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"out_dir: {e}") from e
+        return COMMANDS[args.command][1](cfg, out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -26,12 +26,26 @@ from .model import (ComplexSystem, RealModel, channel_mse, generate_channel,
 from .quant import thresholds_oracle
 from .schemes import run_aq, run_fq, run_nq, run_oq, run_rq
 
-# Stable scheme ids; seed derivation depends on these, never on list order.
-SCHEME_IDS = {"FQ": 0, "RQ": 1, "AQ": 2, "OQ": 3, "NQ": 4, "PCSI": 5}
-_REF_ID = 9  # pseudo-scheme id for CRB reference models
 
-CSV_COLUMNS = ["scheme", "M", "K", "L", "snr_db", "trial", "seed", "mse",
-               "converged", "iters", "ser", "rate"]
+def _perfect_csi(model, h, rng, sigma_h2, i_max):
+    """The true channel as the estimate: the data phase's perfect-CSI reference."""
+    return ChannelEstimate(h_hat=h.copy(), iterations=0, grad_norm=0.0,
+                           converged=True, objective=np.nan), None
+
+
+# name -> (stable seed id, runner).  Seed derivation depends on the ids, never
+# on list order.  A runner maps (model, h, rng, sigma_h2, i_max) to
+# (estimate, AQ rounds or None); the lambdas look run_* up at call time.
+SCHEMES = {
+    "FQ": (0, lambda model, h, rng, sigma_h2, i_max: (run_fq(model, h, rng), None)),
+    "RQ": (1, lambda model, h, rng, sigma_h2, i_max: (run_rq(model, h, sigma_h2, rng), None)),
+    "AQ": (2, lambda model, h, rng, sigma_h2, i_max: run_aq(model, h, i_max, rng, sigma_h2)),
+    "OQ": (3, lambda model, h, rng, sigma_h2, i_max: (run_oq(model, h, rng), None)),
+    "NQ": (4, lambda model, h, rng, sigma_h2, i_max: (run_nq(model, h, rng), None)),
+    "PCSI": (5, _perfect_csi),
+}
+SCHEME_IDS = {name: sid for name, (sid, _) in SCHEMES.items()}  # read by perfbench/run.py
+_REF_ID = 9  # pseudo-scheme id for CRB reference models
 
 AQ_TRACE_COLUMNS = ["M", "K", "L", "snr_db", "trial", "seed", "iteration",
                     "mse", "converged", "threshold_rel_err"]
@@ -126,9 +140,9 @@ class ExperimentConfig:
             raise ConfigError("snr_db: sweep list is empty")
         if not self.schemes:
             raise ConfigError("schemes: list is empty")
-        bad = [s for s in self.schemes if s not in SCHEME_IDS]
+        bad = [s for s in self.schemes if s not in SCHEMES]
         if bad:
-            raise ConfigError(f"schemes: unknown {', '.join(bad)} (choose from {', '.join(SCHEME_IDS)})")
+            raise ConfigError(f"schemes: unknown {', '.join(bad)} (choose from {', '.join(SCHEMES)})")
         if self.i_max < 1:
             raise ConfigError("i_max: must be >= 1")
         if self.trials < 1:
@@ -184,15 +198,18 @@ class TrialResult:
     rounds: list | None = None  # AQ only: one AqIterate per adaptive round
 
 
+CSV_COLUMNS = [f.name for f in fields(TrialResult) if f.name != "rounds"]
+
+
 def trial_seed_seq(master: int, scheme: str, M: int, K: int, L: int,
                    snr_db: float, trial: int) -> np.random.SeedSequence:
     """Deterministic per-trial seed; cell values (not indices) enter the entropy.
 
-    ``scheme`` is a name in SCHEME_IDS or "REF" for a cell's reference instance.
+    ``scheme`` is a name in SCHEMES or "REF" for a cell's reference instance.
     """
-    scheme_id = _REF_ID if scheme == "REF" else SCHEME_IDS.get(scheme)
-    if scheme_id is None:
+    if scheme not in SCHEMES and scheme != "REF":
         raise ConfigError(f"schemes: unknown scheme {scheme!r}")
+    scheme_id = SCHEMES[scheme][0] if scheme in SCHEMES else _REF_ID
     snr_key = int(round(snr_db * 1000.0)) + 2**31
     return np.random.SeedSequence(
         entropy=(int(master), scheme_id, int(M), int(K), int(L), snr_key, int(trial))
@@ -213,7 +230,7 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
               master_seed: int, sigma2: float = 1.0, sigma_h2: float = 1.0,
               i_max: int = 5, n_frames: int = 0, rate_cap: float = 20.0) -> TrialResult:
     """Draw pilots + channel, run one scheme, optionally run the data phase."""
-    if scheme not in SCHEME_IDS:
+    if scheme not in SCHEMES:  # "REF" seeds reference instances but runs no scheme
         raise ConfigError(f"schemes: unknown scheme {scheme!r}")
     ss = trial_seed_seq(master_seed, scheme, M, K, L, snr_db, trial)
     seed_repr = int(ss.generate_state(1)[0])
@@ -222,21 +239,7 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
     model = pilot_model(M, K, L, snr_db, rng, sigma2)
     ch = generate_channel(M, K, sigma_h2, rng_seed=rng)
 
-    rounds = None
-    if scheme == "FQ":
-        est = run_fq(model, ch.h, rng)
-    elif scheme == "RQ":
-        est = run_rq(model, ch.h, sigma_h2, rng)
-    elif scheme == "AQ":
-        est, state = run_aq(model, ch.h, i_max, rng, sigma_h2=sigma_h2)
-        rounds = state.history
-    elif scheme == "OQ":
-        est = run_oq(model, ch.h, rng)
-    elif scheme == "NQ":
-        est = run_nq(model, ch.h, rng)
-    else:  # PCSI
-        est = ChannelEstimate(h_hat=ch.h.copy(), iterations=0, grad_norm=0.0,
-                              converged=True, objective=np.nan)
+    est, rounds = SCHEMES[scheme][1](model, ch.h, rng, sigma_h2, i_max)
 
     ser = rate = None
     if n_frames > 0:

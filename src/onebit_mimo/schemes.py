@@ -1,20 +1,20 @@
 """End-to-end estimation policies: FQ, RQ, AQ, OQ (oracle), NQ (unquantized).
 
 Each run_* draws its own pilot-phase noise from the supplied seed and
-returns a ChannelEstimate; run_aq additionally returns an AqState with
-every round's quantized batch and per-round history.  Runs are pure
-functions of (model, h, seed), so trials parallelize freely.
+returns a ChannelEstimate; run_aq additionally returns one AqIterate
+snapshot per adaptive round.  Runs are pure functions of (model, h, seed),
+so trials parallelize freely.
 
 Fairness note: an adaptive run with i_max rounds of L pilot symbols
 spends i_max * L symbols and consumes i_max * N binary measurements,
-versus L symbols and N measurements for the single-shot schemes.
-AqState.batches holds all i_max rounds, so the accounting stays explicit;
-compare an AQ row at L with single-shot rows at i_max * L.
+versus L symbols and N measurements for the single-shot schemes.  Its
+final estimate is fitted on the batches of all i_max rounds, so compare
+an AQ row at L with single-shot rows at i_max * L.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,14 +31,6 @@ class AqIterate:
     mse: float
     converged: bool
     threshold_rel_err: float  # ||tau_new - A h|| / ||A h||
-
-
-@dataclass
-class AqState:
-    """Quantized batches of every adaptive round and one snapshot per round."""
-
-    batches: list = field(default_factory=list)
-    history: list = field(default_factory=list)
 
 
 def _single_shot(model: RealModel, h: np.ndarray, tau: np.ndarray, rng) -> ChannelEstimate:
@@ -71,7 +63,7 @@ def run_nq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
 
 
 def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
-           sigma_h2: float = 1.0) -> tuple[ChannelEstimate, AqState]:
+           sigma_h2: float = 1.0) -> tuple[ChannelEstimate, list]:
     """Adaptive thresholds: quantize, refit, move thresholds to A h_hat.
 
     Starts from zero thresholds.  Every round draws fresh noise, appends
@@ -84,14 +76,14 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
     estimate keeps the fitted direction but is pulled back to the
     prior-typical radius sqrt(K * sigma_h2).  That keeps the next round's
     thresholds near the plausible signal range, which is what lets new
-    batches pin the amplitude down.  Rounds where this happened are
-    visible in the history (converged=False for the attempt).
+    batches pin the amplitude down.  Such a round's AqIterate has
+    converged=False.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     rng = as_rng(rng_seed)
 
-    state = AqState()
+    batches, rounds = [], []
     tau = np.zeros(model.N)
     ah_true = model.apply(h)
     ah_norm = float(np.linalg.norm(ah_true))
@@ -100,8 +92,8 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
     cur = np.zeros((model.M, 2 * model.K))
     for i in range(1, i_max + 1):
         y = generate_noisy_observation(model, h, rng)
-        state.batches.append(quantize(y, tau))
-        attempt = solve_ml(LikelihoodProblem(list(state.batches), model),
+        batches.append(quantize(y, tau))
+        attempt = solve_ml(LikelihoodProblem(list(batches), model),
                            h0=cur.reshape(-1))
         cur = attempt.h_hat.reshape(model.M, 2 * model.K).copy()
         bad = ~attempt.antenna_converged
@@ -113,10 +105,10 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
         h_hat = cur.reshape(-1)
         tau = model.apply(h_hat)
         rel_err = float(np.linalg.norm(tau - ah_true)) / ah_norm if ah_norm > 0 else np.nan
-        state.history.append(AqIterate(
+        rounds.append(AqIterate(
             index=i,
             mse=channel_mse(h_hat, h, model.M, model.K),
             converged=attempt.converged,
             threshold_rel_err=rel_err,
         ))
-    return replace(attempt, h_hat=h_hat), state
+    return replace(attempt, h_hat=h_hat), rounds

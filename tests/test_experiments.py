@@ -158,6 +158,14 @@ def test_trial_seed_rejects_unknown_scheme(monkeypatch):
             experiments.run_trial(scheme, 2, 2, 4, 5.0, 0, master_seed=0)
 
 
+def test_scheme_seed_ids_are_frozen():
+    # every trial's random stream is keyed on these ids: renumbering reseeds every trial
+    ids = {name: sid for name, (sid, _) in experiments.SCHEMES.items()}
+    assert ids == {"FQ": 0, "RQ": 1, "AQ": 2, "OQ": 3, "NQ": 4, "PCSI": 5}
+    assert experiments._REF_ID == 9
+    assert trial_seed_seq(3, "AQ", 8, 4, 16, 10.0, 5).entropy == (3, 2, 8, 4, 16, 10000 + 2**31, 5)
+
+
 def test_aq_trace_first_iteration_is_fixed_quantization():
     # benign regime (low SNR, enough pilots) so round 1 converges and the
     # adaptive run is exactly a fixed-threshold run
@@ -306,6 +314,19 @@ def test_cli_rejects_timing(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--timing" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_unusable_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[5.0],
+                                         schemes=["NQ", "FQ"], trials=1, seed=1))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    monkeypatch.setattr(experiments, "run_trial", lambda *a, **k: pytest.fail("a trial ran"))
+    monkeypatch.setattr(cli, "reference_instance", lambda *a, **k: pytest.fail("a CRB ran"))
+    for command, out in (("sweep", afile / "sub"), ("crb", afile)):
+        assert cli.main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: out_dir: ")
+    assert afile.read_text() == ""
 
 
 def test_cli_env_var_out_dir(tmp_path, monkeypatch):

@@ -2,12 +2,25 @@ import numpy as np
 import pytest
 
 import onebit_mimo as om
+from onebit_mimo import schemes
 
 
 def setup(M, K, L, snr_db, seed, sigma2=1.0):
     model = om.pilot_model(M, K, L, snr_db, seed, sigma2=sigma2)
     ch = om.generate_channel(M, K, 1.0, seed + 10_000)
     return model, ch
+
+
+def recorded_batches(monkeypatch):
+    """Every QuantizedBatch that schemes.quantize returns from now on, in call order."""
+    batches = []
+
+    def recording(y, tau):
+        batches.append(om.quantize(y, tau))
+        return batches[-1]
+
+    monkeypatch.setattr(schemes, "quantize", recording)
+    return batches
 
 
 @pytest.mark.parametrize("name", ["FQ", "RQ", "OQ", "NQ"])
@@ -26,21 +39,22 @@ def test_schemes_deterministic_under_seed(name):
 
 def test_aq_deterministic_under_seed():
     model, ch = setup(2, 2, 8, 8.0, 2)
-    e1, s1 = om.run_aq(model, ch.h, 3, 7)
-    e2, s2 = om.run_aq(model, ch.h, 3, 7)
+    e1, r1 = om.run_aq(model, ch.h, 3, 7)
+    e2, r2 = om.run_aq(model, ch.h, 3, 7)
     assert np.array_equal(e1.h_hat, e2.h_hat)
-    assert [it.mse for it in s1.history] == [it.mse for it in s2.history]
+    assert [it.mse for it in r1] == [it.mse for it in r2]
 
 
-def test_aq_single_round_is_fixed_quantization():
+def test_aq_single_round_is_fixed_quantization(monkeypatch):
     # benign regime so the round converges and no fallback edits the estimate
     model, ch = setup(3, 2, 16, 0.0, 3)
     fq = om.run_fq(model, ch.h, 55)
-    aq, state = om.run_aq(model, ch.h, 1, 55)
+    batches = recorded_batches(monkeypatch)
+    aq, _ = om.run_aq(model, ch.h, 1, 55)
     assert fq.converged
     assert np.array_equal(aq.h_hat, fq.h_hat)
-    assert len(state.batches) == 1
-    assert np.array_equal(state.batches[0].tau, np.zeros(model.N))
+    assert len(batches) == 1
+    assert np.array_equal(batches[0].tau, np.zeros(model.N))
 
 
 def test_rq_zero_prior_variance_reduces_to_fixed_thresholds():
@@ -55,21 +69,22 @@ def test_rq_zero_prior_variance_reduces_to_fixed_thresholds():
     assert np.array_equal(est_rq_path.h_hat, est_fq_path.h_hat)
 
 
-def test_aq_state_invariants():
+def test_aq_state_invariants(monkeypatch):
     model, ch = setup(2, 2, 12, 8.0, 5)
-    est, state = om.run_aq(model, ch.h, 4, 11)
-    assert len(state.batches) == 4
-    assert len(state.history) == 4
-    assert [it.index for it in state.history] == [1, 2, 3, 4]
-    assert sum(b.b.size for b in state.batches) == 4 * model.N
+    batches = recorded_batches(monkeypatch)
+    est, rounds = om.run_aq(model, ch.h, 4, 11)
+    assert len(batches) == 4
+    assert len(rounds) == 4
+    assert [it.index for it in rounds] == [1, 2, 3, 4]
+    assert sum(b.b.size for b in batches) == 4 * model.N
     # the returned estimate is the last round's working estimate
-    assert state.history[-1].mse == om.channel_mse(est.h_hat, ch.h, model.M, model.K)
+    assert rounds[-1].mse == om.channel_mse(est.h_hat, ch.h, model.M, model.K)
     # batch j was produced with round j-1's thresholds A h_hat
-    assert np.array_equal(state.batches[0].tau, np.zeros(model.N))
+    assert np.array_equal(batches[0].tau, np.zeros(model.N))
     ah = model.apply(ch.h)
     for j in range(1, 4):
-        rel = np.linalg.norm(state.batches[j].tau - ah) / np.linalg.norm(ah)
-        assert rel == state.history[j - 1].threshold_rel_err
+        rel = np.linalg.norm(batches[j].tau - ah) / np.linalg.norm(ah)
+        assert rel == rounds[j - 1].threshold_rel_err
 
 
 def test_aq_converges_toward_oracle_thresholds():
@@ -77,9 +92,9 @@ def test_aq_converges_toward_oracle_thresholds():
     mse = []
     for t in range(25):
         model, ch = setup(8, 4, 16, 12.0, 600 + t)
-        _, state = om.run_aq(model, ch.h, 5, 600 + t)
-        rel_err.append([it.threshold_rel_err for it in state.history])
-        mse.append([it.mse for it in state.history])
+        _, rounds = om.run_aq(model, ch.h, 5, 600 + t)
+        rel_err.append([it.threshold_rel_err for it in rounds])
+        mse.append([it.mse for it in rounds])
     med_err = np.median(rel_err, axis=0)
     med_mse = np.median(mse, axis=0)
     assert np.all(np.diff(med_err) < 0.0)
@@ -93,9 +108,9 @@ def test_aq_identifiability_fallback_recovers_from_separable_rounds():
     mses = []
     for t in range(12):
         model, ch = setup(4, 4, 16, 15.0, 900 + t)
-        _, state = om.run_aq(model, ch.h, 5, 900 + t)
-        assert not state.history[0].converged  # the event is recorded
-        mses.append(state.history[-1].mse)
+        _, rounds = om.run_aq(model, ch.h, 5, 900 + t)
+        assert not rounds[0].converged  # the event is recorded
+        mses.append(rounds[-1].mse)
     floor = np.pi / (10 ** 1.5 * 16)
     assert np.median(mses) < 3 * floor
 
