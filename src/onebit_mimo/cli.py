@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,14 +62,24 @@ def load_config(args) -> ExperimentConfig:
     return cfg
 
 
+@contextmanager
+def writing_outputs():
+    """Turn a failed output write into a configuration error of out_dir (exit 2)."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"out_dir: {e}") from e
+
+
 def cmd_sweep(cfg: ExperimentConfig, out: Path, filename: str, metric: str) -> int:
     """Run the sweep, write its per-trial CSV and summary JSON, print a metric per cell."""
     csv_path = out / filename
     json_path = csv_path.with_suffix(".json")
     rows = run_sweep(cfg)
-    write_trials_csv(rows, csv_path)
     summary = summarize(cfg, rows)
-    write_json(summary, json_path)
+    with writing_outputs():
+        write_trials_csv(rows, csv_path)
+        write_json(summary, json_path)
     key = f"median_{metric}"
     for cell in summary["cells"]:
         print(f"{cell['scheme']:>4s}  L={cell['L']:<4d} snr={cell['snr_db']:g} dB  "
@@ -102,15 +113,17 @@ def cmd_crb(cfg: ExperimentConfig, out: Path) -> int:
                             "policies": policies, "ratio_oq_nq": ref["ratio_oq_nq"]})
             print(f"L={L:<4d} snr={snr:g} dB  tr(CRB_OQ)={ref['crb_oq_trace']:.6g}  "
                   f"tr(CRB_NQ)={ref['crb_nq_trace']:.6g}  ratio={ref['ratio_oq_nq']:.12f}")
-    write_json({"config": cfg.to_dict(), "entries": entries}, out / "crb.json")
+    with writing_outputs():
+        write_json({"config": cfg.to_dict(), "entries": entries}, out / "crb.json")
     print(f"wrote {out / 'crb.json'}")
     return 0
 
 
 def cmd_aq_trace(cfg: ExperimentConfig, out: Path) -> int:
     trial_rows, agg_rows = run_aq_trace(cfg)
-    write_dict_csv(agg_rows, AQ_AGG_COLUMNS, out / "aq_trace.csv")
-    write_dict_csv(trial_rows, AQ_TRACE_COLUMNS, out / "aq_trace_trials.csv")
+    with writing_outputs():
+        write_dict_csv(agg_rows, AQ_AGG_COLUMNS, out / "aq_trace.csv")
+        write_dict_csv(trial_rows, AQ_TRACE_COLUMNS, out / "aq_trace_trials.csv")
     for r in agg_rows:
         print(f"L={r['L']:<4d} snr={r['snr_db']:g} dB  iter {r['iteration']}: "
               f"median MSE {r['median_mse']:.4g} (floor {r['crb_oq_per_coeff']:.4g})")
@@ -136,10 +149,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         out = Path(cfg.out_dir or os.environ.get(ENV_OUT) or "results")
-        try:  # before any trial runs, so a bad directory costs no work
+        with writing_outputs():  # before any trial runs, so a bad directory costs no work
             out.mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise ConfigError(f"out_dir: {e}") from e
         return COMMANDS[args.command][1](cfg, out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

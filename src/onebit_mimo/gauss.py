@@ -13,6 +13,10 @@ from scipy.special import erfcx, log_ndtr, ndtr
 
 SQRT_2 = float(np.sqrt(2.0))
 SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
+LOG_SQRT_2PI = float(0.5 * np.log(2.0 * np.pi))
+# Below this, phi/Phi from a known log Phi loses ~t^2 ulp to cancellation
+# (9e-14 relative at t = -40), so mills_from_logcdf uses erfcx there.
+MILLS_LOGCDF_CUT = -20.0
 
 
 def norm_pdf(t):
@@ -40,3 +44,22 @@ def mills_ratio(t):
     """
     t = np.asarray(t, dtype=float)
     return SQRT_2_OVER_PI / erfcx(-t / SQRT_2)
+
+
+def mills_from_logcdf(t, log_phi):
+    """phi(t)/Phi(t) given log_phi = log Phi(t), without a second special function.
+
+    Uses phi/Phi = exp(-t^2/2 - log sqrt(2 pi) - log Phi(t)) where
+    t >= MILLS_LOGCDF_CUT and falls back to mills_ratio below it, so the
+    exponent never cancels catastrophically or overflows.
+    """
+    t = np.asarray(t, dtype=float)
+    log_phi = np.asarray(log_phi, dtype=float)
+    if t.size == 0 or t.min() >= MILLS_LOGCDF_CUT:
+        return np.exp(-0.5 * t * t - LOG_SQRT_2PI - log_phi)
+    out = np.empty_like(t)
+    body = t >= MILLS_LOGCDF_CUT
+    tb = t[body]
+    out[body] = np.exp(-0.5 * tb * tb - LOG_SQRT_2PI - log_phi[body])
+    out[~body] = mills_ratio(t[~body])
+    return out

@@ -7,14 +7,30 @@ independent 2K-dimensional concave problems; the solver iterates all of
 them together as batched array operations, with per-antenna step sizes
 and stopping decisions.
 
-All CDF ratios go through gauss.mills_ratio / gauss.norm_logcdf: with
-b in {-1,+1} and s = b * (a^T h - tau) / sigma,
+All CDF ratios go through gauss: with b in {-1,+1} and
+s = b * (a^T h - tau) / sigma,
 
     log-likelihood term   log Phi(s)
     d/dz  term            b * mills(s) / sigma
     d2/dz2 term           -mills(s) * (s + mills(s)) / sigma^2
 
 which are finite and well-scaled arbitrarily deep into both tails.
+
+The Newton loop evaluates log Phi once per point it visits: the margins
+and log Phi of each accepted line-search trial are carried into the next
+step, and mills(s) is taken from them through gauss.mills_from_logcdf
+(erfcx only in the deep left tail).  log_likelihood, gradient,
+hessian_action and the solver's final convergence check recompute
+margins and call norm_logcdf / mills_ratio directly, so they stay
+independent of that bookkeeping.
+
+An antenna stops when its gradient norm is at most GRAD_TOL per
+measurement, or when its Newton decrement G^T step is within
+DECREMENT_ULPS ulp of |its log-likelihood|: no step can then change the
+objective by more than its rounding, so Armijo could only stall (Boyd &
+Vandenberghe, Convex Optimization, 2004, sec. 9.5).  Both count as
+converged; a line search whose trial rounds back to the start row counts
+as stalled and leaves the verdict to the final gradient check.
 """
 
 from __future__ import annotations
@@ -24,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .gauss import mills_ratio, norm_logcdf
+from .gauss import mills_from_logcdf, mills_ratio, norm_logcdf
 from .model import RealModel, block_gram
 
 GRAD_TOL = 1e-8    # converged when per-antenna ||grad|| <= GRAD_TOL * measurements
@@ -33,6 +49,7 @@ ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 NORM_CAP = 1e3     # per-antenna estimate norm beyond which the MLE is treated as unbounded
+DECREMENT_ULPS = 4  # also converged when the Newton decrement G.step <= this many ulp of |log-lik|
 
 # An antenna whose final per-antenna log-likelihood exceeds this fitted every
 # observed sign with probability ~1: the data are separable along the fitted
@@ -66,8 +83,8 @@ class ChannelEstimate:
     """An estimate plus solver diagnostics.
 
     antenna_converged marks, per independent antenna subproblem, that the
-    gradient test passed and neither the norm cap nor the separable-data
-    detector fired; converged is their conjunction.
+    gradient test or the Newton-decrement test passed and neither the norm
+    cap nor the separable-data detector fired; converged is their conjunction.
     """
 
     h_hat: np.ndarray
@@ -144,31 +161,50 @@ def _newton_direction(Hneg: np.ndarray, G: np.ndarray) -> np.ndarray:
                                  "the curvature lost precision (check the SNR)") from e
 
 
-def _line_search(Hs, step, G, S, Bs, Ts, At, sigma):
-    """Armijo backtracking along each antenna's step from the rows Hs with margins S.
+def _line_search(Hs, step, slope, ll0, Bs, Ts, At, sigma):
+    """Armijo backtracking along each antenna's step from the rows Hs.
 
-    Returns the new rows (a row whose search failed keeps its Hs value) and
-    which antennas accepted a step.
+    ll0 is each row's log-likelihood and slope its directional derivative
+    G.step.  Returns the new rows (a row whose search failed keeps its Hs
+    value), their margins and elementwise log Phi (meaningful only for rows
+    that accepted), and which rows accepted a step.  A trial that rounds back
+    to its start row is never accepted: that row has stalled.
     """
-    ll0 = norm_logcdf(S).sum(axis=(0, 2))
-    slope = (G * step).sum(axis=1)
+    Hnew = Hs + step
+    S = _margins(Hnew, Bs, Ts, At, sigma)
+    LP = norm_logcdf(S)
+    moved = (Hnew != Hs).any(axis=1)
+    accepted = (LP.sum(axis=(0, 2)) >= ll0 + ARMIJO_C1 * slope) & moved
+    if accepted.all():
+        return Hnew, S, LP, accepted
 
-    t = np.ones(len(Hs))
-    Hnew = Hs.copy()
-    accepted = np.zeros(len(Hs), dtype=bool)
-    pend = np.arange(len(Hs))
-    for _bt in range(MAX_BACKTRACKS):
+    Hnew[~accepted] = Hs[~accepted]
+    pend = np.flatnonzero(~accepted & moved)
+    t = 1.0
+    for _bt in range(MAX_BACKTRACKS - 1):
+        t *= BACKTRACK
+        trial = Hs[pend] + t * step[pend]
+        moved = (trial != Hs[pend]).any(axis=1)
+        pend, trial = pend[moved], trial[moved]
         if pend.size == 0:
             break
-        trial = Hs[pend] + t[pend, None] * step[pend]
-        llt = norm_logcdf(_margins(trial, Bs[:, pend], Ts[:, pend], At, sigma)).sum(axis=(0, 2))
-        ok = llt >= ll0[pend] + ARMIJO_C1 * t[pend] * slope[pend]
+        St = _margins(trial, Bs[:, pend], Ts[:, pend], At, sigma)
+        LPt = norm_logcdf(St)
+        ok = LPt.sum(axis=(0, 2)) >= ll0[pend] + ARMIJO_C1 * t * slope[pend]
         good = pend[ok]
-        Hnew[good] = trial[ok]
+        Hnew[good], S[:, good], LP[:, good] = trial[ok], St[:, ok], LPt[:, ok]
         accepted[good] = True
-        t[pend[~ok]] *= BACKTRACK
         pend = pend[~ok]
-    return Hnew, accepted
+    return Hnew, S, LP, accepted
+
+
+def _keep(mask, *arrays):
+    """Restrict working-set arrays to the antennas in mask.
+
+    The antenna axis is the only axis of a vector and the second-to-last
+    axis of every other array (rows are (antenna, 2K), data (batch, antenna, 2L)).
+    """
+    return [a[mask] if a.ndim == 1 else a[..., mask, :] for a in arrays]
 
 
 def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEstimate:
@@ -190,55 +226,64 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
 
     H = np.zeros((M, K2)) if h0 is None else np.asarray(h0, dtype=float).reshape(M, K2).copy()
 
-    active = np.ones(M, dtype=bool)
     capped = np.zeros(M, dtype=bool)
+    at_floor = np.zeros(M, dtype=bool)
     iters_used = 0
 
+    # Working set of the active antennas: their indices, rows, data, margins
+    # and log Phi of the margins.  Antennas only leave it, and each accepted
+    # line-search trial hands its margins and log Phi to the next step.
+    idx, Hs, Bs, Ts = np.arange(M), H.copy(), B, T
+    S = _margins(Hs, Bs, Ts, At, sigma)
+    LP = norm_logcdf(S)
+
     for _ in range(MAX_ITER):
-        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
         iters_used += 1
 
-        Hs, Bs, Ts = H[idx], B[:, idx], T[:, idx]
-        S = _margins(Hs, Bs, Ts, At, sigma)
-        lam = mills_ratio(S)
+        lam = mills_from_logcdf(S, LP)
         G = _score(Bs, lam, At, sigma)
-        gn = np.linalg.norm(G, axis=1)
-
-        done = gn <= tol
-        if done.any():
-            active[idx[done]] = False
-            keep = ~done
-            if not keep.any():
-                continue
-            idx = idx[keep]
-            Hs, Bs, Ts = Hs[keep], Bs[:, keep], Ts[:, keep]
-            S, lam, G = S[:, keep], lam[:, keep], G[keep]
+        keep = np.linalg.norm(G, axis=1) > tol
+        if not keep.all():
+            idx, Hs, Bs, Ts, S, LP, lam, G = _keep(keep, idx, Hs, Bs, Ts, S, LP, lam, G)
+            if idx.size == 0:
+                break
 
         step = _newton_direction(block_gram(At, _curvature(S, lam, m.sigma2)), G)
-        Hnew, accepted = _line_search(Hs, step, G, S, Bs, Ts, At, sigma)
-        H[idx] = Hnew
+        slope = (G * step).sum(axis=1)
+        ll0 = LP.sum(axis=(0, 2))
+        # Newton decrement within rounding of the log-likelihood: no step
+        # can show a gain the Armijo test could see.
+        flat = np.abs(slope) <= DECREMENT_ULPS * np.spacing(np.abs(ll0))
+        if flat.any():
+            at_floor[idx[flat]] = True
+            idx, Hs, Bs, Ts, step, slope, ll0 = _keep(~flat, idx, Hs, Bs, Ts, step, slope, ll0)
+            if idx.size == 0:
+                break
 
-        norms = np.linalg.norm(Hnew, axis=1)
+        Hs, S, LP, accepted = _line_search(Hs, step, slope, ll0, Bs, Ts, At, sigma)
+        H[idx] = Hs
+
+        norms = np.linalg.norm(Hs, axis=1)
         blown = norms > NORM_CAP
         if blown.any():
-            H[idx[blown]] = Hnew[blown] * (NORM_CAP / norms[blown])[:, None]
+            H[idx[blown]] = Hs[blown] * (NORM_CAP / norms[blown])[:, None]
             capped[idx[blown]] = True
-            active[idx[blown]] = False
 
-        stalled = ~accepted & ~blown
-        if stalled.any():
-            # Armijo could not improve: either at the optimum to rounding or
-            # genuinely stuck; final gradient check below decides which.
-            active[idx[stalled]] = False
+        # Stalled antennas (no step accepted) leave too: either at the
+        # optimum to rounding or genuinely stuck; the final gradient check
+        # below decides which.
+        keep = accepted & ~blown
+        if not keep.all():
+            idx, Hs, Bs, Ts, S, LP = _keep(keep, idx, Hs, Bs, Ts, S, LP)
 
     S_final = _margins(H, B, T, At, sigma)
     g_final = _score(B, mills_ratio(S_final), At, sigma)
     per_antenna = np.linalg.norm(g_final, axis=1)
     ll_per_antenna = norm_logcdf(S_final).sum(axis=(0, 2))
     separable = ll_per_antenna > SEPARABLE_LL_TOL
-    antenna_ok = (per_antenna <= tol) & ~capped & ~separable
+    antenna_ok = ((per_antenna <= tol) | at_floor) & ~capped & ~separable
     return ChannelEstimate(
         h_hat=H.reshape(-1),
         iterations=iters_used,

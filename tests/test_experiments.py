@@ -329,6 +329,18 @@ def test_cli_unusable_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypa
     assert afile.read_text() == ""
 
 
+def test_cli_failed_output_write_exits_2(tmp_path, capsys):
+    cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ", "AQ"],
+                                         trials=1, seed=1, i_max=2))
+    for command, blocked in (("sweep", "sweep.csv"), ("aq-trace", "aq_trace.csv")):
+        out = tmp_path / command
+        (out / blocked).mkdir(parents=True)
+        assert cli.main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out_dir: ") and blocked in err
+        assert err.count("\n") == 1
+
+
 def test_cli_env_var_out_dir(tmp_path, monkeypatch):
     cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[5.0],
                                          schemes=["NQ"], trials=1, seed=1))

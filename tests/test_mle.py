@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import onebit_mimo as om
+from onebit_mimo import gauss, mle
 from onebit_mimo.mle import LikelihoodProblem, SEPARABLE_LL_TOL
 
 LOG_HALF = np.log(0.5)
@@ -242,3 +243,57 @@ def test_problem_validation():
     other = om.quantize(np.zeros(4), om.thresholds_fixed(4, 0.0))
     with pytest.raises(ValueError):
         LikelihoodProblem([other], model)
+
+
+def test_newton_stops_at_rounding_floor():
+    # one antenna's gradient stays just above GRAD_TOL * measurements while its
+    # Newton decrement (1.6e-15) is below one ulp of its log-likelihood (-33.7),
+    # so no Armijo test can see a step's gain; it once spun to MAX_ITER
+    r = om.run_trial("OQ", 16, 8, 32, 15.0, 20, 99)
+    assert r.converged
+    assert r.iters <= 20
+    assert abs(r.mse / 0.0061638987 - 1.0) < 1e-6
+
+
+def test_step_that_rounds_back_to_its_row_is_stalled():
+    model, ch, prob = make_problem(M=2, K=2, L=6, seed=5)
+    B, T = mle._stacked(prob)
+    sigma = np.sqrt(model.sigma2)
+    Hs = np.ones((model.M, 2 * model.K))
+    ll0 = mle.norm_logcdf(mle._margins(Hs, B, T, model.A_tilde, sigma)).sum(axis=(0, 2))
+    # slope 0 lets Armijo pass on equality, which an unmoved row always meets
+    step, slope = np.full_like(Hs, 1e-20), np.zeros(model.M)
+    Hnew, _, _, accepted = mle._line_search(Hs, step, slope, ll0, B, T, model.A_tilde, sigma)
+    assert not accepted.any()
+    assert np.array_equal(Hnew, Hs)
+
+
+# criterion-09 shape: random thresholds at seed 4 leave margins below the
+# Mills cut; fixed zero thresholds give separable antennas that hit the norm cap
+@pytest.mark.parametrize("policy, seed, deep_tail", [("random", 4, True), ("fixed", 9, False)])
+def test_newton_loop_evaluates_special_functions_once_per_point(policy, seed, deep_tail,
+                                                                monkeypatch):
+    model, ch, prob = make_problem(M=16, K=8, L=32, seed=seed, snr_db=15.0, policy=policy)
+    margins, logcdf, mills, fallback = [], [], [], []
+
+    def recorded(original, log, record_result):
+        def call(*args):
+            out = original(*args)
+            log.append(out if record_result else args[0])
+            return out
+        return call
+
+    monkeypatch.setattr(mle, "_margins", recorded(mle._margins, margins, True))
+    monkeypatch.setattr(mle, "norm_logcdf", recorded(mle.norm_logcdf, logcdf, False))
+    monkeypatch.setattr(mle, "mills_ratio", recorded(mle.mills_ratio, mills, False))
+    monkeypatch.setattr(gauss, "mills_ratio", recorded(gauss.mills_ratio, fallback, False))
+    mle.solve_ml(prob)
+    # log Phi runs once per margin evaluation: the start, each line-search
+    # trial and the final check, and on nothing else
+    assert len(logcdf) == len(margins)
+    assert all(arg is S for arg, S in zip(logcdf, margins))
+    # Mills comes from log Phi inside the loop: erfcx runs for the final
+    # check and for deep-tail margins only
+    assert len(mills) == 1 and mills[0] is margins[-1]
+    assert all((t < gauss.MILLS_LOGCDF_CUT).all() for t in fallback)
+    assert bool(fallback) == deep_tail
