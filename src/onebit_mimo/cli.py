@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: sweep, crb, aq-trace, detect-ser, rate.
+Subcommands: sweep (all trials: sweep.csv/.json, AQ trace CSVs) and crb (crb.json).
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Default output directory: --out-dir flag, else config, else $ONEBIT_MIMO_OUT,
 else ./results.
@@ -24,7 +24,6 @@ from .experiments import (AQ_AGG_COLUMNS, AQ_TRACE_COLUMNS, ExperimentConfig,
 from .quant import thresholds_fixed, thresholds_random
 
 ENV_OUT = "ONEBIT_MIMO_OUT"
-DETECT_FRAMES = 2000  # data-phase frames per trial when the config asks for none
 OVERRIDES = ("seed", "trials", "schemes", "threads", "out_dir")  # flags that replace config fields
 
 
@@ -54,10 +53,7 @@ def load_config(args) -> ExperimentConfig:
                  if getattr(args, name) is not None}
     if "out_dir" in overrides:
         overrides["out_dir"] = str(overrides["out_dir"])
-    if args.command in ("detect-ser", "rate") and cfg.n_frames == 0:
-        overrides["n_frames"] = DETECT_FRAMES
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
 
@@ -71,20 +67,28 @@ def writing_outputs():
         raise ConfigError(f"out_dir: {e}") from e
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path, filename: str, metric: str) -> int:
-    """Run the sweep, write its per-trial CSV and summary JSON, print a metric per cell."""
-    csv_path = out / filename
-    json_path = csv_path.with_suffix(".json")
+def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
+    """Run the sweep once; write sweep.csv, sweep.json and, with AQ rows, the AQ traces."""
     rows = run_sweep(cfg)
     summary = summarize(cfg, rows)
+    trial_rows, agg_rows = run_aq_trace(cfg, rows, summary["crb"])
+    paths = [out / "sweep.csv", out / "sweep.json"]
     with writing_outputs():
-        write_trials_csv(rows, csv_path)
-        write_json(summary, json_path)
-    key = f"median_{metric}"
+        write_trials_csv(rows, paths[0])
+        write_json(summary, paths[1])
+        if trial_rows:
+            paths += [out / "aq_trace.csv", out / "aq_trace_trials.csv"]
+            write_dict_csv(agg_rows, AQ_AGG_COLUMNS, paths[2])
+            write_dict_csv(trial_rows, AQ_TRACE_COLUMNS, paths[3])
     for cell in summary["cells"]:
-        print(f"{cell['scheme']:>4s}  L={cell['L']:<4d} snr={cell['snr_db']:g} dB  "
-              f"median {metric} {cell[key]:.4g}  ({cell['n_converged']}/{cell['n']} converged)")
-    print(f"wrote {csv_path} and {json_path}")
+        data = "".join(f"  {m} {cell['median_' + m]:.4g}"
+                       for m in ("ser", "rate") if "median_" + m in cell)
+        print(f"{cell['scheme']:>4s}  L={cell['L']:<4d} snr={cell['snr_db']:g} dB  median mse "
+              f"{cell['median_mse']:.4g}{data}  ({cell['n_converged']}/{cell['n']} converged)")
+    for r in agg_rows:
+        print(f"  AQ  L={r['L']:<4d} snr={r['snr_db']:g} dB  iter {r['iteration']}: "
+              f"median MSE {r['median_mse']:.4g} (floor {r['crb_oq_per_coeff']:.4g})")
+    print(f"wrote {', '.join(map(str, paths))}")
     return 0
 
 
@@ -119,28 +123,11 @@ def cmd_crb(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def cmd_aq_trace(cfg: ExperimentConfig, out: Path) -> int:
-    trial_rows, agg_rows = run_aq_trace(cfg)
-    with writing_outputs():
-        write_dict_csv(agg_rows, AQ_AGG_COLUMNS, out / "aq_trace.csv")
-        write_dict_csv(trial_rows, AQ_TRACE_COLUMNS, out / "aq_trace_trials.csv")
-    for r in agg_rows:
-        print(f"L={r['L']:<4d} snr={r['snr_db']:g} dB  iter {r['iteration']}: "
-              f"median MSE {r['median_mse']:.4g} (floor {r['crb_oq_per_coeff']:.4g})")
-    print(f"wrote {out / 'aq_trace.csv'} and {out / 'aq_trace_trials.csv'}")
-    return 0
-
-
 # name -> (help, handler(cfg, out_dir))
 COMMANDS = {
-    "sweep": ("Monte Carlo MSE sweep over (scheme, L, SNR, trial)",
-              lambda cfg, out: cmd_sweep(cfg, out, "sweep.csv", "mse")),
+    "sweep": ("Monte Carlo sweep over (scheme, L, SNR, trial): MSE, SER/rate, AQ rounds",
+              cmd_sweep),
     "crb": ("CRB traces per threshold policy and the quantized/ideal ratio", cmd_crb),
-    "aq-trace": ("per-iteration MSE of the adaptive-threshold scheme", cmd_aq_trace),
-    "detect-ser": ("symbol error rate with estimated channels",
-                   lambda cfg, out: cmd_sweep(cfg, out, "detect_ser.csv", "ser")),
-    "rate": ("achievable rate with estimated channels",
-             lambda cfg, out: cmd_sweep(cfg, out, "rate.csv", "rate")),
 }
 
 

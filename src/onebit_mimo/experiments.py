@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +143,11 @@ class ExperimentConfig:
         bad = [s for s in self.schemes if s not in SCHEMES]
         if bad:
             raise ConfigError(f"schemes: unknown {', '.join(bad)} (choose from {', '.join(SCHEMES)})")
+        for name, key in (("L", int), ("snr_db", snr_key), ("schemes", str)):
+            keys = [key(v) for v in getattr(self, name)]
+            if len(set(keys)) < len(keys):
+                raise ConfigError(f"{name}: entries of {getattr(self, name)} share trial seeds, "
+                                  "so they would rerun the same trials")
         if self.i_max < 1:
             raise ConfigError("i_max: must be >= 1")
         if self.trials < 1:
@@ -201,6 +206,11 @@ class TrialResult:
 CSV_COLUMNS = [f.name for f in fields(TrialResult) if f.name != "rounds"]
 
 
+def snr_key(snr_db: float) -> int:
+    """SNR seed entropy: values that round to one 0.001 dB step share every draw."""
+    return int(round(snr_db * 1000.0)) + 2**31
+
+
 def trial_seed_seq(master: int, scheme: str, M: int, K: int, L: int,
                    snr_db: float, trial: int) -> np.random.SeedSequence:
     """Deterministic per-trial seed; cell values (not indices) enter the entropy.
@@ -210,9 +220,8 @@ def trial_seed_seq(master: int, scheme: str, M: int, K: int, L: int,
     if scheme not in SCHEMES and scheme != "REF":
         raise ConfigError(f"schemes: unknown scheme {scheme!r}")
     scheme_id = SCHEMES[scheme][0] if scheme in SCHEMES else _REF_ID
-    snr_key = int(round(snr_db * 1000.0)) + 2**31
     return np.random.SeedSequence(
-        entropy=(int(master), scheme_id, int(M), int(K), int(L), snr_key, int(trial))
+        entropy=(int(master), scheme_id, int(M), int(K), int(L), snr_key(snr_db), int(trial))
     )
 
 
@@ -354,25 +363,27 @@ def summarize(cfg: ExperimentConfig, rows: list) -> dict:
     return {"config": cfg.to_dict(), "cells": cells, "crb": refs}
 
 
-def run_aq_trace(cfg: ExperimentConfig):
-    """Per-round AQ records for every (L, SNR, trial), plus per-round aggregates."""
-    rows = run_sweep(replace(cfg, schemes=["AQ"], n_frames=0))
+def run_aq_trace(cfg: ExperimentConfig, rows: list, floors: list):
+    """Per-round rows of a sweep's AQ trials and per-round aggregates per AQ cell.
+
+    ``floors`` is the summary's ``crb`` list; no AQ rows give two empty lists.
+    """
+    rows = [r for r in rows if r.scheme == "AQ"]
     trial_rows = [{"M": r.M, "K": r.K, "L": r.L, "snr_db": r.snr_db, "trial": r.trial,
                    "seed": r.seed, "iteration": it.index, "mse": it.mse,
                    "converged": it.converged, "threshold_rel_err": it.threshold_rel_err}
                   for r in rows for it in r.rounds]
     agg_rows = []
-    for L in cfg.L:
-        for snr in cfg.snr_db:
-            ref = reference_floors(cfg, L, snr)
-            cell = [r.rounds for r in rows if r.L == L and r.snr_db == snr]
-            for i in range(cfg.i_max):
-                agg_rows.append({
-                    "M": cfg.M, "K": cfg.K, "L": L, "snr_db": snr, "iteration": i + 1,
-                    "n": len(cell), **_median_mean("mse", [rounds[i].mse for rounds in cell]),
-                    "crb_oq_per_coeff": ref["crb_oq_per_coeff"],
-                    "crb_nq_per_coeff": ref["crb_nq_per_coeff"],
-                })
+    for ref in floors:
+        cell = [r.rounds for r in rows if r.L == ref["L"] and r.snr_db == ref["snr_db"]]
+        for i in range(cfg.i_max if cell else 0):
+            agg_rows.append({
+                "M": cfg.M, "K": cfg.K, "L": ref["L"], "snr_db": ref["snr_db"],
+                "iteration": i + 1, "n": len(cell),
+                **_median_mean("mse", [rounds[i].mse for rounds in cell]),
+                "crb_oq_per_coeff": ref["crb_oq_per_coeff"],
+                "crb_nq_per_coeff": ref["crb_nq_per_coeff"],
+            })
     return trial_rows, agg_rows
 
 

@@ -38,9 +38,10 @@ def norm_logcdf(t):
 def mills_ratio(t):
     """Inverse Mills ratio phi(t)/Phi(t).
 
-    Evaluated as sqrt(2/pi)/erfcx(-t/sqrt(2)): exact to rounding for all
-    finite t, and grows like |t| for t -> -inf instead of degenerating
-    to 0/0.
+    Evaluated as sqrt(2/pi)/erfcx(-t/sqrt(2)), which grows like |t| as t -> -inf
+    instead of degenerating to 0/0.  Relative error vs 40-digit mpmath: ~1e-16 for
+    t <= 0, 1.1e-13 at t = 25 and 30, at most 2.3e-13 below t = 37.5.  From t ~ 37.7
+    erfcx overflows and it returns 0.0; the true ratio there is 9.37e-310 (subnormal).
     """
     t = np.asarray(t, dtype=float)
     return SQRT_2_OVER_PI / erfcx(-t / SQRT_2)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import onebit_mimo as om
-from onebit_mimo.experiments import (ExperimentConfig, run_aq_trace, run_sweep,
-                                     write_trials_csv)
+from onebit_mimo.cli import cmd_sweep
+from onebit_mimo.experiments import ExperimentConfig, run_aq_trace, run_sweep, summarize
 from onebit_mimo.gauss import norm_logcdf
 from onebit_mimo.mle import LikelihoodProblem
 
@@ -205,7 +205,8 @@ def test_criterion_08_adaptive_thresholds_reach_quantized_oracle_floor():
         M=16, K=8, L=[32], snr_db=[15.0], schemes=["AQ"], i_max=5,
         trials=200, seed=88,
     )).validate()
-    _, agg = run_aq_trace(cfg)
+    rows = run_sweep(cfg)
+    _, agg = run_aq_trace(cfg, rows, summarize(cfg, rows)["crb"])
     medians = np.array([row["median_mse"] for row in agg])
     floor = agg[0]["crb_oq_per_coeff"]
     non_increasing = bool(np.all(np.diff(medians) <= 0.0))
@@ -288,12 +289,14 @@ def test_criterion_11_byte_identical_reruns_any_thread_count(tmp_path):
     base = dict(M=4, K=8, L=[32], snr_db=[15.0],
                 schemes=["NQ", "OQ", "AQ", "RQ", "FQ"], i_max=3,
                 trials=10, seed=123)
+    names = ("sweep.csv", "aq_trace.csv", "aq_trace_trials.csv")
     outputs = []
     for threads in [1, 1, 2]:
         cfg = ExperimentConfig.from_dict(dict(base, threads=threads)).validate()
-        path = tmp_path / f"run_{len(outputs)}.csv"
-        write_trials_csv(run_sweep(cfg), path)
-        outputs.append(path.read_bytes())
+        out = tmp_path / f"run_{len(outputs)}"
+        cmd_sweep(cfg, out)
+        outputs.append([(out / name).read_bytes() for name in names])
     ok = outputs[0] == outputs[1] == outputs[2]
+    sizes = ", ".join(f"{name} {len(data)} B" for name, data in zip(names, outputs[0]))
     report("11 determinism across reruns and thread counts", ok,
-           f"three runs, {len(outputs[0])} bytes each, identical: {ok}")
+           f"three runs ({sizes}), identical: {ok}")

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -40,6 +41,22 @@ def test_config_validation_messages():
         tiny_config(seed=-1).validate()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("L", [4, 4]), ("schemes", ["NQ", "nq"]), ("snr_db", [5.0, 5.0004]),
+])
+def test_config_rejects_entries_that_share_trial_seeds(tmp_path, capsys, field, value):
+    # a repeat reruns the same seeded trials; SNRs within 0.001 dB share every draw
+    with pytest.raises(om.ConfigError, match=f"^{field}:"):
+        tiny_config(**{field: value}).validate()
+    data = dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ"], trials=2, seed=1)
+    cfg_path = write_yaml(tmp_path, dict(data, **{field: value}))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+    assert not out.exists()
+    tiny_config(L=[4, 5], snr_db=[5.0, 5.001]).validate()
+
+
 def test_config_normalization():
     cfg = ExperimentConfig.from_dict(dict(L=8, snr_db=3, schemes="nq, fq"))
     assert cfg.L == [8] and cfg.snr_db == [3.0] and cfg.schemes == ["NQ", "FQ"]
@@ -72,12 +89,15 @@ def test_thread_count_does_not_change_results(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def aq_trace(cfg):
+    rows = run_sweep(cfg)
+    return run_aq_trace(cfg, rows, summarize(cfg, rows)["crb"])
+
+
 def test_aq_trace_thread_count_does_not_change_results(tmp_path):
     for threads in (1, 2):
-        trial_rows, agg_rows = run_aq_trace(tiny_config(threads=threads).validate())
-        write_dict_csv(agg_rows, AQ_AGG_COLUMNS, tmp_path / f"t{threads}" / "aq_trace.csv")
-        write_dict_csv(trial_rows, AQ_TRACE_COLUMNS,
-                       tmp_path / f"t{threads}" / "aq_trace_trials.csv")
+        cli.cmd_sweep(tiny_config(schemes=["AQ"], threads=threads).validate(),
+                      tmp_path / f"t{threads}")
     for name in ("aq_trace.csv", "aq_trace_trials.csv"):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
@@ -170,7 +190,7 @@ def test_aq_trace_first_iteration_is_fixed_quantization():
     # benign regime (low SNR, enough pilots) so round 1 converges and the
     # adaptive run is exactly a fixed-threshold run
     cfg = tiny_config(schemes=["AQ"], i_max=1, L=[16], snr_db=[0.0], trials=4).validate()
-    trial_rows, agg = run_aq_trace(cfg)
+    trial_rows, agg = aq_trace(cfg)
     assert all(r["converged"] for r in trial_rows)
     assert all(r["iteration"] == 1 for r in trial_rows)
     for r in trial_rows:
@@ -226,9 +246,55 @@ def test_cli_aq_trace(tmp_path):
     cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[6], snr_db=[5.0],
                                          schemes=["AQ"], trials=2, seed=2, i_max=2))
     out = tmp_path / "out"
-    assert cli.main(["aq-trace", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     assert (out / "aq_trace.csv").exists()
     assert (out / "aq_trace_trials.csv").exists()
+
+
+def test_cli_sweep_trace_files_match_an_aq_only_sweep(tmp_path):
+    # AQ's seeds depend on its scheme id only and its data phase runs after
+    # the rounds, so other schemes and frames leave its trace as it is
+    data = dict(M=2, K=2, L=[4, 6], snr_db=[5.0], schemes=["NQ", "AQ", "FQ"],
+                trials=3, seed=5, i_max=2, n_frames=8)
+    cfg_path, out = write_yaml(tmp_path, data), tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    trial_rows, agg_rows = aq_trace(
+        ExperimentConfig.from_dict(dict(data, schemes=["AQ"], n_frames=0)).validate())
+    assert [r["n"] for r in agg_rows] == [3] * 4
+    write_dict_csv(agg_rows, AQ_AGG_COLUMNS, tmp_path / "aq_trace.csv")
+    write_dict_csv(trial_rows, AQ_TRACE_COLUMNS, tmp_path / "aq_trace_trials.csv")
+    for name in ("aq_trace.csv", "aq_trace_trials.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+    no_aq = tmp_path / "no_aq"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--schemes", "NQ,FQ",
+                     "--out-dir", str(no_aq)]) == 0
+    assert sorted(p.name for p in no_aq.iterdir()) == ["sweep.csv", "sweep.json"]
+
+
+def test_cli_sweep_computes_reference_floors_once_per_cell(tmp_path, monkeypatch):
+    cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4, 6], snr_db=[5.0, 8.0],
+                                         schemes=["AQ", "NQ"], trials=1, seed=1, i_max=2))
+    calls = Counter()
+    original = experiments.reference_floors
+
+    def counted(cfg, L, snr_db, *args, **kwargs):
+        calls[(L, snr_db)] += 1
+        return original(cfg, L, snr_db, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "reference_floors", counted)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert (out / "aq_trace.csv").exists()
+    assert calls == {(L, snr): 1 for L in (4, 6) for snr in (5.0, 8.0)}
+
+
+def test_cli_has_sweep_and_crb_only(capsys):
+    assert set(cli.COMMANDS) == {"sweep", "crb"}
+    for command in ("detect-ser", "rate", "aq-trace"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -332,10 +398,10 @@ def test_cli_unusable_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypa
 def test_cli_failed_output_write_exits_2(tmp_path, capsys):
     cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ", "AQ"],
                                          trials=1, seed=1, i_max=2))
-    for command, blocked in (("sweep", "sweep.csv"), ("aq-trace", "aq_trace.csv")):
-        out = tmp_path / command
+    for blocked in ("sweep.csv", "aq_trace.csv"):
+        out = tmp_path / blocked
         (out / blocked).mkdir(parents=True)
-        assert cli.main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: out_dir: ") and blocked in err
         assert err.count("\n") == 1
@@ -351,13 +417,12 @@ def test_cli_env_var_out_dir(tmp_path, monkeypatch):
 
 
 def test_cli_detect_rejects_k_beyond_exhaustive_search(tmp_path, capsys, monkeypatch):
-    data = dict(M=2, K=9, L=[9], snr_db=[5.0], schemes=["OQ"], trials=1, seed=1)
+    data = dict(M=2, K=9, L=[9], snr_db=[5.0], schemes=["OQ"], trials=1, seed=1, n_frames=8)
     cfg_path = write_yaml(tmp_path, data)
     out = tmp_path / "out"
     monkeypatch.setattr(cli, "run_sweep", lambda cfg: pytest.fail("estimation ran"))
-    for command in ("detect-ser", "rate"):
-        assert cli.main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error")
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
     assert not out.exists()
     monkeypatch.undo()
     # without a data phase K=9 is an ordinary estimation sweep
@@ -380,6 +445,14 @@ def test_shipped_config_runs_one_trial(path, tmp_path):
     assert cli.main([words[2], "--config", str(path), "--trials", "1",
                      "--out-dir", str(out)]) == 0
     assert any(out.glob("*.csv"))
+
+
+def test_docs_name_only_real_commands():
+    # README.md and each config's first line may advertise only commands the CLI has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    texts = [readme] + [path.read_text().splitlines()[0] for path in CONFIGS]
+    named = {name for text in texts for name in re.findall(r"onebit-mimo ([\w-]+)", text)}
+    assert "sweep" in named and named <= set(cli.COMMANDS), named - set(cli.COMMANDS)
 
 
 def test_cli_flag_overrides(tmp_path):
