@@ -7,7 +7,7 @@ reproducible Monte Carlo sweep harness.
 """
 
 from .crb import crb_nq_trace, crb_trace, fim, g_bar_bound, g_weight, gaussian_cdf_bound
-from .detect import QPSK, RateResult, achievable_rate, detect_frames, simulate_frames
+from .detect import QPSK, achievable_rate, detect_frames, simulate_frames
 from .errors import ConfigError, NumericalError
 from .experiments import (ExperimentConfig, TrialResult, data_phase, pilot_model, run_sweep,
                           run_trial, summarize)

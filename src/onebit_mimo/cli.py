@@ -111,7 +111,7 @@ def cmd_crb(cfg: ExperimentConfig, out: Path) -> int:
                 fq = crb_trace(model, thresholds_fixed(model.N), ch.h)
                 policies["FQ"] = {"trace": fq, "per_coeff": fq / denom}
             if "RQ" in cfg.schemes:
-                rq = crb_trace(model, thresholds_random(model, cfg.sigma_h2, rng), ch.h)
+                rq = crb_trace(model, thresholds_random(model, 1.0, rng), ch.h)
                 policies["RQ"] = {"trace": rq, "per_coeff": rq / denom}
             entries.append({"M": cfg.M, "K": cfg.K, "L": L, "snr_db": snr,
                             "policies": policies, "ratio_oq_nq": ref["ratio_oq_nq"]})

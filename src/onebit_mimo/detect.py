@@ -14,7 +14,6 @@ hypotheses score array is never built.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,17 +126,12 @@ def simulate_frames(H: np.ndarray, sigma2: float, symbol_power: float,
     return idx, b
 
 
-class RateResult(NamedTuple):
-    rate: np.ndarray
-    capped: np.ndarray
+def achievable_rate(s: np.ndarray, s_hat: np.ndarray, cap: float = 20.0) -> np.ndarray:
+    """Per-user rates log2(1 + |E[s* s_hat]|^2 / (E[|s_hat|^2] - |E[s* s_hat]|^2)), shape (K,).
 
-
-def achievable_rate(s: np.ndarray, s_hat: np.ndarray, cap: float = 20.0) -> RateResult:
-    """Per-user rate log2(1 + |E[s* s_hat]|^2 / (E[|s_hat|^2] - |E[s* s_hat]|^2)).
-
-    Expectations are sample means over the paired sequences (T,) or (T, K).
-    A non-positive denominator means perfect correlation; the configured
-    cap is returned with the capped flag set.
+    Expectations are sample means over the T rows of the paired (T, K)
+    sequences.  A non-positive denominator means perfect correlation; that
+    user's rate is the configured cap.
     """
     s = np.asarray(s, dtype=complex)
     s_hat = np.asarray(s_hat, dtype=complex)
@@ -145,9 +139,6 @@ def achievable_rate(s: np.ndarray, s_hat: np.ndarray, cap: float = 20.0) -> Rate
         raise ValueError("empty sample sequences")
     if s.shape != s_hat.shape:
         raise ValueError("s and s_hat must have matching shapes")
-    squeeze = s.ndim == 1
-    if squeeze:
-        s, s_hat = s[:, None], s_hat[:, None]
     corr = (np.conj(s) * s_hat).mean(axis=0)
     num = np.abs(corr) ** 2
     power = (np.abs(s_hat) ** 2).mean(axis=0)
@@ -156,7 +147,4 @@ def achievable_rate(s: np.ndarray, s_hat: np.ndarray, cap: float = 20.0) -> Rate
     # means perfect correlation, not an astronomically large SINR
     capped = den <= 1e-12 * power
     safe = np.where(capped, 1.0, den)
-    rate = np.where(capped, float(cap), np.log2(1.0 + num / safe))
-    if squeeze:
-        return RateResult(rate=rate[0], capped=capped[0])
-    return RateResult(rate=rate, capped=capped)
+    return np.where(capped, float(cap), np.log2(1.0 + num / safe))

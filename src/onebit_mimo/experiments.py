@@ -27,21 +27,21 @@ from .quant import thresholds_oracle
 from .schemes import run_aq, run_fq, run_nq, run_oq, run_rq
 
 
-def _perfect_csi(model, h, rng, sigma_h2, i_max):
+def _perfect_csi(model, h, rng, i_max):
     """The true channel as the estimate: the data phase's perfect-CSI reference."""
-    return ChannelEstimate(h_hat=h.copy(), iterations=0, grad_norm=0.0,
-                           converged=True, objective=np.nan), None
+    return ChannelEstimate(h_hat=h.copy(), iterations=0, grad_norm=0.0, objective=np.nan,
+                           antenna_converged=np.ones(model.M, dtype=bool)), None
 
 
 # name -> (stable seed id, runner).  Seed derivation depends on the ids, never
-# on list order.  A runner maps (model, h, rng, sigma_h2, i_max) to
-# (estimate, AQ rounds or None); the lambdas look run_* up at call time.
+# on list order.  A runner maps (model, h, rng, i_max) to (estimate, AQ rounds
+# or None); the lambdas look run_* up at call time.
 SCHEMES = {
-    "FQ": (0, lambda model, h, rng, sigma_h2, i_max: (run_fq(model, h, rng), None)),
-    "RQ": (1, lambda model, h, rng, sigma_h2, i_max: (run_rq(model, h, sigma_h2, rng), None)),
-    "AQ": (2, lambda model, h, rng, sigma_h2, i_max: run_aq(model, h, i_max, rng, sigma_h2)),
-    "OQ": (3, lambda model, h, rng, sigma_h2, i_max: (run_oq(model, h, rng), None)),
-    "NQ": (4, lambda model, h, rng, sigma_h2, i_max: (run_nq(model, h, rng), None)),
+    "FQ": (0, lambda model, h, rng, i_max: (run_fq(model, h, rng), None)),
+    "RQ": (1, lambda model, h, rng, i_max: (run_rq(model, h, rng_seed=rng), None)),
+    "AQ": (2, lambda model, h, rng, i_max: run_aq(model, h, i_max, rng)),
+    "OQ": (3, lambda model, h, rng, i_max: (run_oq(model, h, rng), None)),
+    "NQ": (4, lambda model, h, rng, i_max: (run_nq(model, h, rng), None)),
     "PCSI": (5, _perfect_csi),
 }
 SCHEME_IDS = {name: sid for name, (sid, _) in SCHEMES.items()}  # read by perfbench/run.py
@@ -58,7 +58,6 @@ AQ_AGG_COLUMNS = ["M", "K", "L", "snr_db", "iteration", "n", "median_mse",
 _ACCEPTS = {
     "int": ("an integer", (int, np.integer)),
     "float": ("a finite number", (int, float, np.integer, np.floating)),
-    "bool": ("true or false", (bool,)),
     "str": ("a string", (str,)),
     "str | None": ("a string", (str, type(None))),
 }
@@ -74,7 +73,10 @@ def _checked(name: str, value, annotation: str):
 
 @dataclass
 class ExperimentConfig:
-    """Declarative sweep description (YAML file and/or CLI flags)."""
+    """Declarative sweep description (YAML file and/or CLI flags).
+
+    Noise and channel prior have unit variance, so SNR alone sets the pilot power.
+    """
 
     M: int = 16
     K: int = 8
@@ -84,8 +86,6 @@ class ExperimentConfig:
     i_max: int = 5
     trials: int = 100
     seed: int = 0
-    sigma_h2: float = 1.0
-    sigma2: float = 1.0
     n_frames: int = 0       # data-phase frames per trial; 0 skips SER/rate
     rate_cap: float = 20.0
     threads: int = 1
@@ -154,21 +154,16 @@ class ExperimentConfig:
             raise ConfigError("trials: must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed: must be non-negative")
-        if self.sigma_h2 <= 0:
-            raise ConfigError("sigma_h2: must be positive")
-        if self.sigma2 <= 0:
-            raise ConfigError("sigma2: must be positive")
         tiny = np.finfo(float).tiny  # pilot powers must be positive, finite, normal floats
         for L in self.L:
             for snr in self.snr_db:
                 try:
-                    P = power_for_snr(snr, self.K, L, self.sigma2)
+                    P = power_for_snr(snr, self.K, L)
                 except OverflowError:
                     P = np.inf
                 if not tiny <= P < np.inf:
-                    name = "snr_db" if tiny <= self.K * L * self.sigma2 < np.inf else "sigma2"
-                    raise ConfigError(f"{name}: pilot power {P:g} at L={L}, snr_db={snr:g}, "
-                                      f"sigma2={self.sigma2:g} is not a positive normal float")
+                    raise ConfigError(f"snr_db: pilot power {P:g} at L={L}, snr_db={snr:g} "
+                                      "is not a positive normal float")
         if self.n_frames < 0:
             raise ConfigError("n_frames: must be non-negative")
         if self.n_frames > 0 and self.K > K_MAX:
@@ -235,30 +230,34 @@ def pilot_model(M: int, K: int, L: int, snr_db: float, rng, sigma2: float = 1.0)
     return realify(ComplexSystem(M=M, K=K, L=L, X=X, sigma2=sigma2, P=P))
 
 
+def draw_instance(ss: np.random.SeedSequence, M: int, K: int, L: int, snr_db: float):
+    """A seeded instance: (pilot model, unit-variance channel, generator after both draws)."""
+    rng = np.random.default_rng(ss)
+    model = pilot_model(M, K, L, snr_db, rng)
+    return model, generate_channel(M, K, rng_seed=rng), rng
+
+
 def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
-              master_seed: int, sigma2: float = 1.0, sigma_h2: float = 1.0,
-              i_max: int = 5, n_frames: int = 0, rate_cap: float = 20.0) -> TrialResult:
+              master_seed: int, i_max: int = 5, n_frames: int = 0,
+              rate_cap: float = 20.0) -> TrialResult:
     """Draw pilots + channel, run one scheme, optionally run the data phase."""
     if scheme not in SCHEMES:  # "REF" seeds reference instances but runs no scheme
         raise ConfigError(f"schemes: unknown scheme {scheme!r}")
     ss = trial_seed_seq(master_seed, scheme, M, K, L, snr_db, trial)
-    seed_repr = int(ss.generate_state(1)[0])
-    rng = np.random.default_rng(ss)
+    model, ch, rng = draw_instance(ss, M, K, L, snr_db)
 
-    model = pilot_model(M, K, L, snr_db, rng, sigma2)
-    ch = generate_channel(M, K, sigma_h2, rng_seed=rng)
-
-    est, rounds = SCHEMES[scheme][1](model, ch.h, rng, sigma_h2, i_max)
+    est, rounds = SCHEMES[scheme][1](model, ch.h, rng, i_max)
 
     ser = rate = None
     if n_frames > 0:
-        symbol_power = 10.0 ** (snr_db / 10.0) * sigma2
-        ser, rate = data_phase(ch.H, real_to_channel(est.h_hat, M, K), sigma2,
+        symbol_power = 10.0 ** (snr_db / 10.0) * model.sigma2
+        ser, rate = data_phase(ch.H, real_to_channel(est.h_hat, M, K), model.sigma2,
                                symbol_power, n_frames, rng, rate_cap)
 
     return TrialResult(
-        scheme=scheme, M=M, K=K, L=L, snr_db=snr_db, trial=trial, seed=seed_repr,
-        mse=channel_mse(est.h_hat, ch.h, M, K), converged=bool(est.converged),
+        scheme=scheme, M=M, K=K, L=L, snr_db=snr_db, trial=trial,
+        seed=int(ss.generate_state(1)[0]),
+        mse=channel_mse(est.h_hat, ch.h, M, K), converged=est.converged,
         iters=int(est.iterations), ser=ser, rate=rate, rounds=rounds,
     )
 
@@ -272,8 +271,8 @@ def data_phase(H: np.ndarray, H_est: np.ndarray, sigma2: float, symbol_power: fl
     """
     s_idx, b = simulate_frames(H, sigma2, symbol_power, n_frames, rng_seed)
     det = detect_frames(H_est, b, sigma2, symbol_power=symbol_power)
-    rr = achievable_rate(QPSK[s_idx], QPSK[det], cap=rate_cap)
-    return float((det != s_idx).mean()), float(rr.rate.mean())
+    rate = achievable_rate(QPSK[s_idx], QPSK[det], cap=rate_cap)
+    return float((det != s_idx).mean()), float(rate.mean())
 
 
 def _trial_worker(kwargs: dict) -> TrialResult:
@@ -289,8 +288,7 @@ def sweep_tasks(cfg: ExperimentConfig) -> list:
                 for trial in range(cfg.trials):
                     tasks.append(dict(
                         scheme=scheme, M=cfg.M, K=cfg.K, L=L, snr_db=snr,
-                        trial=trial, master_seed=cfg.seed, sigma2=cfg.sigma2,
-                        sigma_h2=cfg.sigma_h2, i_max=cfg.i_max,
+                        trial=trial, master_seed=cfg.seed, i_max=cfg.i_max,
                         n_frames=cfg.n_frames, rate_cap=cfg.rate_cap,
                     ))
     return tasks
@@ -309,9 +307,8 @@ def run_sweep(cfg: ExperimentConfig) -> list:
 
 def reference_instance(cfg: ExperimentConfig, L: int, snr_db: float):
     """The cell's seeded reference instance: (pilot model, channel, generator after both draws)."""
-    rng = np.random.default_rng(trial_seed_seq(cfg.seed, "REF", cfg.M, cfg.K, L, snr_db, 0))
-    model = pilot_model(cfg.M, cfg.K, L, snr_db, rng, cfg.sigma2)
-    return model, generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng), rng
+    ss = trial_seed_seq(cfg.seed, "REF", cfg.M, cfg.K, L, snr_db, 0)
+    return draw_instance(ss, cfg.M, cfg.K, L, snr_db)
 
 
 def reference_floors(cfg: ExperimentConfig, L: int, snr_db: float, instance=None) -> dict:

@@ -90,9 +90,12 @@ class ChannelEstimate:
     h_hat: np.ndarray
     iterations: int
     grad_norm: float
-    converged: bool
     objective: float
-    antenna_converged: np.ndarray | None = None
+    antenna_converged: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.antenna_converged.all())
 
 
 def _stacked(prob: LikelihoodProblem):
@@ -288,7 +291,6 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
         h_hat=H.reshape(-1),
         iterations=iters_used,
         grad_norm=float(np.linalg.norm(g_final)),
-        converged=bool(antenna_ok.all()),
         objective=float(ll_per_antenna.sum()),
         antenna_converged=antenna_ok,
     )
@@ -310,5 +312,4 @@ def solve_nq(model: RealModel, y: np.ndarray) -> ChannelEstimate:
     Y = np.asarray(y, dtype=float).reshape(model.M, 2 * model.L)
     H_hat = np.linalg.solve(AtA, model.A_tilde.T @ Y.T).T
     return ChannelEstimate(h_hat=H_hat.reshape(-1), iterations=0, grad_norm=0.0,
-                           converged=True, objective=np.nan,
-                           antenna_converged=np.ones(model.M, dtype=bool))
+                           objective=np.nan, antenna_converged=np.ones(model.M, dtype=bool))

@@ -194,18 +194,17 @@ def test_ser_improves_with_more_pilots():
 
 def test_rate_independent_symbols_near_zero():
     rng = np.random.default_rng(9)
-    s = QPSK[rng.integers(0, 4, size=100_000)]
-    s_hat = QPSK[rng.integers(0, 4, size=100_000)]
-    res = om.achievable_rate(s, s_hat)
-    assert not res.capped
-    assert res.rate < 0.02
+    s = QPSK[rng.integers(0, 4, size=(100_000, 1))]
+    s_hat = QPSK[rng.integers(0, 4, size=(100_000, 1))]
+    rate = om.achievable_rate(s, s_hat)
+    assert rate.shape == (1,)
+    assert rate[0] < 0.02
 
 
 def test_rate_perfect_correlation_capped():
-    s = QPSK[np.random.default_rng(10).integers(0, 4, size=2000)]
-    res = om.achievable_rate(s, s.copy(), cap=20.0)
-    assert res.capped
-    assert res.rate == 20.0
+    s = QPSK[np.random.default_rng(10).integers(0, 4, size=(2000, 1))]
+    rate = om.achievable_rate(s, s.copy(), cap=20.0)
+    assert rate == 20.0
 
 
 def test_rate_phase_invariance():
@@ -216,12 +215,12 @@ def test_rate_phase_invariance():
     base = om.achievable_rate(s, s_hat)
     theta = np.exp(1.234j)
     rotated = om.achievable_rate(s * theta, s_hat * theta)
-    assert np.allclose(base.rate, rotated.rate, rtol=1e-9)
+    assert np.allclose(base, rotated, rtol=1e-9)
 
 
 def test_rate_empty_raises():
     with pytest.raises(ValueError):
-        om.achievable_rate(np.array([]), np.array([]))
+        om.achievable_rate(np.empty((0, 1)), np.empty((0, 1)))
 
 
 def test_hypothesis_enumeration_lexicographic():

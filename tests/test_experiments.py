@@ -195,13 +195,26 @@ def test_aq_trace_first_iteration_is_fixed_quantization():
     assert all(r["iteration"] == 1 for r in trial_rows)
     for r in trial_rows:
         ss = trial_seed_seq(cfg.seed, "AQ", cfg.M, cfg.K, r["L"], r["snr_db"], r["trial"])
-        rng = np.random.default_rng(ss)
-        model = om.pilot_model(cfg.M, cfg.K, r["L"], r["snr_db"], rng, cfg.sigma2)
-        ch = om.generate_channel(cfg.M, cfg.K, cfg.sigma_h2, rng_seed=rng)
+        model, ch, rng = experiments.draw_instance(ss, cfg.M, cfg.K, r["L"], r["snr_db"])
         fq = om.run_fq(model, ch.h, rng)
         assert om.channel_mse(fq.h_hat, ch.h, cfg.M, cfg.K) == r["mse"]
     assert agg[0]["n"] == 4
     assert abs(agg[0]["crb_oq_per_coeff"] / agg[0]["crb_nq_per_coeff"] - np.pi / 2) < 1e-12
+
+
+@pytest.mark.parametrize("scheme", list(experiments.SCHEMES))
+def test_trial_depends_on_snr_not_noise_scale(scheme):
+    # scaling noise variance and pilot power together leaves every estimate
+    # bitwise unchanged, so the sweep fixes sigma2 = 1 and is set by SNR alone
+    runner = experiments.SCHEMES[scheme][1]
+    for seed in range(3):
+        estimates = []
+        for sigma2 in (0.25, 1.0, 4.0):
+            rng = np.random.default_rng(seed)
+            model = om.pilot_model(3, 2, 8, 6.0, rng, sigma2=sigma2)
+            ch = om.generate_channel(3, 2, rng_seed=rng)
+            estimates.append(runner(model, ch.h, rng, 3)[0].h_hat)
+        assert all(np.array_equal(estimates[0], e) for e in estimates[1:]), seed
 
 
 def write_yaml(tmp_path, data):
@@ -305,10 +318,10 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("L", "abc"), ("M", "x"), ("sigma2", "1"), ("threads", 2.5), ("L", [[1]]),
+    ("L", "abc"), ("M", "x"), ("rate_cap", "1"), ("threads", 2.5), ("L", [[1]]),
     ("schemes", 5), ("snr_db", "abc"), ("i_max", None), ("n_frames", 1.5), ("seed", 1.5),
-    ("snr_db", float("inf")), ("sigma2", float("nan")), ("rate_cap", -3.0), ("rate_cap", 0.0),
-    ("snr_db", [-4000.0]), ("snr_db", [4000.0]), ("sigma2", 1.0e-320),
+    ("snr_db", float("inf")), ("rate_cap", float("nan")), ("rate_cap", -3.0), ("rate_cap", 0.0),
+    ("snr_db", [-4000.0]), ("snr_db", [4000.0]),
 ])
 def test_cli_wrong_typed_config_value_exits_2(tmp_path, capsys, field, value):
     data = dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ"], trials=1, seed=1)
@@ -368,11 +381,13 @@ def test_cli_crb_draws_each_reference_instance_once(tmp_path, monkeypatch):
 
 def test_cli_rejects_timing(tmp_path, capsys):
     out = tmp_path / "out"
-    for field, value in (("timing", True), ("pilot_method", "qr")):
+    # deleted fields; the sweep fixes noise and channel prior variance at 1
+    for field, value in (("timing", True), ("pilot_method", "qr"), ("sigma2", 1.0),
+                         ("sigma_h2", 1.0)):
         cfg_path = write_yaml(tmp_path, {"M": 2, "K": 2, "L": [4], "snr_db": [5.0],
                                          "schemes": ["NQ"], "trials": 1, "seed": 1, field: value})
         assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
-        assert field in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: unknown config field(s): {field}\n"
     cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[5.0], schemes=["NQ"],
                                          trials=1, seed=1))
     with pytest.raises(SystemExit) as exc:
@@ -453,6 +468,13 @@ def test_docs_name_only_real_commands():
     texts = [readme] + [path.read_text().splitlines()[0] for path in CONFIGS]
     named = {name for text in texts for name in re.findall(r"onebit-mimo ([\w-]+)", text)}
     assert "sweep" in named and named <= set(cli.COMMANDS), named - set(cli.COMMANDS)
+
+
+def test_readme_example_config_is_valid():
+    # the README's example YAML may list only fields the config still has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+    ExperimentConfig.from_dict(yaml.safe_load(block)).validate()
 
 
 def test_cli_flag_overrides(tmp_path):
