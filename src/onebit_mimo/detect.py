@@ -5,10 +5,19 @@ The data phase quantizes with zero thresholds (the comparators have no
 side information about payload symbols).  Detection is exhaustive ML
 over all 4^K QPSK hypotheses; per channel estimate the per-measurement
 log Phi tables are precomputed once (the table for the negated signs is
-the first one read backwards).  Frames are then scored in cache-sized
-tiles of FRAME_CHUNK frames by HYP_CHUNK hypotheses, one matrix product
-per tile, keeping a running best per frame, so the full frames-by-
-hypotheses score array is never built.
+the first one read backwards) and folded into a score base + (b > 0) @
+delta.T per hypothesis.
+
+Frames are scored in two passes.  A float32 screen scores every
+hypothesis and keeps, per frame, the blocks of SCREEN_BLOCK hypotheses
+whose float32 maximum lies within a rigorous rounding bound of the best;
+the confirm pass rescores only those contender blocks with the float64
+matrix product, in groups of frames, and takes the first maximum.  Every
+hypothesis that could win is scored in float64 exactly as a full
+FRAME_CHUNK x HYP_CHUNK tile scores it, so decisions and lexicographic
+ties are those of one argmax over the full score array, which is never
+built.  Below SCREEN_MIN_HYP hypotheses (K < 7), or when the bound is not
+finite, every block is a contender and the screen is skipped.
 """
 
 from __future__ import annotations
@@ -24,8 +33,17 @@ from .model import as_rng
 # (lexicographically smallest) hypothesis under this indexing.
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 K_MAX = 8  # largest K whose 4^K hypotheses detection searches
-FRAME_CHUNK = 256  # frames per score tile
-HYP_CHUNK = 512    # hypotheses per score tile (256 x 512 float64 = 1 MB)
+FRAME_CHUNK = 256   # frames per score tile
+HYP_CHUNK = 512     # hypotheses per score tile (256 x 512 float64 = 1 MB)
+SCREEN_BLOCK = 64   # hypotheses per float32 screen block
+# Fewest hypotheses the screen runs for.  Below it a 32-frame group's
+# contenders cover most blocks and the screen costs more than it saves (at
+# M=16 and 1,500 frames: K=5 7.9 -> 15.5 ms, K=6 30 -> 38 ms, but K=7
+# 108 -> 94 ms).
+SCREEN_MIN_HYP = 4 ** 7
+CONFIRM_FRAMES = 32  # most frames per float64 confirm group
+F32_EPS = 2.0 ** -24  # float32 unit roundoff
+F32_SAFE = 2.0 ** 126  # largest score magnitude the float32 screen takes
 
 
 @cache
@@ -78,34 +96,147 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray, sigma2: float,
     log_pos, log_neg = _loglik_tables(H_hat, sigma2, symbol_power)
     base = log_neg.sum(axis=1)      # score if every sign were -1
     delta = log_pos - log_neg       # added when a sign is +1
+    del log_pos, log_neg            # free the log-Phi table before scoring
     return _score_frames(base, delta, b_frames, hypothesis_indices(K))
+
+
+def _even_slices(n: int, most: int) -> list:
+    """range(n) in ceil(n / most) contiguous slices whose sizes differ by at most one."""
+    parts = -(-n // most)
+    edges = [n * i // parts for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _score_frames(base: np.ndarray, delta: np.ndarray, b_frames: np.ndarray,
                   hyp: np.ndarray) -> np.ndarray:
     """Best hypothesis per frame by score base + (b > 0) @ delta.T.
 
-    Scores FRAME_CHUNK x HYP_CHUNK tiles and keeps a running best per frame.
-    A later tile replaces a frame's best only on a strictly higher score, so
-    ties go to the lexicographically first hypothesis, as with one argmax.
+    Pass 1 (the screen) bounds each SCREEN_BLOCK's best float32 score
+    within err_k of its float64 one (_screen_table).  A block whose float32
+    maximum plus err_k falls below some block's float32 maximum minus its
+    err_j holds no hypothesis that can match that block's float64 best, so
+    it cannot hold the first maximum; every other block is a contender.
+    Pass 2 (confirm) scores the union of a frame group's contender blocks
+    with the float64 product and takes the first maximum (_first_best).
+
+    Every float64 product has the shape of an exhaustive-scoring tile,
+    which makes its scores that tile's bit for bit: HYP_CHUNK columns
+    (contender unions are padded with further blocks to whole tiles) and
+    the rows of one FRAME_CHUNK chunk, split evenly into groups of at most
+    CONFIRM_FRAMES, so a group has at least 3 frames unless its chunk does.
+    OpenBLAS picks its kernel, and with it the summation order, from the
+    shape: on x86-64 a product over one row, or (for 2M >= 32) over at most
+    about 1,200 rows x columns, takes another kernel and can differ in the
+    last bit (3 x 256 and 17 x 64 do; 3 x 512 and 19 x 64 do not).
     """
+    n_hyp = delta.shape[0]
+    pos_all = b_frames > 0
     best = np.empty(b_frames.shape[0], dtype=np.intp)
+    # one score buffer per call: a fresh 1 MB array per tile costs page
+    # faults that doubled the time at K=5
+    out = np.empty(FRAME_CHUNK * HYP_CHUNK)
+    table = err = None
+    if n_hyp >= SCREEN_MIN_HYP:  # 4^K, so a whole number of HYP_CHUNK tiles
+        table, err = _screen_table(base, delta)
+        out32 = np.empty(HYP_CHUNK * FRAME_CHUNK, dtype=np.float32)
+    per_tile = HYP_CHUNK // SCREEN_BLOCK
+    block_cols = np.arange(SCREEN_BLOCK)
     for lo in range(0, b_frames.shape[0], FRAME_CHUNK):
-        sl = slice(lo, lo + FRAME_CHUNK)
-        pos_mask = (b_frames[sl] > 0).astype(float)
-        rows = np.arange(pos_mask.shape[0])
-        best_score = np.full(pos_mask.shape[0], -np.inf)
-        best_idx = np.zeros(pos_mask.shape[0], dtype=np.intp)
-        for h in range(0, delta.shape[0], HYP_CHUNK):
-            scores = pos_mask @ delta[h:h + HYP_CHUNK].T   # (f, HYP_CHUNK)
-            scores += base[h:h + HYP_CHUNK]
-            arg = np.argmax(scores, axis=1)
-            score = scores[rows, arg]
-            better = score > best_score
-            best_score[better] = score[better]
-            best_idx[better] = arg[better] + h
-        best[sl] = best_idx
+        pos = pos_all[lo:lo + FRAME_CHUNK]
+        if err is None:
+            best[lo:lo + pos.shape[0]] = _first_best(pos.astype(float), base, delta, None, out)
+            continue
+        contender = _contenders(table, err, pos, out32)
+        for grp in _even_slices(pos.shape[0], CONFIRM_FRAMES):
+            keep = contender[:, grp].any(axis=1)
+            pad = -np.count_nonzero(keep) % per_tile
+            keep[np.flatnonzero(~keep)[:pad]] = True
+            cols = (np.flatnonzero(keep)[:, None] * SCREEN_BLOCK + block_cols).ravel()
+            best[lo + grp.start:lo + grp.stop] = _first_best(
+                pos[grp].astype(float), base, delta, cols, out)
     return hyp[best]
+
+
+def _screen_table(base: np.ndarray, delta: np.ndarray):
+    """Float32 table [delta | base] and per-SCREEN_BLOCK error bounds err.
+
+    A float32 score sums 2M+1 rounded terms, so for any summation order it
+    is within (gamma + u) * max_h(|base_h| + sum_c |delta_hc|) of the float64
+    score, with u = 2^-24 and gamma = (2M+2)u / (1 - (2M+2)u) (gamma also
+    covers the float64 score's own rounding).  err is twice that, leaving
+    room for the float64 comparisons.  err is None when the bound is not
+    finite or float32 could overflow; then every block is a contender.
+    """
+    n_hyp, n_cols = delta.shape
+    table = np.empty((n_hyp, n_cols + 1), dtype=np.float32)
+    mag = np.empty(n_hyp // SCREEN_BLOCK)
+    per_tile = HYP_CHUNK // SCREEN_BLOCK
+    for h in range(0, n_hyp, HYP_CHUNK):
+        rows = slice(h, h + HYP_CHUNK)
+        table[rows, :n_cols] = delta[rows]
+        table[rows, n_cols] = base[rows]
+        size = np.abs(delta[rows]).sum(axis=1)
+        size += np.abs(base[rows])
+        k = h // SCREEN_BLOCK
+        mag[k:k + per_tile] = size.reshape(per_tile, SCREEN_BLOCK).max(axis=1)
+    if not mag.max() <= F32_SAFE:
+        return table, None
+    n = n_cols + 2
+    gamma = n * F32_EPS / (1.0 - n * F32_EPS)
+    return table, 2.0 * (gamma + F32_EPS) * mag
+
+
+def _contenders(table: np.ndarray, err: np.ndarray, pos: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """(blocks, frames) mask: block k can hold frame f's first maximum.
+
+    One sgemm per HYP_CHUNK tile into the float32 buffer out, in the
+    (hypotheses x frames) layout, where the max over each SCREEN_BLOCK of
+    rows is a contiguous reduction.
+    """
+    n_frames = pos.shape[0]
+    signs = np.ones((table.shape[1], n_frames), dtype=np.float32)
+    signs[:-1] = pos.T
+    bmax = np.empty((err.size, n_frames), dtype=np.float32)
+    per_tile = HYP_CHUNK // SCREEN_BLOCK
+    scores = out[:HYP_CHUNK * n_frames].reshape(HYP_CHUNK, n_frames)
+    for h in range(0, table.shape[0], HYP_CHUNK):
+        np.matmul(table[h:h + HYP_CHUNK], signs, out=scores)
+        k = h // SCREEN_BLOCK
+        np.max(scores.reshape(per_tile, SCREEN_BLOCK, n_frames), axis=1,
+               out=bmax[k:k + per_tile])
+    bmax = bmax.astype(float)
+    floor = (bmax - err[:, None]).max(axis=0)
+    bmax += err[:, None]
+    return bmax >= floor
+
+
+def _first_best(pos_mask: np.ndarray, base: np.ndarray, delta: np.ndarray,
+                cols, out: np.ndarray) -> np.ndarray:
+    """Index of each frame's first maximum of base + pos_mask @ delta.T over
+    the ascending hypothesis indices cols (None: all of them).
+
+    Scores HYP_CHUNK hypotheses per product, into the buffer out, and keeps a
+    running best per frame.  A later tile replaces a frame's best only on a
+    strictly higher score, so ties go to the lexicographically first
+    hypothesis, as with one argmax.
+    """
+    n_frames = pos_mask.shape[0]
+    rows = np.arange(n_frames)
+    best_score = np.full(n_frames, -np.inf)
+    best_idx = np.zeros(n_frames, dtype=np.intp)
+    for h in range(0, delta.shape[0] if cols is None else cols.size, HYP_CHUNK):
+        tile = slice(h, h + HYP_CHUNK) if cols is None else cols[h:h + HYP_CHUNK]
+        part = delta[tile]
+        scores = np.matmul(pos_mask, part.T,
+                           out=out[:n_frames * part.shape[0]].reshape(n_frames, -1))
+        scores += base[tile]
+        arg = np.argmax(scores, axis=1)
+        score = scores[rows, arg]
+        better = score > best_score
+        best_score[better] = score[better]
+        best_idx[better] = arg[better] + h if cols is None else tile[arg[better]]
+    return best_idx
 
 
 def simulate_frames(H: np.ndarray, sigma2: float, symbol_power: float,

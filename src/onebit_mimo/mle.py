@@ -50,6 +50,11 @@ BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
 NORM_CAP = 1e3     # per-antenna estimate norm beyond which the MLE is treated as unbounded
 DECREMENT_ULPS = 4  # also converged when the Newton decrement G.step <= this many ulp of |log-lik|
+# Below this margin _curvature takes s + mills(s) from its asymptotic series:
+# the direct sum cancels (relative error ~ s^2 * 1e-16: 1e-10 here, 2% at
+# s = -1e7, no digit left at -1e9) while the series' truncation, ~74 / s^6,
+# is already below rounding.
+CURVATURE_SERIES_BELOW = -1e3
 
 # An antenna whose final per-antenna log-likelihood exceeds this fitted every
 # observed sign with probability ~1: the data are separable along the fitted
@@ -117,8 +122,20 @@ def _score(B, lam, At, sigma):
 
 
 def _curvature(S, lam, sigma2):
-    """-d2l/dz2 per measurement, summed over batches."""
-    return (lam * (S + lam)).sum(axis=0) / sigma2
+    """-d2l/dz2 = lam (s + lam) per measurement, summed over batches.
+
+    For s -> -inf, s + lam(s) = -t (1 - 2t^2 + 10t^4 - ...) with t = 1/s,
+    used below CURVATURE_SERIES_BELOW, where the direct sum cancels (and can
+    even turn negative).  One S.min() keeps ordinary margins on the direct
+    path at the cost of a single reduction.
+    """
+    gap = S + lam
+    if S.min() < CURVATURE_SERIES_BELOW:
+        far = S < CURVATURE_SERIES_BELOW
+        t = 1.0 / S[far]
+        t2 = t * t
+        gap[far] = -t * (1.0 - 2.0 * t2 + 10.0 * t2 * t2)
+    return (lam * gap).sum(axis=0) / sigma2
 
 
 def _problem_margins(prob: LikelihoodProblem, h: np.ndarray):

@@ -73,15 +73,110 @@ def _full_matrix_decisions(H, b, sigma2, symbol_power):
     return hypothesis_indices(H.shape[1])[np.argmax(scores, axis=1)]
 
 
-@pytest.mark.parametrize("M, K, n_frames", [(16, 8, 300), (4, 3, 40)])
-def test_tiled_scorer_matches_full_matrix(M, K, n_frames):
+@pytest.mark.parametrize("M, K, n_frames, snr_db, zero_user", [
     # K=8: 300 frames is not a multiple of FRAME_CHUNK; K=3: 64 hypotheses
     # fit in less than one tile
+    pytest.param(16, 8, 300, 10.0, False, id="16-8-300"),
+    pytest.param(4, 3, 40, 10.0, False, id="4-3-40"),
+    # K=8 runs the float32 screen; K <= 2 scores every hypothesis directly.
+    # A zero column makes hypotheses that differ in user 0 tie exactly.
+    pytest.param(1, 8, 300, -5.0, False, id="1-8-300--5dB"),
+    pytest.param(2, 8, 130, 45.0, False, id="2-8-130-45dB"),
+    pytest.param(3, 8, 260, 20.0, True, id="3-8-260-20dB-zero"),
+    pytest.param(5, 8, 300, 30.0, False, id="5-8-300-30dB"),
+    pytest.param(5, 8, 2, 0.0, False, id="5-8-2-0dB"),
+    pytest.param(1, 1, 20, 45.0, False, id="1-1-20-45dB"),
+    pytest.param(2, 1, 30, -5.0, True, id="2-1-30--5dB-zero"),
+    pytest.param(3, 2, 50, 0.0, False, id="3-2-50-0dB"),
+    pytest.param(5, 2, 40, 45.0, True, id="5-2-40-45dB-zero"),
+])
+def test_tiled_scorer_matches_full_matrix(M, K, n_frames, snr_db, zero_user):
     H = _channel(M, K, 12)
-    _, b = om.simulate_frames(H, 1.0, 10.0, n_frames, rng_seed=13)
-    log_pos, log_neg = detect._loglik_tables(H, 1.0, 10.0)
+    if zero_user:
+        H[:, 0] = 0.0
+    p = 10 ** (snr_db / 10)
+    _, b = om.simulate_frames(H, 1.0, p, n_frames, rng_seed=13)
+    log_pos, log_neg = detect._loglik_tables(H, 1.0, p)
     ours = detect._score_frames(log_neg.sum(axis=1), log_pos - log_neg, b, hypothesis_indices(K))
-    assert np.array_equal(ours, _full_matrix_decisions(H, b, 1.0, 10.0))
+    assert np.array_equal(ours, _full_matrix_decisions(H, b, 1.0, p))
+
+
+def _two_hypotheses(a, b, delta_a=0.0, delta_b=0.0):
+    """Table over 4^7 hypotheses (enough for the screen) where only 3 and
+    700, in different screen blocks, can win: score base + delta[:, 0] on
+    all-positive frames."""
+    assert 4 ** 7 >= detect.SCREEN_MIN_HYP
+    base = np.full(4 ** 7, -50.0)
+    delta = np.zeros((4 ** 7, 2))
+    base[3], base[700] = a, b
+    delta[3, 0], delta[700, 0] = delta_a, delta_b
+    assert 3 // detect.SCREEN_BLOCK != 700 // detect.SCREEN_BLOCK
+    return base, delta
+
+
+def test_float32_tie_goes_to_the_float64_winner():
+    # 3 and 700 score the same in float32; only the float64 confirm pass
+    # sees that 700 is higher
+    base, delta = _two_hypotheses(-1.0, -1.0 + 1e-12)
+    assert np.float32(base[3]) == np.float32(base[700])
+    hyp = hypothesis_indices(7)
+    out = detect._score_frames(base, delta, np.ones((5, 2)), hyp)
+    assert np.array_equal(out, np.repeat(hyp[[700]], 5, axis=0))
+
+
+def test_float32_reversal_goes_to_the_float64_winner():
+    # two nonzero terms per score, so one float32 rounding in any order:
+    # 3 scores 1 + 0.49e in float64 and 1 in float32, 700 scores 1 + 0.21e
+    # and 1 + e (e = 2^-23); the screen ranks 700 first, the bound keeps 3
+    e = 2.0 ** -23
+    base, delta = _two_hypotheses(1.0, 1.0 + 0.51 * e, 0.49 * e, -0.3 * e)
+    s32 = (base.astype(np.float32) + delta[:, 0].astype(np.float32))[[3, 700]]
+    s64 = (base + delta[:, 0])[[3, 700]]
+    assert s32[0] < s32[1] and s64[0] > s64[1]
+    hyp = hypothesis_indices(7)
+    out = detect._score_frames(base, delta, np.ones((5, 2)), hyp)
+    assert np.array_equal(out, np.repeat(hyp[[3]], 5, axis=0))
+
+
+def test_confirm_products_have_full_tile_shapes(monkeypatch):
+    # whole HYP_CHUNK tiles over >= 3 frames, or over the call's own 1- or
+    # 2-frame last chunk: the shapes whose float64 scores are those of
+    # exhaustive tiled scoring bit for bit
+    seen = []
+    first_best = detect._first_best
+
+    def spy(pos_mask, base, delta, cols, out):
+        seen.append((pos_mask.shape[0], cols.size))
+        return first_best(pos_mask, base, delta, cols, out)
+
+    monkeypatch.setattr(detect, "_first_best", spy)
+    H = _channel(16, 7, 40)
+    _, b = om.simulate_frames(H, 1.0, 10.0, 258, rng_seed=41)
+    om.detect_frames(H, b, 1.0, symbol_power=10.0)
+    rows = [r for r, _ in seen]
+    assert sum(rows) == 258 and max(rows) <= detect.CONFIRM_FRAMES
+    assert [r for r in rows if r < 3] == [2]
+    assert all(c % detect.HYP_CHUNK == 0 for _, c in seen)
+
+
+@pytest.mark.parametrize("M, K, snr_db", [(1, 5, -5.0), (3, 6, 15.0), (8, 7, 45.0)])
+def test_screen_bound_covers_float32_rounding(M, K, snr_db):
+    # random channels and random sign patterns: in every block the float32
+    # score is within err_k / 2 of the float64 score the confirm pass uses
+    rng = np.random.default_rng(30 + K)
+    for _ in range(3):
+        H = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
+        log_pos, log_neg = detect._loglik_tables(H, 1.0, 10 ** (snr_db / 10))
+        base, delta = log_neg.sum(axis=1), log_pos - log_neg
+        table, err = detect._screen_table(base, delta)
+        pos = rng.random((40, 2 * M)) < 0.5
+        signs = np.ones((2 * M + 1, 40), dtype=np.float32)
+        signs[:-1] = pos.T
+        s32 = (table @ signs).astype(float)
+        s64 = (pos.astype(float) @ delta.T + base).T
+        gap = np.abs(s32 - s64).reshape(-1, detect.SCREEN_BLOCK, 40).max(axis=(1, 2))
+        assert gap.max() > 0
+        assert (gap <= err / 2).all()
 
 
 def test_tie_break_is_lexicographic_across_tiles():

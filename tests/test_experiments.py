@@ -354,14 +354,28 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     assert cli.main(["crb", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
 
 
-def test_cli_singular_newton_system_exits_3(tmp_path, capsys):
-    # at 200 dB the curvature loses all precision and the Newton system
-    # stays singular even after the ridge
-    cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[200.0],
+def test_cli_singular_newton_system_exits_3(tmp_path, capsys, monkeypatch):
+    # a Newton system that stays singular even after the ridge
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[5.0],
                                          schemes=["OQ"], trials=1, seed=1))
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: Newton system")
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_cli_sweep_at_200_db_keeps_the_curvature(tmp_path, seed):
+    # margins near -1e9 used to cancel lam (s + lam) to noise, leaving a
+    # Newton system singular after the ridge (exit 3)
+    cfg_path = write_yaml(tmp_path, dict(M=2, K=2, L=[4], snr_db=[200.0],
+                                         schemes=["OQ"], trials=1, seed=seed))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    assert (out / "sweep.csv").read_text().count("\n") == 2
 
 
 def test_cli_crb_draws_each_reference_instance_once(tmp_path, monkeypatch):

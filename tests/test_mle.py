@@ -297,3 +297,17 @@ def test_newton_loop_evaluates_special_functions_once_per_point(policy, seed, de
     assert len(mills) == 1 and mills[0] is margins[-1]
     assert all((t < gauss.MILLS_LOGCDF_CUT).all() for t in fallback)
     assert bool(fallback) == deep_tail
+
+
+def test_curvature_keeps_precision_for_far_negative_margins():
+    # lam (s + lam) = 1 - t^2 + 6t^4 - ... with t = 1/s as s -> -inf; the
+    # direct s + lam cancels to a few ulp of |s| there (2% off at s = -1e7,
+    # no digit left at -1e9)
+    S = np.array([-2e3, -1e4, -1e7, -1e9, -1e12])[None, None, :]
+    t2 = 1.0 / S[0, 0] ** 2
+    curv = mle._curvature(S, gauss.mills_ratio(S), 1.0)[0]
+    assert np.allclose(curv, 1.0 - t2 + 6.0 * t2 * t2, rtol=1e-14, atol=0)
+    # ordinary margins keep the direct form bit for bit
+    S = np.linspace(-999.0, 30.0, 7)[None, None, :]
+    lam = gauss.mills_ratio(S)
+    assert np.array_equal(mle._curvature(S, lam, 2.0), (lam * (S + lam)).sum(axis=0) / 2.0)
