@@ -13,9 +13,9 @@ from .experiments import (ExperimentConfig, TrialResult, data_phase, pilot_model
                           run_trial, summarize)
 from .mle import (ChannelEstimate, LikelihoodProblem, gradient, hessian_action,
                   log_likelihood, solve_ml, solve_nq)
-from .model import (ChannelRealization, ComplexSystem, RealModel, channel_mse,
-                    channel_to_real, generate_channel, generate_noisy_observation,
-                    generate_pilots_orthogonal, power_for_snr, real_to_channel, realify)
+from .model import (ChannelRealization, RealModel, channel_mse, channel_to_real,
+                    generate_channel, generate_noisy_observation, generate_pilots_orthogonal,
+                    power_for_snr, real_to_channel, realify)
 from .quant import (QuantizedBatch, quantize, thresholds_fixed, thresholds_oracle,
                     thresholds_random)
 from .schemes import AqIterate, run_aq, run_fq, run_nq, run_oq, run_rq

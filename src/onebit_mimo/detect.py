@@ -27,7 +27,6 @@ from functools import cache
 import numpy as np
 
 from .gauss import norm_logcdf
-from .model import as_rng
 
 # Fixed constellation order; ties in the likelihood resolve to the first
 # (lexicographically smallest) hypothesis under this indexing.
@@ -245,7 +244,7 @@ def simulate_frames(H: np.ndarray, sigma2: float, symbol_power: float,
 
     Returns (constellation indices (F, K), one-bit data (F, 2M)).
     """
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     H = np.asarray(H, dtype=complex)
     M, K = H.shape
     idx = rng.integers(0, 4, size=(n_frames, K))

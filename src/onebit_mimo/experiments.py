@@ -21,8 +21,8 @@ from .crb import crb_nq_trace, crb_trace
 from .detect import K_MAX, QPSK, achievable_rate, detect_frames, simulate_frames
 from .errors import ConfigError
 from .mle import ChannelEstimate
-from .model import (ComplexSystem, RealModel, channel_mse, generate_channel,
-                    generate_pilots_orthogonal, power_for_snr, real_to_channel, realify)
+from .model import (RealModel, channel_mse, generate_channel, generate_pilots_orthogonal,
+                    power_for_snr, real_to_channel, realify)
 from .quant import thresholds_oracle
 from .schemes import run_aq, run_fq, run_nq, run_oq, run_rq
 
@@ -225,9 +225,8 @@ def pilot_model(M: int, K: int, L: int, snr_db: float, rng, sigma2: float = 1.0)
 
     ``rng`` is a Generator (the pilots are its next draw) or a seed.
     """
-    P = power_for_snr(snr_db, K, L, sigma2)
-    X = generate_pilots_orthogonal(K, L, P, rng_seed=rng)
-    return realify(ComplexSystem(M=M, K=K, L=L, X=X, sigma2=sigma2, P=P))
+    X = generate_pilots_orthogonal(K, L, power_for_snr(snr_db, K, L, sigma2), rng_seed=rng)
+    return realify(X, M, sigma2)
 
 
 def draw_instance(ss: np.random.SeedSequence, M: int, K: int, L: int, snr_db: float):
@@ -257,7 +256,7 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
     return TrialResult(
         scheme=scheme, M=M, K=K, L=L, snr_db=snr_db, trial=trial,
         seed=int(ss.generate_state(1)[0]),
-        mse=channel_mse(est.h_hat, ch.h, M, K), converged=est.converged,
+        mse=channel_mse(est.h_hat, ch.h), converged=est.converged,
         iters=int(est.iterations), ser=ser, rate=rate, rounds=rounds,
     )
 

@@ -9,7 +9,7 @@ which stay accurate over the whole real line.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfcx, log_ndtr, ndtr
+from scipy.special import erfcx, log_ndtr
 
 SQRT_2 = float(np.sqrt(2.0))
 SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
@@ -17,17 +17,6 @@ LOG_SQRT_2PI = float(0.5 * np.log(2.0 * np.pi))
 # Below this, phi/Phi from a known log Phi loses ~t^2 ulp to cancellation
 # (9e-14 relative at t = -40), so mills_from_logcdf uses erfcx there.
 MILLS_LOGCDF_CUT = -20.0
-
-
-def norm_pdf(t):
-    """Standard normal density."""
-    t = np.asarray(t, dtype=float)
-    return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-
-
-def norm_cdf(t):
-    """Standard normal CDF."""
-    return ndtr(np.asarray(t, dtype=float))
 
 
 def norm_logcdf(t):

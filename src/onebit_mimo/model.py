@@ -1,10 +1,11 @@
-"""Complex pilot model, its real block-structured equivalent, and random draws.
+"""The real block-structured training model and its random draws.
 
 The complex training model Y = H X + W is handled throughout in its real
-vectorized form y = A h + w with A = I_M (kron) A_tilde.  A is never
-materialized: every product routes through the shared 2L x 2K factor
-A_tilde, one antenna block at a time, which makes each matvec O(M*L*K)
-instead of O(M^2*L*K).
+vectorized form y = A h + w with A = I_M (kron) A_tilde.  ``realify`` builds
+A_tilde from any complex K x L pilot matrix X, whose power is ||X||_F^2.
+A is never materialized: every product routes through the shared 2L x 2K
+factor A_tilde, one antenna block at a time, which makes each matvec
+O(M*L*K) instead of O(M^2*L*K).  K and L are read from A_tilde's shape.
 
 Layout conventions (used consistently by every module):
   h stacks per-antenna subvectors [Re(H[m, :]), Im(H[m, :])], m = 0..M-1;
@@ -17,43 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-POWER_RTOL = 1e-9
-
-
-def as_rng(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, an existing Generator, or None."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-@dataclass(frozen=True)
-class ComplexSystem:
-    """Uplink training setup: M antennas, K users, L pilot symbols."""
-
-    M: int
-    K: int
-    L: int
-    X: np.ndarray  # K x L complex pilot matrix
-    sigma2: float  # noise variance per real component (complex variance is 2*sigma2)
-    P: float       # pilot power budget, tr(X X^H) <= P
-
-    def __post_init__(self):
-        if min(self.M, self.K, self.L) < 1:
-            raise ValueError("M, K, L must all be positive")
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
-        if self.P <= 0.0:
-            raise ValueError("P must be positive")
-        X = np.asarray(self.X, dtype=complex)
-        if X.shape != (self.K, self.L):
-            raise ValueError(f"X must have shape ({self.K}, {self.L}), got {X.shape}")
-        used = float(np.sum(np.abs(X) ** 2))
-        if used > self.P * (1.0 + POWER_RTOL):
-            raise ValueError(f"pilot power {used:.9g} exceeds budget P={self.P:.9g}")
-        X.setflags(write=False)
-        object.__setattr__(self, "X", X)
-
 
 @dataclass(frozen=True)
 class RealModel:
@@ -61,16 +25,28 @@ class RealModel:
 
     A_tilde: np.ndarray  # 2L x 2K
     M: int
-    K: int
-    L: int
-    sigma2: float
+    sigma2: float  # noise variance per real component (complex variance is 2*sigma2)
 
     def __post_init__(self):
+        if self.M < 1:
+            raise ValueError("M must be positive")
+        if self.sigma2 <= 0.0:
+            raise ValueError("sigma2 must be positive")
         A = np.asarray(self.A_tilde, dtype=float)
-        if A.shape != (2 * self.L, 2 * self.K):
-            raise ValueError(f"A_tilde must be {2 * self.L}x{2 * self.K}, got {A.shape}")
+        if A.ndim != 2 or min(A.shape) < 2 or A.shape[0] % 2 or A.shape[1] % 2:
+            raise ValueError(f"A_tilde must be 2L x 2K with K, L >= 1, got shape {A.shape}")
         A.setflags(write=False)
         object.__setattr__(self, "A_tilde", A)
+
+    @property
+    def K(self) -> int:
+        """Number of users, half of A_tilde's column count."""
+        return self.A_tilde.shape[1] // 2
+
+    @property
+    def L(self) -> int:
+        """Number of pilot symbols, half of A_tilde's row count."""
+        return self.A_tilde.shape[0] // 2
 
     @property
     def N(self) -> int:
@@ -91,11 +67,6 @@ class RealModel:
         """A_tilde^T A_tilde, the repeated diagonal block of A^T A."""
         return self.A_tilde.T @ self.A_tilde
 
-    def row_norms_sq(self) -> np.ndarray:
-        """||a_n||^2 for every row of A (the pattern repeats per antenna)."""
-        per_block = np.sum(self.A_tilde**2, axis=1)
-        return np.tile(per_block, self.M)
-
 
 def block_gram(A_tilde: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Per-antenna blocks sum_r w[a, r] a_r a_r^T: (M', 2L) weights -> (M', 2K, 2K).
@@ -107,16 +78,16 @@ def block_gram(A_tilde: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """A channel draw in both complex (M x K) and real (2MK) coordinates."""
+    """A channel draw in both complex (M x K) and real (2MK) coordinates.
+
+    Only H is given; h = channel_to_real(H) is derived from it.
+    """
 
     H: np.ndarray
-    h: np.ndarray
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=complex)
-        h = np.asarray(self.h, dtype=float)
-        if h.shape != (2 * H.shape[0] * H.shape[1],):
-            raise ValueError("h must have length 2*M*K")
+        h = channel_to_real(H)
         H.setflags(write=False)
         h.setflags(write=False)
         object.__setattr__(self, "H", H)
@@ -135,16 +106,18 @@ def real_to_channel(h: np.ndarray, M: int, K: int) -> np.ndarray:
     return Hm[:, :K] + 1j * Hm[:, K:]
 
 
-def realify(sys: ComplexSystem) -> RealModel:
-    """Build the real 2L x 2K pilot operator from the complex pilot matrix.
+def realify(X: np.ndarray, M: int, sigma2: float) -> RealModel:
+    """Real model of M antennas receiving the complex K x L pilot matrix X.
 
     A_tilde = [[Re X, Im X], [-Im X, Re X]]^T, so that applying A_tilde to
     an antenna's [Re, Im] channel block reproduces exactly the real and
-    imaginary parts of that antenna's row of H X.
+    imaginary parts of that antenna's row of H X.  sigma2 is the noise
+    variance per real component.
     """
-    Xr, Xi = sys.X.real, sys.X.imag
+    X = np.asarray(X, dtype=complex)
+    Xr, Xi = X.real, X.imag
     A_tilde = np.block([[Xr, Xi], [-Xi, Xr]]).T
-    return RealModel(A_tilde=A_tilde, M=sys.M, K=sys.K, L=sys.L, sigma2=sys.sigma2)
+    return RealModel(A_tilde=A_tilde, M=M, sigma2=sigma2)
 
 
 def generate_channel(M: int, K: int, sigma_h2: float = 1.0, rng_seed=None) -> ChannelRealization:
@@ -157,10 +130,10 @@ def generate_channel(M: int, K: int, sigma_h2: float = 1.0, rng_seed=None) -> Ch
         raise ValueError("M and K must be positive")
     if sigma_h2 <= 0.0:
         raise ValueError("sigma_h2 must be positive")
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     scale = np.sqrt(sigma_h2 / 2.0)
     H = rng.normal(0.0, scale, size=(M, K)) + 1j * rng.normal(0.0, scale, size=(M, K))
-    return ChannelRealization(H=H, h=channel_to_real(H))
+    return ChannelRealization(H)
 
 
 def generate_pilots_orthogonal(K: int, L: int, P: float, rng_seed=None) -> np.ndarray:
@@ -171,7 +144,7 @@ def generate_pilots_orthogonal(K: int, L: int, P: float, rng_seed=None) -> np.nd
     """
     if L < K:
         raise ValueError(f"orthogonal pilots need L >= K (got K={K}, L={L})")
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     G = rng.normal(size=(L, K)) + 1j * rng.normal(size=(L, K))
     Q, _ = np.linalg.qr(G)
     return np.sqrt(P / K) * Q.conj().T
@@ -179,11 +152,8 @@ def generate_pilots_orthogonal(K: int, L: int, P: float, rng_seed=None) -> np.nd
 
 def generate_noisy_observation(model: RealModel, h: np.ndarray, rng_seed=None) -> np.ndarray:
     """y = A h + w with w ~ N(0, sigma2 I_N), sigma2 per real component."""
-    rng = as_rng(rng_seed)
-    y = model.apply(h)
-    if model.sigma2 > 0.0:
-        y = y + rng.normal(0.0, np.sqrt(model.sigma2), size=model.N)
-    return y
+    rng = np.random.default_rng(rng_seed)
+    return model.apply(h) + rng.normal(0.0, np.sqrt(model.sigma2), size=model.N)
 
 
 def power_for_snr(snr_db: float, K: int, L: int, sigma2: float = 1.0) -> float:
@@ -191,7 +161,7 @@ def power_for_snr(snr_db: float, K: int, L: int, sigma2: float = 1.0) -> float:
     return 10.0 ** (snr_db / 10.0) * K * L * sigma2
 
 
-def channel_mse(h_hat: np.ndarray, h_true: np.ndarray, M: int, K: int) -> float:
-    """||H - H_hat||_F^2 / (K M), evaluated on the real coordinates."""
+def channel_mse(h_hat: np.ndarray, h_true: np.ndarray) -> float:
+    """||H - H_hat||_F^2 / (K M), evaluated on the 2MK real coordinates."""
     e = np.asarray(h_hat, dtype=float) - np.asarray(h_true, dtype=float)
-    return float(np.dot(e, e)) / (M * K)
+    return float(np.dot(e, e)) / (e.size // 2)

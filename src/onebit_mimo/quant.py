@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RealModel, as_rng
+from .model import RealModel
 
 
 def _read_only(a, dtype) -> np.ndarray:
@@ -68,7 +68,7 @@ def thresholds_random(model: RealModel, sigma_h2: float, rng_seed=None) -> np.nd
     """
     if sigma_h2 < 0.0:
         raise ValueError("sigma_h2 must be non-negative")
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     scale = np.sqrt(sigma_h2 / 2.0)
     draws = rng.normal(0.0, 1.0, size=(model.M, 2 * model.L, 2 * model.K)) * scale
     return np.einsum("mrk,rk->mr", draws, model.A_tilde).reshape(-1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .mle import ChannelEstimate, LikelihoodProblem, solve_ml, solve_nq
-from .model import RealModel, as_rng, channel_mse, generate_noisy_observation
+from .model import RealModel, channel_mse, generate_noisy_observation
 from .quant import quantize, thresholds_fixed, thresholds_oracle, thresholds_random
 
 
@@ -41,23 +41,23 @@ def _single_shot(model: RealModel, h: np.ndarray, tau: np.ndarray, rng) -> Chann
 
 def run_fq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
     """Zero threshold on every comparator: the conventional one-bit ADC."""
-    return _single_shot(model, h, thresholds_fixed(model.N), as_rng(rng_seed))
+    return _single_shot(model, h, thresholds_fixed(model.N), np.random.default_rng(rng_seed))
 
 
 def run_rq(model: RealModel, h: np.ndarray, sigma_h2: float = 1.0, rng_seed=None) -> ChannelEstimate:
     """Random thresholds drawn from the channel prior (before the noise), then one-shot ML."""
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     return _single_shot(model, h, thresholds_random(model, sigma_h2, rng), rng)
 
 
 def run_oq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
     """Thresholds set on the true noiseless signal (testing benchmark only)."""
-    return _single_shot(model, h, thresholds_oracle(model, h), as_rng(rng_seed))
+    return _single_shot(model, h, thresholds_oracle(model, h), np.random.default_rng(rng_seed))
 
 
 def run_nq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
     """Unquantized observations, closed-form least squares."""
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     y = generate_noisy_observation(model, h, rng)
     return solve_nq(model, y)
 
@@ -81,7 +81,7 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
 
     batches, rounds = [], []
     tau = np.zeros(model.N)
@@ -107,7 +107,7 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
         rel_err = float(np.linalg.norm(tau - ah_true)) / ah_norm if ah_norm > 0 else np.nan
         rounds.append(AqIterate(
             index=i,
-            mse=channel_mse(h_hat, h, model.M, model.K),
+            mse=channel_mse(h_hat, h),
             converged=attempt.converged,
             threshold_rel_err=rel_err,
         ))

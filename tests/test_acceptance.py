@@ -54,8 +54,7 @@ def test_criterion_02_orthogonal_pilots_are_optimal():
     for _ in range(100):
         X = rng.normal(size=(K, L)) + 1j * rng.normal(size=(K, L))
         X *= np.sqrt(P / np.sum(np.abs(X) ** 2))  # equal power budget
-        cand_model = om.realify(om.ComplexSystem(M=M, K=K, L=L, X=X,
-                                                 sigma2=sigma2, P=P))
+        cand_model = om.realify(X, M, sigma2)
         try:
             tr = om.crb_trace(cand_model, om.thresholds_oracle(cand_model, h), h)
         except om.NumericalError:

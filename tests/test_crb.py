@@ -104,8 +104,7 @@ def test_crb_nq_trace_values():
     expected = 2.0 * model.sigma2 * model.M * model.K ** 2 / om.power_for_snr(7.0, 2, 6)
     assert abs(om.crb_nq_trace(model) - expected) < 1e-10 * expected
     # identity operator: trace is sigma2 * 2MK
-    ident = om.realify(om.ComplexSystem(M=3, K=1, L=1, X=np.array([[1.0 + 0j]]),
-                                        sigma2=0.5, P=1.0))
+    ident = om.realify(np.array([[1.0 + 0j]]), 3, 0.5)
     assert abs(om.crb_nq_trace(ident) - 0.5 * 2 * 3 * 1) < 1e-12
 
 

@@ -11,8 +11,7 @@ LOG_HALF = np.log(0.5)
 
 def identity_pilot_model(sigma2=1.0):
     # X = [1] gives A_tilde = I_2: measurements read the channel coordinates directly
-    sys = om.ComplexSystem(M=1, K=1, L=1, X=np.array([[1.0 + 0j]]), sigma2=sigma2, P=1.0)
-    return om.realify(sys)
+    return om.realify(np.array([[1.0 + 0j]]), 1, sigma2)
 
 
 def make_problem(M=2, K=2, L=6, seed=0, snr_db=8.0, n_batches=1, policy="random"):
@@ -172,8 +171,7 @@ def test_joint_solve_equals_independent_antenna_solves():
     model, ch, prob = make_problem(M=3, K=2, L=8, seed=8)
     est = om.solve_ml(prob)
     K2, L2 = 2 * model.K, 2 * model.L
-    sub_model = om.RealModel(A_tilde=model.A_tilde, M=1, K=model.K,
-                             L=model.L, sigma2=model.sigma2)
+    sub_model = om.RealModel(A_tilde=model.A_tilde, M=1, sigma2=model.sigma2)
     for m in range(model.M):
         sub_batches = [
             om.QuantizedBatch(b=b.b[m * L2:(m + 1) * L2], tau=b.tau[m * L2:(m + 1) * L2])
@@ -229,8 +227,7 @@ def test_solve_nq_mse_matches_closed_form():
 def test_solve_nq_singular_model_raises():
     # L >= K but duplicated pilot rows make the Gram singular
     X = np.ones((2, 4)) + 0j
-    sys = om.ComplexSystem(M=1, K=2, L=4, X=X, sigma2=1.0, P=float(np.sum(np.abs(X) ** 2)))
-    model = om.realify(sys)
+    model = om.realify(X, 1, 1.0)
     with pytest.raises(om.NumericalError):
         om.solve_nq(model, np.zeros(model.N))
 

@@ -12,14 +12,12 @@ def random_system(M, K, L, seed, snr_db=10.0):
 
 
 def test_realify_real_scalar_pilot():
-    sys = om.ComplexSystem(M=1, K=1, L=1, X=np.array([[1.0 + 0j]]), sigma2=1.0, P=1.0)
-    assert np.array_equal(om.realify(sys).A_tilde, np.eye(2))
+    assert np.array_equal(om.realify(np.array([[1.0 + 0j]]), 1, 1.0).A_tilde, np.eye(2))
 
 
 def test_realify_imaginary_scalar_pilot():
     # X = [j]: y = j*h maps (a, b) -> (-b, a); verified against the complex product
-    sys = om.ComplexSystem(M=1, K=1, L=1, X=np.array([[1j]]), sigma2=1.0, P=1.0)
-    A = om.realify(sys).A_tilde
+    A = om.realify(np.array([[1j]]), 1, 1.0).A_tilde
     assert np.array_equal(A, np.array([[0.0, -1.0], [1.0, 0.0]]))
     h = np.array([0.3, -0.7])
     y_complex = 1j * (0.3 - 0.7j)
@@ -30,8 +28,7 @@ def test_realify_matches_explicit_kronecker_and_complex_product():
     rng = np.random.default_rng(7)
     M, K, L = 3, 2, 4
     X = rng.normal(size=(K, L)) + 1j * rng.normal(size=(K, L))
-    sys = om.ComplexSystem(M=M, K=K, L=L, X=X, sigma2=1.0, P=float(np.sum(np.abs(X) ** 2)))
-    model = om.realify(sys)
+    model = om.realify(X, M, 1.0)
     ch = om.generate_channel(M, K, 1.0, rng)
 
     A_full = np.kron(np.eye(M), model.A_tilde)
@@ -49,8 +46,7 @@ def test_realification_preserves_energy(seed):
     K, L = int(rng.integers(1, 5)), int(rng.integers(1, 7))
     L = max(K, L)
     X = rng.normal(size=(K, L)) + 1j * rng.normal(size=(K, L))
-    sys = om.ComplexSystem(M=1, K=K, L=L, X=X, sigma2=1.0, P=float(np.sum(np.abs(X) ** 2)))
-    model = om.realify(sys)
+    model = om.realify(X, 1, 1.0)
     g = rng.normal(size=K) + 1j * rng.normal(size=K)
     g_real = np.concatenate([g.real, g.imag])
     lhs = np.linalg.norm(model.A_tilde @ g_real) ** 2
@@ -147,7 +143,37 @@ def test_snr_definition():
     assert om.power_for_snr(0.0, 4, 16, 1.0) == 4 * 16
 
 
-def test_power_budget_enforced():
-    X = np.full((2, 2), 10.0 + 0j)
+@pytest.mark.parametrize("M,sigma2", [(0, 1.0), (1, 0.0)])
+def test_realify_rejects_bad_antenna_count_and_noise(M, sigma2):
     with pytest.raises(ValueError):
-        om.ComplexSystem(M=1, K=2, L=2, X=X, sigma2=1.0, P=1.0)
+        om.realify(np.ones((2, 3), dtype=complex), M, sigma2)
+
+
+def test_real_model_rejects_odd_operator():
+    with pytest.raises(ValueError):
+        om.RealModel(A_tilde=np.ones((3, 2)), M=1, sigma2=1.0)
+
+
+def test_users_and_pilots_come_from_operator():
+    model = om.realify(np.ones((2, 5), dtype=complex), 3, 1.0)
+    assert model.A_tilde.shape == (10, 4)
+    assert (model.K, model.L, model.N, model.dim) == (2, 5, 30, 12)
+
+
+def test_channel_realization_derives_read_only_h():
+    H = np.array([[1.0 + 2j, -3.0j], [0.5, 4.0 - 1j]])
+    ch = om.ChannelRealization(H)
+    assert np.array_equal(ch.h, om.channel_to_real(H))
+    assert not ch.H.flags.writeable and not ch.h.flags.writeable
+
+
+def test_pilot_model_spends_its_budget():
+    # A_tilde stacks Re X and Im X twice, so ||A_tilde||_F^2 = 2 ||X||_F^2 = 2 P
+    model = om.pilot_model(4, 3, 7, 12.0, rng=5, sigma2=0.7)
+    P = om.power_for_snr(12.0, 3, 7, 0.7)
+    assert abs(np.sum(model.A_tilde ** 2) - 2.0 * P) <= 1e-9 * P
+
+
+def test_channel_mse_divides_by_antennas_times_users():
+    # 12 real coordinates are M K = 6 complex entries, each off by |1 + 1j|^2 = 2
+    assert om.channel_mse(np.ones(12), np.zeros(12)) == 2.0

@@ -51,8 +51,7 @@ def test_thresholds_oracle_single_antenna_complex_arithmetic():
     # K = 1: thresholds must equal Re/Im of x_l * h for each pilot symbol
     rng = np.random.default_rng(3)
     X = rng.normal(size=(1, 5)) + 1j * rng.normal(size=(1, 5))
-    sys = om.ComplexSystem(M=1, K=1, L=5, X=X, sigma2=1.0, P=float(np.sum(np.abs(X) ** 2)))
-    model = om.realify(sys)
+    model = om.realify(X, 1, 1.0)
     ch = om.generate_channel(1, 1, 1.0, rng)
     tau = om.thresholds_oracle(model, ch.h)
     prod = X[0] * ch.H[0, 0]
@@ -85,7 +84,7 @@ def test_thresholds_random_variance_and_degenerate_prior():
     sigma_h2 = 1.7
     taus = np.concatenate([om.thresholds_random(model, sigma_h2, rng_seed=s)
                            for s in range(4)])
-    scaled = taus / np.sqrt(np.tile(model.row_norms_sq(), 4))
+    scaled = taus / np.sqrt(np.tile((model.A_tilde ** 2).sum(axis=1), 4 * model.M))
     n = scaled.size
     target = sigma_h2 / 2.0
     assert abs(np.var(scaled) - target) < 4 * target * np.sqrt(2.0 / n)

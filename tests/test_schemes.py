@@ -78,7 +78,7 @@ def test_aq_state_invariants(monkeypatch):
     assert [it.index for it in rounds] == [1, 2, 3, 4]
     assert sum(b.b.size for b in batches) == 4 * model.N
     # the returned estimate is the last round's working estimate
-    assert rounds[-1].mse == om.channel_mse(est.h_hat, ch.h, model.M, model.K)
+    assert rounds[-1].mse == om.channel_mse(est.h_hat, ch.h)
     # batch j was produced with round j-1's thresholds A h_hat
     assert np.array_equal(batches[0].tau, np.zeros(model.N))
     ah = model.apply(ch.h)
@@ -123,8 +123,8 @@ def test_oq_and_nq_attain_their_bounds_with_pi_half_gap():
     crb_oq = om.crb_trace(model, om.thresholds_oracle(model, ch.h), ch.h) / (M * K)
     crb_nq = om.crb_nq_trace(model) / (M * K)
     for t in range(1000):
-        mses_oq.append(om.channel_mse(om.run_oq(model, ch.h, 3000 + t).h_hat, ch.h, M, K))
-        mses_nq.append(om.channel_mse(om.run_nq(model, ch.h, 9000 + t).h_hat, ch.h, M, K))
+        mses_oq.append(om.channel_mse(om.run_oq(model, ch.h, 3000 + t).h_hat, ch.h))
+        mses_nq.append(om.channel_mse(om.run_nq(model, ch.h, 9000 + t).h_hat, ch.h))
     mean_oq, mean_nq = np.mean(mses_oq), np.mean(mses_nq)
     assert abs(mean_nq - crb_nq) < 0.05 * crb_nq
     assert abs(mean_oq / mean_nq - np.pi / 2) < 0.10 * (np.pi / 2)
@@ -137,7 +137,7 @@ def test_oq_mse_approaches_its_crb_at_large_sample():
     M, K, L = 4, 1, 256
     model, ch = setup(M, K, L, 10.0, 12)
     floor = om.crb_trace(model, om.thresholds_oracle(model, ch.h), ch.h) / (M * K)
-    mses = [om.channel_mse(om.run_oq(model, ch.h, 7000 + t).h_hat, ch.h, M, K)
+    mses = [om.channel_mse(om.run_oq(model, ch.h, 7000 + t).h_hat, ch.h)
             for t in range(200)]
     assert abs(np.mean(mses) - floor) < 0.15 * floor
 
@@ -153,7 +153,7 @@ def test_nq_mse_matches_closed_form_over_trials():
     M, K, L = 2, 2, 6
     model, ch = setup(M, K, L, 5.0, 8)
     predicted = om.crb_nq_trace(model) / (M * K)
-    mses = [om.channel_mse(om.run_nq(model, ch.h, 100 + t).h_hat, ch.h, M, K)
+    mses = [om.channel_mse(om.run_nq(model, ch.h, 100 + t).h_hat, ch.h)
             for t in range(2000)]
     assert abs(np.mean(mses) - predicted) < 0.05 * predicted
 
@@ -163,7 +163,7 @@ def test_fq_zero_channel_estimates_near_zero():
     model, _ = setup(M, K, L, 10.0, 9)
     h0 = np.zeros(model.dim)
     per_coeff = om.crb_trace(model, om.thresholds_fixed(model.N, 0.0), h0) / (M * K)
-    mses = [om.channel_mse(om.run_fq(model, h0, 300 + t).h_hat, h0, M, K)
+    mses = [om.channel_mse(om.run_fq(model, h0, 300 + t).h_hat, h0)
             for t in range(30)]
     assert np.median(mses) < 4 * per_coeff
 
@@ -180,6 +180,6 @@ def test_scheme_quality_relations_hold_at_matched_config():
             model, ch = setup(M, K, L, snr, 5000 + t)
             run = {"NQ": om.run_nq, "OQ": om.run_oq, "FQ": om.run_fq}.get(name)
             est = run(model, ch.h, t) if run else om.run_rq(model, ch.h, 1.0, t)
-            vals.append(om.channel_mse(est.h_hat, ch.h, M, K))
+            vals.append(om.channel_mse(est.h_hat, ch.h))
         meds[name] = np.median(vals)
     assert meds["NQ"] <= meds["OQ"] <= meds["RQ"] <= meds["FQ"]
