@@ -18,18 +18,16 @@ from .model import RealModel, block_gram
 COND_LIMIT = 1e12
 
 
-def g_weight(u, sigma2: float):
+def g_weight(u):
     """Fisher weight f^2 / (F (1-F)) of one sign measurement at offset u.
 
     u is the gap between the noiseless signal and the threshold.  The
-    weight peaks at u = 0 with value 2/(pi sigma2) and decays roughly as
-    exp(-(1 - 2/pi) u^2/sigma2); evaluating it as a product of two
-    inverse Mills ratios keeps both tails finite and positive.
+    weight peaks at u = 0 with value 2/pi and decays roughly as
+    exp(-(1 - 2/pi) u^2); evaluating it as a product of two inverse Mills
+    ratios keeps both tails finite and positive.
     """
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
-    t = np.asarray(u, dtype=float) / np.sqrt(sigma2)
-    return mills_ratio(t) * mills_ratio(-t) / sigma2
+    t = np.asarray(u, dtype=float)
+    return mills_ratio(t) * mills_ratio(-t)
 
 
 def fim(model: RealModel, tau, h: np.ndarray) -> np.ndarray:
@@ -38,7 +36,7 @@ def fim(model: RealModel, tau, h: np.ndarray) -> np.ndarray:
     if tau.shape != (model.N,):
         raise ValueError("tau length does not match the model's N")
     u = (model.apply(h) - tau).reshape(model.M, 2 * model.L)
-    return block_gram(model.A_tilde, g_weight(u, model.sigma2))
+    return block_gram(model.A_tilde, g_weight(u))
 
 
 def crb_trace(model: RealModel, tau, h: np.ndarray) -> float:
@@ -57,7 +55,7 @@ def crb_trace(model: RealModel, tau, h: np.ndarray) -> float:
 
 
 def crb_nq_trace(model: RealModel) -> float:
-    """CRB trace with unquantized observations: sigma2 * tr((A^T A)^{-1})."""
+    """CRB trace with unquantized observations: tr((A^T A)^{-1})."""
     AtA = model.gram()
     cond = float(np.linalg.cond(AtA))
     if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -65,7 +63,7 @@ def crb_nq_trace(model: RealModel) -> float:
             f"A_tilde^T A_tilde has condition number {cond:.3g} "
             f"(limit {COND_LIMIT:g}); need L >= K with independent pilot rows"
         )
-    return model.sigma2 * model.M * float(np.trace(np.linalg.inv(AtA)))
+    return model.M * float(np.trace(np.linalg.inv(AtA)))
 
 
 def gaussian_cdf_bound(x):
@@ -83,8 +81,8 @@ def gaussian_cdf_bound(x):
 
 
 def g_bar_bound(x):
-    """Unit-variance Fisher weight and its bound (2/pi) exp(-(1 - 2/pi) x^2)."""
+    """Fisher weight and its bound (2/pi) exp(-(1 - 2/pi) x^2)."""
     x = np.asarray(x, dtype=float)
-    gbar = g_weight(x, 1.0)
+    gbar = g_weight(x)
     bound = (2.0 / np.pi) * np.exp(-(1.0 - 2.0 / np.pi) * x * x)
     return gbar, bound

@@ -220,13 +220,13 @@ def trial_seed_seq(master: int, scheme: str, M: int, K: int, L: int,
     )
 
 
-def pilot_model(M: int, K: int, L: int, snr_db: float, rng, sigma2: float = 1.0) -> RealModel:
+def pilot_model(M: int, K: int, L: int, snr_db: float, rng) -> RealModel:
     """Orthogonal pilots at the power the SNR implies, in real block form.
 
     ``rng`` is a Generator (the pilots are its next draw) or a seed.
     """
-    X = generate_pilots_orthogonal(K, L, power_for_snr(snr_db, K, L, sigma2), rng_seed=rng)
-    return realify(X, M, sigma2)
+    X = generate_pilots_orthogonal(K, L, power_for_snr(snr_db, K, L), rng_seed=rng)
+    return realify(X, M)
 
 
 def draw_instance(ss: np.random.SeedSequence, M: int, K: int, L: int, snr_db: float):
@@ -249,9 +249,8 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
 
     ser = rate = None
     if n_frames > 0:
-        symbol_power = 10.0 ** (snr_db / 10.0) * model.sigma2
-        ser, rate = data_phase(ch.H, real_to_channel(est.h_hat, M, K), model.sigma2,
-                               symbol_power, n_frames, rng, rate_cap)
+        ser, rate = data_phase(ch.H, real_to_channel(est.h_hat, M, K),
+                               power_for_snr(snr_db, 1, 1), n_frames, rng, rate_cap)
 
     return TrialResult(
         scheme=scheme, M=M, K=K, L=L, snr_db=snr_db, trial=trial,
@@ -261,15 +260,15 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
     )
 
 
-def data_phase(H: np.ndarray, H_est: np.ndarray, sigma2: float, symbol_power: float,
-               n_frames: int, rng_seed=None, rate_cap: float = 20.0) -> tuple[float, float]:
+def data_phase(H: np.ndarray, H_est: np.ndarray, symbol_power: float, n_frames: int,
+               rng_seed=None, rate_cap: float = 20.0) -> tuple[float, float]:
     """Send frames through the true channel H, detect them with H_est; (SER, rate).
 
     SER is the error share over all frames and users; rate is the per-user
     achievable rate averaged over users.
     """
-    s_idx, b = simulate_frames(H, sigma2, symbol_power, n_frames, rng_seed)
-    det = detect_frames(H_est, b, sigma2, symbol_power=symbol_power)
+    s_idx, b = simulate_frames(H, symbol_power, n_frames, rng_seed)
+    det = detect_frames(H_est, b, symbol_power=symbol_power)
     rate = achievable_rate(QPSK[s_idx], QPSK[det], cap=rate_cap)
     return float((det != s_idx).mean()), float(rate.mean())
 

@@ -7,12 +7,12 @@ independent 2K-dimensional concave problems; the solver iterates all of
 them together as batched array operations, with per-antenna step sizes
 and stopping decisions.
 
-All CDF ratios go through gauss: with b in {-1,+1} and
-s = b * (a^T h - tau) / sigma,
+All CDF ratios go through gauss: with b in {-1,+1}, unit noise (see
+model) and s = b * (a^T h - tau),
 
     log-likelihood term   log Phi(s)
-    d/dz  term            b * mills(s) / sigma
-    d2/dz2 term           -mills(s) * (s + mills(s)) / sigma^2
+    d/dz  term            b * mills(s)
+    d2/dz2 term           -mills(s) * (s + mills(s))
 
 which are finite and well-scaled arbitrarily deep into both tails.
 
@@ -111,17 +111,17 @@ def _stacked(prob: LikelihoodProblem):
     return B, T
 
 
-def _margins(H, B, T, At, sigma):
-    """s = b * (a^T h - tau) / sigma for antenna rows H against (batch, row, 2L) data."""
-    return B * ((H @ At.T)[None, :, :] - T) / sigma
+def _margins(H, B, T, At):
+    """s = b * (a^T h - tau) for antenna rows H against (batch, row, 2L) data."""
+    return B * ((H @ At.T)[None, :, :] - T)
 
 
-def _score(B, lam, At, sigma):
-    """Per-antenna gradient rows sum_n b_n mills(s_n) a_n / sigma."""
-    return (B * lam).sum(axis=0) @ At / sigma
+def _score(B, lam, At):
+    """Per-antenna gradient rows sum_n b_n mills(s_n) a_n."""
+    return (B * lam).sum(axis=0) @ At
 
 
-def _curvature(S, lam, sigma2):
+def _curvature(S, lam):
     """-d2l/dz2 = lam (s + lam) per measurement, summed over batches.
 
     For s -> -inf, s + lam(s) = -t (1 - 2t^2 + 10t^4 - ...) with t = 1/s,
@@ -135,18 +135,18 @@ def _curvature(S, lam, sigma2):
         t = 1.0 / S[far]
         t2 = t * t
         gap[far] = -t * (1.0 - 2.0 * t2 + 10.0 * t2 * t2)
-    return (lam * gap).sum(axis=0) / sigma2
+    return (lam * gap).sum(axis=0)
 
 
 def _problem_margins(prob: LikelihoodProblem, h: np.ndarray):
     m = prob.model
     B, T = _stacked(prob)
     H = np.asarray(h, dtype=float).reshape(m.M, 2 * m.K)
-    return B, _margins(H, B, T, m.A_tilde, np.sqrt(m.sigma2))
+    return B, _margins(H, B, T, m.A_tilde)
 
 
 def log_likelihood(prob: LikelihoodProblem, h: np.ndarray) -> float:
-    """Sum over batches and measurements of log Phi(b*(a^T h - tau)/sigma)."""
+    """Sum over batches and measurements of log Phi(b*(a^T h - tau))."""
     _, S = _problem_margins(prob, h)
     return float(norm_logcdf(S).sum())
 
@@ -155,14 +155,14 @@ def gradient(prob: LikelihoodProblem, h: np.ndarray) -> np.ndarray:
     """Analytic score: sum_n (dl/dz_n) a_n, assembled per antenna block."""
     m = prob.model
     B, S = _problem_margins(prob, h)
-    return _score(B, mills_ratio(S), m.A_tilde, np.sqrt(m.sigma2)).reshape(-1)
+    return _score(B, mills_ratio(S), m.A_tilde).reshape(-1)
 
 
 def hessian_action(prob: LikelihoodProblem, h: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the (negative semidefinite) Hessian to v, built from the Newton step's blocks."""
     m = prob.model
     _, S = _problem_margins(prob, h)
-    curv = _curvature(S, mills_ratio(S), m.sigma2)
+    curv = _curvature(S, mills_ratio(S))
     V = np.asarray(v, dtype=float).reshape(m.M, 2 * m.K)
     return -(block_gram(m.A_tilde, curv) @ V[..., None]).reshape(-1)
 
@@ -181,7 +181,7 @@ def _newton_direction(Hneg: np.ndarray, G: np.ndarray) -> np.ndarray:
                                  "the curvature lost precision (check the SNR)") from e
 
 
-def _line_search(Hs, step, slope, ll0, Bs, Ts, At, sigma):
+def _line_search(Hs, step, slope, ll0, Bs, Ts, At):
     """Armijo backtracking along each antenna's step from the rows Hs.
 
     ll0 is each row's log-likelihood and slope its directional derivative
@@ -191,7 +191,7 @@ def _line_search(Hs, step, slope, ll0, Bs, Ts, At, sigma):
     to its start row is never accepted: that row has stalled.
     """
     Hnew = Hs + step
-    S = _margins(Hnew, Bs, Ts, At, sigma)
+    S = _margins(Hnew, Bs, Ts, At)
     LP = norm_logcdf(S)
     moved = (Hnew != Hs).any(axis=1)
     accepted = (LP.sum(axis=(0, 2)) >= ll0 + ARMIJO_C1 * slope) & moved
@@ -208,7 +208,7 @@ def _line_search(Hs, step, slope, ll0, Bs, Ts, At, sigma):
         pend, trial = pend[moved], trial[moved]
         if pend.size == 0:
             break
-        St = _margins(trial, Bs[:, pend], Ts[:, pend], At, sigma)
+        St = _margins(trial, Bs[:, pend], Ts[:, pend], At)
         LPt = norm_logcdf(St)
         ok = LPt.sum(axis=(0, 2)) >= ll0[pend] + ARMIJO_C1 * t * slope[pend]
         good = pend[ok]
@@ -238,7 +238,6 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
     """
     m = prob.model
     At = m.A_tilde
-    sigma = np.sqrt(m.sigma2)
     B, T = _stacked(prob)
     M, K2 = m.M, 2 * m.K
     meas_per_antenna = B.shape[0] * 2 * m.L
@@ -254,7 +253,7 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
     # and log Phi of the margins.  Antennas only leave it, and each accepted
     # line-search trial hands its margins and log Phi to the next step.
     idx, Hs, Bs, Ts = np.arange(M), H.copy(), B, T
-    S = _margins(Hs, Bs, Ts, At, sigma)
+    S = _margins(Hs, Bs, Ts, At)
     LP = norm_logcdf(S)
 
     for _ in range(MAX_ITER):
@@ -263,14 +262,14 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
         iters_used += 1
 
         lam = mills_from_logcdf(S, LP)
-        G = _score(Bs, lam, At, sigma)
+        G = _score(Bs, lam, At)
         keep = np.linalg.norm(G, axis=1) > tol
         if not keep.all():
             idx, Hs, Bs, Ts, S, LP, lam, G = _keep(keep, idx, Hs, Bs, Ts, S, LP, lam, G)
             if idx.size == 0:
                 break
 
-        step = _newton_direction(block_gram(At, _curvature(S, lam, m.sigma2)), G)
+        step = _newton_direction(block_gram(At, _curvature(S, lam)), G)
         slope = (G * step).sum(axis=1)
         ll0 = LP.sum(axis=(0, 2))
         # Newton decrement within rounding of the log-likelihood: no step
@@ -282,7 +281,7 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
             if idx.size == 0:
                 break
 
-        Hs, S, LP, accepted = _line_search(Hs, step, slope, ll0, Bs, Ts, At, sigma)
+        Hs, S, LP, accepted = _line_search(Hs, step, slope, ll0, Bs, Ts, At)
         H[idx] = Hs
 
         norms = np.linalg.norm(Hs, axis=1)
@@ -298,8 +297,8 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
         if not keep.all():
             idx, Hs, Bs, Ts, S, LP = _keep(keep, idx, Hs, Bs, Ts, S, LP)
 
-    S_final = _margins(H, B, T, At, sigma)
-    g_final = _score(B, mills_ratio(S_final), At, sigma)
+    S_final = _margins(H, B, T, At)
+    g_final = _score(B, mills_ratio(S_final), At)
     per_antenna = np.linalg.norm(g_final, axis=1)
     ll_per_antenna = norm_logcdf(S_final).sum(axis=(0, 2))
     separable = ll_per_antenna > SEPARABLE_LL_TOL

@@ -7,6 +7,12 @@ A is never materialized: every product routes through the shared 2L x 2K
 factor A_tilde, one antenna block at a time, which makes each matvec
 O(M*L*K) instead of O(M^2*L*K).  K and L are read from A_tilde's shape.
 
+Units: the noise has variance 1 per real component and the channel prior
+variance 1 per complex entry, so the training SNR is P / (K L).  The
+one-bit likelihood sees h and the thresholds only in units of the noise
+standard deviation, so once the SNR sets the pilot power another noise
+variance would move no estimate.
+
 Layout conventions (used consistently by every module):
   h stacks per-antenna subvectors [Re(H[m, :]), Im(H[m, :])], m = 0..M-1;
   y stacks per-antenna subvectors [Re(Y[m, :]), Im(Y[m, :])].
@@ -25,13 +31,10 @@ class RealModel:
 
     A_tilde: np.ndarray  # 2L x 2K
     M: int
-    sigma2: float  # noise variance per real component (complex variance is 2*sigma2)
 
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be positive")
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
         A = np.asarray(self.A_tilde, dtype=float)
         if A.ndim != 2 or min(A.shape) < 2 or A.shape[0] % 2 or A.shape[1] % 2:
             raise ValueError(f"A_tilde must be 2L x 2K with K, L >= 1, got shape {A.shape}")
@@ -52,11 +55,6 @@ class RealModel:
     def N(self) -> int:
         """Total number of real measurements, 2*M*L."""
         return 2 * self.M * self.L
-
-    @property
-    def dim(self) -> int:
-        """Length of the real channel vector, 2*M*K."""
-        return 2 * self.M * self.K
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         """A @ h without forming A (independent per-antenna products)."""
@@ -106,32 +104,29 @@ def real_to_channel(h: np.ndarray, M: int, K: int) -> np.ndarray:
     return Hm[:, :K] + 1j * Hm[:, K:]
 
 
-def realify(X: np.ndarray, M: int, sigma2: float) -> RealModel:
+def realify(X: np.ndarray, M: int) -> RealModel:
     """Real model of M antennas receiving the complex K x L pilot matrix X.
 
     A_tilde = [[Re X, Im X], [-Im X, Re X]]^T, so that applying A_tilde to
     an antenna's [Re, Im] channel block reproduces exactly the real and
-    imaginary parts of that antenna's row of H X.  sigma2 is the noise
-    variance per real component.
+    imaginary parts of that antenna's row of H X.
     """
     X = np.asarray(X, dtype=complex)
     Xr, Xi = X.real, X.imag
     A_tilde = np.block([[Xr, Xi], [-Xi, Xr]]).T
-    return RealModel(A_tilde=A_tilde, M=M, sigma2=sigma2)
+    return RealModel(A_tilde=A_tilde, M=M)
 
 
-def generate_channel(M: int, K: int, sigma_h2: float = 1.0, rng_seed=None) -> ChannelRealization:
+def generate_channel(M: int, K: int, rng_seed=None) -> ChannelRealization:
     """i.i.d. circularly symmetric complex Gaussian channel.
 
-    Each complex entry has variance sigma_h2 (so sigma_h2/2 per real part).
+    Each complex entry has variance 1 (1/2 per real part).
     Deterministic for a fixed seed.
     """
     if M < 1 or K < 1:
         raise ValueError("M and K must be positive")
-    if sigma_h2 <= 0.0:
-        raise ValueError("sigma_h2 must be positive")
     rng = np.random.default_rng(rng_seed)
-    scale = np.sqrt(sigma_h2 / 2.0)
+    scale = np.sqrt(0.5)
     H = rng.normal(0.0, scale, size=(M, K)) + 1j * rng.normal(0.0, scale, size=(M, K))
     return ChannelRealization(H)
 
@@ -151,14 +146,14 @@ def generate_pilots_orthogonal(K: int, L: int, P: float, rng_seed=None) -> np.nd
 
 
 def generate_noisy_observation(model: RealModel, h: np.ndarray, rng_seed=None) -> np.ndarray:
-    """y = A h + w with w ~ N(0, sigma2 I_N), sigma2 per real component."""
+    """y = A h + w with w ~ N(0, I_N)."""
     rng = np.random.default_rng(rng_seed)
-    return model.apply(h) + rng.normal(0.0, np.sqrt(model.sigma2), size=model.N)
+    return model.apply(h) + rng.standard_normal(model.N)
 
 
-def power_for_snr(snr_db: float, K: int, L: int, sigma2: float = 1.0) -> float:
-    """Pilot power budget that realizes a target SNR in dB."""
-    return 10.0 ** (snr_db / 10.0) * K * L * sigma2
+def power_for_snr(snr_db: float, K: int, L: int) -> float:
+    """Power budget of K x L symbols at a target SNR in dB (unit noise)."""
+    return 10.0 ** (snr_db / 10.0) * K * L
 
 
 def channel_mse(h_hat: np.ndarray, h_true: np.ndarray) -> float:

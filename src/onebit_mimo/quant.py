@@ -47,9 +47,9 @@ def quantize(y: np.ndarray, tau: np.ndarray) -> QuantizedBatch:
     return QuantizedBatch(b=np.where(y >= tau, 1, -1), tau=tau)
 
 
-def thresholds_fixed(N: int, c: float = 0.0) -> np.ndarray:
-    """Constant threshold c on every comparator (c=0 is the conventional ADC)."""
-    return np.full(N, float(c))
+def thresholds_fixed(N: int) -> np.ndarray:
+    """Zero threshold on every comparator: the conventional one-bit ADC."""
+    return np.zeros(N)
 
 
 def thresholds_oracle(model: RealModel, h: np.ndarray) -> np.ndarray:
@@ -60,15 +60,12 @@ def thresholds_oracle(model: RealModel, h: np.ndarray) -> np.ndarray:
     return model.apply(h)
 
 
-def thresholds_random(model: RealModel, sigma_h2: float, rng_seed=None) -> np.ndarray:
-    """tau_n = a_n^T htilde_n with a fresh channel draw per measurement.
+def thresholds_random(model: RealModel, rng_seed=None) -> np.ndarray:
+    """tau_n = a_n^T htilde_n with a fresh channel-prior draw per measurement.
 
     Draws only the 2K real coordinates each row actually touches, so the
     cost is O(N*K) regardless of M.
     """
-    if sigma_h2 < 0.0:
-        raise ValueError("sigma_h2 must be non-negative")
     rng = np.random.default_rng(rng_seed)
-    scale = np.sqrt(sigma_h2 / 2.0)
-    draws = rng.normal(0.0, 1.0, size=(model.M, 2 * model.L, 2 * model.K)) * scale
+    draws = rng.standard_normal((model.M, 2 * model.L, 2 * model.K)) * np.sqrt(0.5)
     return np.einsum("mrk,rk->mr", draws, model.A_tilde).reshape(-1)

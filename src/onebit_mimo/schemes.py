@@ -44,10 +44,10 @@ def run_fq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
     return _single_shot(model, h, thresholds_fixed(model.N), np.random.default_rng(rng_seed))
 
 
-def run_rq(model: RealModel, h: np.ndarray, sigma_h2: float = 1.0, rng_seed=None) -> ChannelEstimate:
+def run_rq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
     """Random thresholds drawn from the channel prior (before the noise), then one-shot ML."""
     rng = np.random.default_rng(rng_seed)
-    return _single_shot(model, h, thresholds_random(model, sigma_h2, rng), rng)
+    return _single_shot(model, h, thresholds_random(model, rng), rng)
 
 
 def run_oq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
@@ -62,8 +62,8 @@ def run_nq(model: RealModel, h: np.ndarray, rng_seed=None) -> ChannelEstimate:
     return solve_nq(model, y)
 
 
-def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
-           sigma_h2: float = 1.0) -> tuple[ChannelEstimate, list]:
+def run_aq(model: RealModel, h: np.ndarray, i_max: int,
+           rng_seed=None) -> tuple[ChannelEstimate, list]:
     """Adaptive thresholds: quantize, refit, move thresholds to A h_hat.
 
     Starts from zero thresholds.  Every round draws fresh noise, appends
@@ -74,7 +74,7 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
     still separable has its likelihood supremum at infinity along a ray;
     any radius on that ray fits the data equally well, so the working
     estimate keeps the fitted direction but is pulled back to the
-    prior-typical radius sqrt(K * sigma_h2).  That keeps the next round's
+    prior-typical radius sqrt(K).  That keeps the next round's
     thresholds near the plausible signal range, which is what lets new
     batches pin the amplitude down.  Such a round's AqIterate has
     converged=False.
@@ -87,7 +87,7 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int, rng_seed=None,
     tau = np.zeros(model.N)
     ah_true = model.apply(h)
     ah_norm = float(np.linalg.norm(ah_true))
-    radius = np.sqrt(model.K * sigma_h2)
+    radius = np.sqrt(model.K)
 
     cur = np.zeros((model.M, 2 * model.K))
     for i in range(1, i_max + 1):

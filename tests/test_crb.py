@@ -9,59 +9,57 @@ from onebit_mimo.crb import COND_LIMIT
 mp.mp.dps = 40
 
 
-def mp_g(u, sigma2=1.0):
-    """High-precision oracle for f^2/(F(1-F)) with variance sigma2."""
-    s = mp.sqrt(sigma2)
-    f = mp.exp(-(u / s) ** 2 / 2) / (s * mp.sqrt(2 * mp.pi))
-    F = (1 + mp.erf(u / (s * mp.sqrt(2)))) / 2
+def mp_g(u):
+    """High-precision oracle for f^2/(F(1-F)) with unit variance."""
+    f = mp.exp(-u ** 2 / 2) / mp.sqrt(2 * mp.pi)
+    F = (1 + mp.erf(u / mp.sqrt(2))) / 2
     return f ** 2 / (F * (1 - F))
 
 
-def make_model(M=3, K=2, L=6, snr_db=10.0, seed=0, sigma2=1.0):
-    return om.pilot_model(M, K, L, snr_db, seed, sigma2=sigma2)
+def make_model(M=3, K=2, L=6, snr_db=10.0, seed=0):
+    return om.pilot_model(M, K, L, snr_db, seed)
 
 
 def test_g_weight_peak_value():
-    assert abs(om.g_weight(0.0, 1.0) - 2.0 / np.pi) < 1e-15
-    assert abs(om.g_weight(0.0, 2.5) - 2.0 / (np.pi * 2.5)) < 1e-15
+    assert abs(om.g_weight(0.0) - 2.0 / np.pi) < 1e-15
 
 
 def test_g_weight_matches_high_precision_oracle():
-    for u, sigma2 in [(1.0, 1.0), (0.5, 2.0), (3.0, 1.0), (7.5, 0.7)]:
-        expect = float(mp_g(u, sigma2))
-        assert abs(om.g_weight(u, sigma2) - expect) < 1e-12 * expect
+    for u in (1.0, 3.0):
+        expect = float(mp_g(u))
+        assert abs(om.g_weight(u) - expect) < 1e-12 * expect
     # frozen value from the oracle
-    assert abs(om.g_weight(1.0, 1.0) - 0.4386288611022141) < 1e-14
+    assert abs(om.g_weight(1.0) - 0.4386288611022141) < 1e-14
 
 
 @given(st.floats(-30.0, 30.0))
 def test_g_weight_positive_bounded_symmetric(u):
-    g = float(om.g_weight(u, 1.0))
+    g = float(om.g_weight(u))
     assert 0.0 < g <= 2.0 / np.pi + 1e-15
-    assert abs(g - float(om.g_weight(-u, 1.0))) <= 1e-12 * g
+    assert abs(g - float(om.g_weight(-u))) <= 1e-12 * g
     if abs(u) > 1e-3:
         assert g < 2.0 / np.pi
 
 
 def test_fim_with_oracle_thresholds_is_scaled_gram():
     model = make_model(seed=1)
-    ch = om.generate_channel(model.M, model.K, 1.0, 1)
+    ch = om.generate_channel(model.M, model.K, 1)
     J = om.fim(model, om.thresholds_oracle(model, ch.h), ch.h)
     assert isinstance(J, np.ndarray) and J.shape == (model.M, 2 * model.K, 2 * model.K)
-    expected = (2.0 / (np.pi * model.sigma2)) * model.gram()
+    expected = (2.0 / np.pi) * model.gram()
     for blk in J:
         assert np.allclose(blk, expected, rtol=1e-12)
     # h = 0 with zero thresholds is the same stationary case
-    J0 = om.fim(model, om.thresholds_fixed(model.N, 0.0), np.zeros(model.dim))
+    J0 = om.fim(model, om.thresholds_fixed(model.N), np.zeros(ch.h.size))
     assert np.allclose(J0, J, rtol=1e-12)
 
 
 def test_fim_dominance_of_oracle_thresholds():
     model = make_model(seed=2)
-    ch = om.generate_channel(model.M, model.K, 1.0, 2)
+    ch = om.generate_channel(model.M, model.K, 2)
     J_star = om.fim(model, om.thresholds_oracle(model, ch.h), ch.h)
     for seed in range(5):
-        tau = om.thresholds_random(model, 1.0, rng_seed=seed)
+        tau = om.thresholds_random(model, rng_seed=seed)
         J = om.fim(model, tau, ch.h)
         for d in J_star - J:
             assert np.linalg.eigvalsh(d).min() >= -1e-9
@@ -69,30 +67,30 @@ def test_fim_dominance_of_oracle_thresholds():
 
 def test_crb_trace_optimal_design_value():
     model = make_model(M=4, K=3, L=8, snr_db=12.0, seed=3)
-    ch = om.generate_channel(4, 3, 1.0, 3)
+    ch = om.generate_channel(4, 3, 3)
     tr = om.crb_trace(model, om.thresholds_oracle(model, ch.h), ch.h)
     P = om.power_for_snr(12.0, 3, 8)
-    expected = np.pi * model.sigma2 * model.M * model.K ** 2 / P
+    expected = np.pi * model.M * model.K ** 2 / P
     assert abs(tr - expected) < 1e-10 * expected
 
 
 def test_pi_half_ratio_exact():
     for seed, (M, K, L, snr) in enumerate([(2, 2, 4, 5.0), (4, 3, 7, 12.0), (1, 1, 2, 0.0)]):
         model = make_model(M, K, L, snr, seed=seed)
-        ch = om.generate_channel(M, K, 1.0, seed)
+        ch = om.generate_channel(M, K, seed)
         ratio = om.crb_trace(model, om.thresholds_oracle(model, ch.h), ch.h) / om.crb_nq_trace(model)
         assert abs(ratio - np.pi / 2) < 1e-12 * (np.pi / 2)
 
 
 def test_crb_trace_uniform_offset_formula_and_monotonicity():
     model = make_model(M=2, K=2, L=5, seed=4)
-    ch = om.generate_channel(2, 2, 1.0, 4)
+    ch = om.generate_channel(2, 2, 4)
     gram_inv_tr = model.M * np.trace(np.linalg.inv(model.gram()))
     prev = None
     for delta in [0.0, 0.4, 0.8, 1.6, 2.4]:
         tau = model.apply(ch.h) + delta
         tr = om.crb_trace(model, tau, ch.h)
-        expected = gram_inv_tr / om.g_weight(delta, model.sigma2)
+        expected = gram_inv_tr / om.g_weight(delta)
         assert abs(tr - expected) < 1e-9 * expected
         if prev is not None:
             assert tr > prev
@@ -101,25 +99,25 @@ def test_crb_trace_uniform_offset_formula_and_monotonicity():
 
 def test_crb_nq_trace_values():
     model = make_model(M=5, K=2, L=6, snr_db=7.0, seed=5)
-    expected = 2.0 * model.sigma2 * model.M * model.K ** 2 / om.power_for_snr(7.0, 2, 6)
+    expected = 2.0 * model.M * model.K ** 2 / om.power_for_snr(7.0, 2, 6)
     assert abs(om.crb_nq_trace(model) - expected) < 1e-10 * expected
-    # identity operator: trace is sigma2 * 2MK
-    ident = om.realify(np.array([[1.0 + 0j]]), 3, 0.5)
-    assert abs(om.crb_nq_trace(ident) - 0.5 * 2 * 3 * 1) < 1e-12
+    # identity operator: trace is 2MK
+    ident = om.realify(np.array([[1.0 + 0j]]), 3)
+    assert abs(om.crb_nq_trace(ident) - 2 * 3 * 1) < 1e-12
 
 
 def test_quantization_never_beats_unquantized():
     model = make_model(seed=6)
-    ch = om.generate_channel(model.M, model.K, 1.0, 6)
+    ch = om.generate_channel(model.M, model.K, 6)
     nq = om.crb_nq_trace(model)
     for seed in range(4):
-        tau = om.thresholds_random(model, 1.0, rng_seed=seed)
+        tau = om.thresholds_random(model, rng_seed=seed)
         assert om.crb_trace(model, tau, ch.h) >= nq * (1.0 - 1e-12)
 
 
 def test_ill_conditioned_fim_raises_with_block_index():
     model = make_model(M=2, K=2, L=5, seed=7)
-    ch = om.generate_channel(2, 2, 1.0, 7)
+    ch = om.generate_channel(2, 2, 7)
     # push one antenna's thresholds far away: its block weights vanish
     tau = model.apply(ch.h)
     tau[:2 * model.L] += 200.0

@@ -10,7 +10,7 @@ from onebit_mimo.detect import QPSK, hypothesis_indices
 from onebit_mimo.gauss import norm_logcdf
 
 
-def brute_force_detect(H, b, sigma2, symbol_power):
+def brute_force_detect(H, b, symbol_power):
     """Independent reference: plain loops, scipy logcdf, no shared tables."""
     M, K = H.shape
     best_idx, best_ll = None, -np.inf
@@ -24,7 +24,7 @@ def brute_force_detect(H, b, sigma2, symbol_power):
         s = QPSK[list(idx)] * np.sqrt(symbol_power)
         r = H @ s
         u = np.concatenate([r.real, r.imag])
-        ll = float(norm.logcdf(b * u / np.sqrt(sigma2)).sum())
+        ll = float(norm.logcdf(b * u).sum())
         if ll > best_ll + 1e-12:
             best_ll, best_idx = ll, idx
     return np.array(best_idx)
@@ -37,7 +37,7 @@ def test_single_user_noiseless_perfect_csi():
         s = QPSK[[k]] * 1e6  # effectively noiseless
         r = H @ s
         b = np.where(np.concatenate([r.real, r.imag]) >= 0, 1, -1)
-        out = om.detect_frames(H, b[None, :], sigma2=1.0, symbol_power=1e12)
+        out = om.detect_frames(H, b[None, :], symbol_power=1e12)
         assert np.array_equal(out, [[k]])
 
 
@@ -46,10 +46,10 @@ def test_exhaustive_search_matches_independent_brute_force():
     M, K = 4, 2
     H = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
     p = 2.0
-    idx_true, b = om.simulate_frames(H, 1.0, p, 40, rng_seed=5)
-    ours = om.detect_frames(H, b, 1.0, symbol_power=p)
+    idx_true, b = om.simulate_frames(H, p, 40, rng_seed=5)
+    ours = om.detect_frames(H, b, symbol_power=p)
     for f in range(40):
-        ref = brute_force_detect(H, b[f].astype(float), 1.0, p)
+        ref = brute_force_detect(H, b[f].astype(float), p)
         assert np.array_equal(ours[f], ref)
 
 
@@ -57,7 +57,7 @@ def test_tie_break_is_lexicographic():
     # zero channel scores every hypothesis identically
     H = np.zeros((3, 2), dtype=complex)
     b = np.ones(6)
-    out = om.detect_frames(H, b, 1.0)
+    out = om.detect_frames(H, b)
     assert np.array_equal(out[0], [0, 0])
 
 
@@ -66,9 +66,9 @@ def _channel(M, K, seed):
     return rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
 
 
-def _full_matrix_decisions(H, b, sigma2, symbol_power):
+def _full_matrix_decisions(H, b, symbol_power):
     """Reference: the whole frames-by-hypotheses score array and one argmax."""
-    log_pos, log_neg = detect._loglik_tables(H, sigma2, symbol_power)
+    log_pos, log_neg = detect._loglik_tables(H, symbol_power)
     scores = log_neg.sum(axis=1) + (b > 0).astype(float) @ (log_pos - log_neg).T
     return hypothesis_indices(H.shape[1])[np.argmax(scores, axis=1)]
 
@@ -95,10 +95,10 @@ def test_tiled_scorer_matches_full_matrix(M, K, n_frames, snr_db, zero_user):
     if zero_user:
         H[:, 0] = 0.0
     p = 10 ** (snr_db / 10)
-    _, b = om.simulate_frames(H, 1.0, p, n_frames, rng_seed=13)
-    log_pos, log_neg = detect._loglik_tables(H, 1.0, p)
+    _, b = om.simulate_frames(H, p, n_frames, rng_seed=13)
+    log_pos, log_neg = detect._loglik_tables(H, p)
     ours = detect._score_frames(log_neg.sum(axis=1), log_pos - log_neg, b, hypothesis_indices(K))
-    assert np.array_equal(ours, _full_matrix_decisions(H, b, 1.0, p))
+    assert np.array_equal(ours, _full_matrix_decisions(H, b, p))
 
 
 def _two_hypotheses(a, b, delta_a=0.0, delta_b=0.0):
@@ -151,8 +151,8 @@ def test_confirm_products_have_full_tile_shapes(monkeypatch):
 
     monkeypatch.setattr(detect, "_first_best", spy)
     H = _channel(16, 7, 40)
-    _, b = om.simulate_frames(H, 1.0, 10.0, 258, rng_seed=41)
-    om.detect_frames(H, b, 1.0, symbol_power=10.0)
+    _, b = om.simulate_frames(H, 10.0, 258, rng_seed=41)
+    om.detect_frames(H, b, symbol_power=10.0)
     rows = [r for r, _ in seen]
     assert sum(rows) == 258 and max(rows) <= detect.CONFIRM_FRAMES
     assert [r for r in rows if r < 3] == [2]
@@ -166,7 +166,7 @@ def test_screen_bound_covers_float32_rounding(M, K, snr_db):
     rng = np.random.default_rng(30 + K)
     for _ in range(3):
         H = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
-        log_pos, log_neg = detect._loglik_tables(H, 1.0, 10 ** (snr_db / 10))
+        log_pos, log_neg = detect._loglik_tables(H, 10 ** (snr_db / 10))
         base, delta = log_neg.sum(axis=1), log_pos - log_neg
         table, err = detect._screen_table(base, delta)
         pos = rng.random((40, 2 * M)) < 0.5
@@ -181,16 +181,16 @@ def test_screen_bound_covers_float32_rounding(M, K, snr_db):
 
 def test_tie_break_is_lexicographic_across_tiles():
     b = np.where(np.random.default_rng(14).normal(size=(300, 32)) >= 0, 1, -1)
-    out = om.detect_frames(np.zeros((16, 8), dtype=complex), b, 1.0)
+    out = om.detect_frames(np.zeros((16, 8), dtype=complex), b)
     assert not out.any()
     # user 0 unseen: hypotheses differing only in its symbol tie, and they
     # sit 4^7 rows apart, in different tiles
     H = _channel(16, 8, 15)
     H[:, 0] = 0.0
-    _, b = om.simulate_frames(H, 1.0, 10.0, 300, rng_seed=16)
-    out = om.detect_frames(H, b, 1.0, symbol_power=10.0)
+    _, b = om.simulate_frames(H, 10.0, 300, rng_seed=16)
+    out = om.detect_frames(H, b, symbol_power=10.0)
     assert not out[:, 0].any()
-    assert np.array_equal(out, _full_matrix_decisions(H, b, 1.0, 10.0))
+    assert np.array_equal(out, _full_matrix_decisions(H, b, 10.0))
 
 
 @pytest.mark.parametrize("K", range(1, 9))
@@ -198,8 +198,8 @@ def test_negated_table_is_first_table_reversed(K):
     H = _channel(6, K, 20 + K)
     S = QPSK[hypothesis_indices(K)] * np.sqrt(3.0)
     R = S @ H.T
-    U = np.concatenate([R.real, R.imag], axis=1) / np.sqrt(0.7)
-    log_pos, log_neg = detect._loglik_tables(H, 0.7, 3.0)
+    U = np.concatenate([R.real, R.imag], axis=1)
+    log_pos, log_neg = detect._loglik_tables(H, 3.0)
     assert np.array_equal(log_pos, norm_logcdf(U))
     assert np.array_equal(log_neg, norm_logcdf(-U))
 
@@ -213,10 +213,10 @@ def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
 
     monkeypatch.setattr(detect, "norm_logcdf", counting)
     H = _channel(16, 8, 17)
-    _, b = om.simulate_frames(H, 1.0, 10.0, 600, rng_seed=18)
+    _, b = om.simulate_frames(H, 10.0, 600, rng_seed=18)
     tracemalloc.start()
     try:
-        om.detect_frames(H, b, 1.0, symbol_power=10.0)
+        om.detect_frames(H, b, symbol_power=10.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -225,38 +225,37 @@ def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
     assert peak < detect.FRAME_CHUNK * 4 ** 8 * 8
 
 
-@pytest.mark.parametrize("H_bad, sigma2, symbol_power, name", [
-    (np.nan, 1.0, 1.0, "H_hat"),
-    (None, 0.0, 1.0, "sigma2"),
-    (None, 1.0, np.inf, "symbol_power"),
+@pytest.mark.parametrize("H_bad, symbol_power, name", [
+    (np.nan, 1.0, "H_hat"),
+    (None, np.inf, "symbol_power"),
 ])
-def test_non_finite_inputs_raise(H_bad, sigma2, symbol_power, name):
+def test_non_finite_inputs_raise(H_bad, symbol_power, name):
     H = _channel(4, 2, 19)
     if H_bad is not None:
         H[1, 1] = H_bad
     with pytest.raises(ValueError, match=name):
-        om.detect_frames(H, np.ones((3, 8)), sigma2, symbol_power=symbol_power)
+        om.detect_frames(H, np.ones((3, 8)), symbol_power=symbol_power)
 
 
 def test_k_max_guard():
     H = np.zeros((4, 9), dtype=complex)
     with pytest.raises(ValueError, match="reduce"):
-        om.detect_frames(H, np.ones(8), 1.0)
+        om.detect_frames(H, np.ones(8))
 
 
 def test_detection_deterministic():
     rng = np.random.default_rng(2)
     H = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    _, b = om.simulate_frames(H, 1.0, 3.0, 64, rng_seed=3)
-    a = om.detect_frames(H, b, 1.0, symbol_power=3.0)
-    c = om.detect_frames(H, b, 1.0, symbol_power=3.0)
+    _, b = om.simulate_frames(H, 3.0, 64, rng_seed=3)
+    a = om.detect_frames(H, b, symbol_power=3.0)
+    c = om.detect_frames(H, b, symbol_power=3.0)
     assert np.array_equal(a, c)
 
 
 def test_perfect_csi_and_high_power_zero_errors():
     rng = np.random.default_rng(4)
     H = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
-    ser, _ = om.data_phase(H, H, sigma2=1.0, symbol_power=1e8, n_frames=500, rng_seed=6)
+    ser, _ = om.data_phase(H, H, symbol_power=1e8, n_frames=500, rng_seed=6)
     assert ser == 0.0
 
 
@@ -266,8 +265,8 @@ def test_perfect_csi_no_worse_than_estimated_csi():
     H = rng.normal(scale=np.sqrt(0.5), size=(M, K)) + 1j * rng.normal(scale=np.sqrt(0.5), size=(M, K))
     H_bad = H + 0.5 * (rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K)))
     p = 4.0
-    perfect, _ = om.data_phase(H, H, 1.0, p, n_frames=10_000, rng_seed=8)
-    estimated, _ = om.data_phase(H, H_bad, 1.0, p, n_frames=10_000, rng_seed=8)
+    perfect, _ = om.data_phase(H, H, p, n_frames=10_000, rng_seed=8)
+    estimated, _ = om.data_phase(H, H_bad, p, n_frames=10_000, rng_seed=8)
     assert perfect <= estimated
 
 
@@ -278,10 +277,10 @@ def test_ser_improves_with_more_pilots():
         vals = []
         for t in range(8):
             model = om.pilot_model(4, 2, L, 10.0, 700 + t)
-            ch = om.generate_channel(4, 2, 1.0, 700 + t)
-            est = om.run_rq(model, ch.h, 1.0, 800 + t)
+            ch = om.generate_channel(4, 2, 700 + t)
+            est = om.run_rq(model, ch.h, 800 + t)
             H_est = om.real_to_channel(est.h_hat, 4, 2)
-            ser, _ = om.data_phase(ch.H, H_est, 1.0, 10 ** 1.0, n_frames=3000, rng_seed=900 + t)
+            ser, _ = om.data_phase(ch.H, H_est, 10 ** 1.0, n_frames=3000, rng_seed=900 + t)
             vals.append(ser)
         sers.append(np.median(vals))
     assert sers[0] >= sers[1] >= sers[2]
@@ -333,10 +332,10 @@ def test_ser_level_full_scale_random_thresholds():
     sers = []
     for t in range(5):
         model = om.pilot_model(M, K, L, snr, 2000 + t)
-        ch = om.generate_channel(M, K, 1.0, 2000 + t)
-        est = om.run_rq(model, ch.h, 1.0, 2100 + t)
+        ch = om.generate_channel(M, K, 2000 + t)
+        est = om.run_rq(model, ch.h, 2100 + t)
         H_est = om.real_to_channel(est.h_hat, M, K)
-        ser, _ = om.data_phase(ch.H, H_est, 1.0, snr_lin, n_frames=20_000, rng_seed=2200 + t)
+        ser, _ = om.data_phase(ch.H, H_est, snr_lin, n_frames=20_000, rng_seed=2200 + t)
         sers.append(ser)
     level = np.mean(sers)
     assert 10 ** -3.5 <= level <= 10 ** -2.5

@@ -9,21 +9,21 @@ from onebit_mimo.mle import LikelihoodProblem, SEPARABLE_LL_TOL
 LOG_HALF = np.log(0.5)
 
 
-def identity_pilot_model(sigma2=1.0):
+def identity_pilot_model():
     # X = [1] gives A_tilde = I_2: measurements read the channel coordinates directly
-    return om.realify(np.array([[1.0 + 0j]]), 1, sigma2)
+    return om.realify(np.array([[1.0 + 0j]]), 1)
 
 
 def make_problem(M=2, K=2, L=6, seed=0, snr_db=8.0, n_batches=1, policy="random"):
     rng = np.random.default_rng(seed)
     model = om.pilot_model(M, K, L, snr_db, rng)
-    ch = om.generate_channel(M, K, 1.0, rng)
+    ch = om.generate_channel(M, K, rng)
     batches = []
     for _ in range(n_batches):
         if policy == "random":
-            tau = om.thresholds_random(model, 1.0, rng)
+            tau = om.thresholds_random(model, rng)
         else:
-            tau = om.thresholds_fixed(model.N, 0.0)
+            tau = om.thresholds_fixed(model.N)
         y = om.generate_noisy_observation(model, ch.h, rng)
         batches.append(om.quantize(y, tau))
     return model, ch, LikelihoodProblem(batches, model)
@@ -31,23 +31,23 @@ def make_problem(M=2, K=2, L=6, seed=0, snr_db=8.0, n_batches=1, policy="random"
 
 def test_log_likelihood_at_threshold_is_log_half():
     model = identity_pilot_model()
-    batch = om.quantize(np.zeros(2), om.thresholds_fixed(2, 0.0))
+    batch = om.quantize(np.zeros(2), om.thresholds_fixed(2))
     prob = LikelihoodProblem([batch], model)
     assert abs(om.log_likelihood(prob, np.zeros(2)) - 2 * LOG_HALF) < 1e-12
 
 
 def test_log_likelihood_additive_over_batches():
     model, ch, prob = make_problem(n_batches=3, seed=4)
-    h = np.random.default_rng(1).normal(size=model.dim)
+    h = np.random.default_rng(1).normal(size=ch.h.size)
     total = om.log_likelihood(prob, h)
     parts = sum(om.log_likelihood(LikelihoodProblem([b], model), h) for b in prob.batches)
     assert abs(total - parts) < 1e-9 * abs(total)
 
 
 def test_log_likelihood_deep_tail_no_underflow():
-    # b = +1 with the signal 10 sigma below threshold: log Phi(-10) per measurement
+    # b = +1 with the signal 10 noise deviations below threshold: log Phi(-10) per measurement
     model = identity_pilot_model()
-    batch = om.quantize(np.zeros(2) + 1e-9, om.thresholds_fixed(2, 0.0))
+    batch = om.quantize(np.zeros(2) + 1e-9, om.thresholds_fixed(2))
     prob = LikelihoodProblem([batch], model)
     val = om.log_likelihood(prob, np.array([-10.0, -10.0]))
     assert abs(val - 2 * (-53.231285150512565)) < 1e-8
@@ -56,7 +56,7 @@ def test_log_likelihood_deep_tail_no_underflow():
 
 def test_gradient_value_at_threshold():
     model = identity_pilot_model()
-    batch = om.quantize(np.ones(2), om.thresholds_fixed(2, 0.0))  # b = +1
+    batch = om.quantize(np.ones(2), om.thresholds_fixed(2))  # b = +1
     prob = LikelihoodProblem([batch], model)
     g = om.gradient(prob, np.zeros(2))
     assert np.allclose(g, np.sqrt(2.0 / np.pi), rtol=1e-12)
@@ -64,7 +64,7 @@ def test_gradient_value_at_threshold():
 
 def test_curvature_value_at_threshold():
     model = identity_pilot_model()
-    batch = om.quantize(np.ones(2), om.thresholds_fixed(2, 0.0))
+    batch = om.quantize(np.ones(2), om.thresholds_fixed(2))
     prob = LikelihoodProblem([batch], model)
     hv = om.hessian_action(prob, np.zeros(2), np.array([1.0, 0.0]))
     assert np.allclose(hv, [-2.0 / np.pi, 0.0], atol=1e-12)
@@ -74,7 +74,7 @@ def test_curvature_value_at_threshold():
 def test_gradient_matches_central_differences(seed):
     model, ch, prob = make_problem(seed=seed, n_batches=2)
     rng = np.random.default_rng(100 + seed)
-    h = rng.normal(0.0, 0.7, size=model.dim)
+    h = rng.normal(0.0, 0.7, size=ch.h.size)
     g = om.gradient(prob, h)
     fd = np.zeros_like(g)
     for i in range(len(h)):
@@ -89,8 +89,8 @@ def test_gradient_matches_central_differences(seed):
 def test_hessian_action_matches_gradient_differences(seed):
     model, ch, prob = make_problem(seed=seed)
     rng = np.random.default_rng(200 + seed)
-    h = rng.normal(0.0, 0.7, size=model.dim)
-    v = rng.normal(size=model.dim)
+    h = rng.normal(0.0, 0.7, size=ch.h.size)
+    v = rng.normal(size=ch.h.size)
     hv = om.hessian_action(prob, h, v)
     step = 1e-6
     fd = (om.gradient(prob, h + step * v) - om.gradient(prob, h - step * v)) / (2 * step)
@@ -101,8 +101,8 @@ def test_hessian_action_matches_gradient_differences(seed):
 def test_hessian_negative_semidefinite(seed):
     rng = np.random.default_rng(seed)
     model, ch, prob = make_problem(seed=int(rng.integers(0, 1000)))
-    h = rng.normal(0.0, 1.0, size=model.dim)
-    v = rng.normal(size=model.dim)
+    h = rng.normal(0.0, 1.0, size=ch.h.size)
+    v = rng.normal(size=ch.h.size)
     quad = float(v @ om.hessian_action(prob, h, v))
     assert quad <= 1e-8 * float(v @ v)
 
@@ -112,8 +112,8 @@ def test_hessian_negative_semidefinite(seed):
 def test_log_likelihood_concave_along_segments(seed, lam):
     rng = np.random.default_rng(seed)
     model, ch, prob = make_problem(seed=int(rng.integers(0, 1000)))
-    h1 = rng.normal(0.0, 1.0, size=model.dim)
-    h2 = rng.normal(0.0, 1.0, size=model.dim)
+    h1 = rng.normal(0.0, 1.0, size=ch.h.size)
+    h2 = rng.normal(0.0, 1.0, size=ch.h.size)
     mid = lam * h1 + (1 - lam) * h2
     lhs = om.log_likelihood(prob, mid)
     rhs = lam * om.log_likelihood(prob, h1) + (1 - lam) * om.log_likelihood(prob, h2)
@@ -124,15 +124,15 @@ def test_score_identity_mean_and_covariance():
     # sample score statistics at the true channel against the Fisher blocks
     rng = np.random.default_rng(0)
     model = om.pilot_model(1, 1, 4, 3.0, rng)
-    ch = om.generate_channel(1, 1, 1.0, rng)
-    tau = om.thresholds_random(model, 1.0, rng)
+    ch = om.generate_channel(1, 1, rng)
+    tau = om.thresholds_random(model, rng)
     u = model.apply(ch.h) - tau
     n_draws = 30_000
-    w = rng.normal(0.0, np.sqrt(model.sigma2), size=(n_draws, model.N))
+    w = rng.standard_normal((n_draws, model.N))
     b = np.where(u[None, :] + w >= 0.0, 1.0, -1.0)
     from onebit_mimo.gauss import mills_ratio
-    s = b * u[None, :] / np.sqrt(model.sigma2)
-    weights = b * mills_ratio(s) / np.sqrt(model.sigma2)
+    s = b * u[None, :]
+    weights = b * mills_ratio(s)
     scores = weights @ model.A_tilde
     J = om.fim(model, tau, ch.h)[0]
     assert np.linalg.norm(scores.mean(0)) < 4 * np.sqrt(np.trace(J) / n_draws)
@@ -152,8 +152,8 @@ def test_solver_reaches_stated_tolerance():
 def test_solver_matches_grid_on_tiny_instance():
     rng = np.random.default_rng(14)
     model = om.pilot_model(1, 1, 4, 0.0, rng)
-    ch = om.generate_channel(1, 1, 1.0, rng)
-    tau = om.thresholds_random(model, 1.0, rng)
+    ch = om.generate_channel(1, 1, rng)
+    tau = om.thresholds_random(model, rng)
     y = om.generate_noisy_observation(model, ch.h, rng)
     prob = LikelihoodProblem([om.quantize(y, tau)], model)
     est = om.solve_ml(prob)
@@ -171,7 +171,7 @@ def test_joint_solve_equals_independent_antenna_solves():
     model, ch, prob = make_problem(M=3, K=2, L=8, seed=8)
     est = om.solve_ml(prob)
     K2, L2 = 2 * model.K, 2 * model.L
-    sub_model = om.RealModel(A_tilde=model.A_tilde, M=1, sigma2=model.sigma2)
+    sub_model = om.RealModel(A_tilde=model.A_tilde, M=1)
     for m in range(model.M):
         sub_batches = [
             om.QuantizedBatch(b=b.b[m * L2:(m + 1) * L2], tau=b.tau[m * L2:(m + 1) * L2])
@@ -186,8 +186,8 @@ def test_separable_data_flagged_not_converged():
     # entire ray: the likelihood supremum is at infinity
     rng = np.random.default_rng(21)
     model = om.pilot_model(1, 2, 8, 10.0, rng)
-    ch = om.generate_channel(1, 2, 1.0, rng)
-    b = om.quantize(model.apply(ch.h), om.thresholds_fixed(model.N, 0.0))
+    ch = om.generate_channel(1, 2, rng)
+    b = om.quantize(model.apply(ch.h), om.thresholds_fixed(model.N))
     est = om.solve_ml(LikelihoodProblem([b], model))
     assert not est.converged
     assert not est.antenna_converged.any()
@@ -203,7 +203,7 @@ def test_solve_nq_identity_pilot_returns_observation():
 
 def test_solve_nq_noiseless_exact():
     model = om.pilot_model(3, 2, 5, 10.0, 2)
-    ch = om.generate_channel(3, 2, 1.0, 2)
+    ch = om.generate_channel(3, 2, 2)
     est = om.solve_nq(model, model.apply(ch.h))
     assert np.allclose(est.h_hat, ch.h, atol=1e-10)
     assert est.converged
@@ -217,27 +217,27 @@ def test_solve_nq_mse_matches_closed_form():
     AtA = model.gram()
     Q = model.A_tilde @ np.linalg.inv(AtA)
     trials = 10_000
-    w = rng.normal(0.0, np.sqrt(model.sigma2), size=(trials, M, 2 * L))
+    w = rng.standard_normal((trials, M, 2 * L))
     err = np.einsum("tml,lk->tmk", w, Q)
     mse = (err ** 2).sum(axis=(1, 2)).mean() / (M * K)
-    predicted = model.sigma2 * M * np.trace(np.linalg.inv(AtA)) / (M * K)
+    predicted = M * np.trace(np.linalg.inv(AtA)) / (M * K)
     assert abs(mse - predicted) < 0.05 * predicted
 
 
 def test_solve_nq_singular_model_raises():
     # L >= K but duplicated pilot rows make the Gram singular
     X = np.ones((2, 4)) + 0j
-    model = om.realify(X, 1, 1.0)
+    model = om.realify(X, 1)
     with pytest.raises(om.NumericalError):
         om.solve_nq(model, np.zeros(model.N))
 
 
 def test_problem_validation():
     model = identity_pilot_model()
-    good = om.quantize(np.zeros(2), om.thresholds_fixed(2, 0.0))
+    good = om.quantize(np.zeros(2), om.thresholds_fixed(2))
     with pytest.raises(ValueError):
         LikelihoodProblem([], model)
-    other = om.quantize(np.zeros(4), om.thresholds_fixed(4, 0.0))
+    other = om.quantize(np.zeros(4), om.thresholds_fixed(4))
     with pytest.raises(ValueError):
         LikelihoodProblem([other], model)
 
@@ -255,12 +255,11 @@ def test_newton_stops_at_rounding_floor():
 def test_step_that_rounds_back_to_its_row_is_stalled():
     model, ch, prob = make_problem(M=2, K=2, L=6, seed=5)
     B, T = mle._stacked(prob)
-    sigma = np.sqrt(model.sigma2)
     Hs = np.ones((model.M, 2 * model.K))
-    ll0 = mle.norm_logcdf(mle._margins(Hs, B, T, model.A_tilde, sigma)).sum(axis=(0, 2))
+    ll0 = mle.norm_logcdf(mle._margins(Hs, B, T, model.A_tilde)).sum(axis=(0, 2))
     # slope 0 lets Armijo pass on equality, which an unmoved row always meets
     step, slope = np.full_like(Hs, 1e-20), np.zeros(model.M)
-    Hnew, _, _, accepted = mle._line_search(Hs, step, slope, ll0, B, T, model.A_tilde, sigma)
+    Hnew, _, _, accepted = mle._line_search(Hs, step, slope, ll0, B, T, model.A_tilde)
     assert not accepted.any()
     assert np.array_equal(Hnew, Hs)
 
@@ -302,9 +301,9 @@ def test_curvature_keeps_precision_for_far_negative_margins():
     # no digit left at -1e9)
     S = np.array([-2e3, -1e4, -1e7, -1e9, -1e12])[None, None, :]
     t2 = 1.0 / S[0, 0] ** 2
-    curv = mle._curvature(S, gauss.mills_ratio(S), 1.0)[0]
+    curv = mle._curvature(S, gauss.mills_ratio(S))[0]
     assert np.allclose(curv, 1.0 - t2 + 6.0 * t2 * t2, rtol=1e-14, atol=0)
     # ordinary margins keep the direct form bit for bit
     S = np.linspace(-999.0, 30.0, 7)[None, None, :]
     lam = gauss.mills_ratio(S)
-    assert np.array_equal(mle._curvature(S, lam, 2.0), (lam * (S + lam)).sum(axis=0) / 2.0)
+    assert np.array_equal(mle._curvature(S, lam), (lam * (S + lam)).sum(axis=0))

@@ -8,16 +8,16 @@ from onebit_mimo.model import block_gram
 
 def random_system(M, K, L, seed, snr_db=10.0):
     rng = np.random.default_rng(seed)
-    return om.pilot_model(M, K, L, snr_db, rng), om.generate_channel(M, K, 1.0, rng)
+    return om.pilot_model(M, K, L, snr_db, rng), om.generate_channel(M, K, rng)
 
 
 def test_realify_real_scalar_pilot():
-    assert np.array_equal(om.realify(np.array([[1.0 + 0j]]), 1, 1.0).A_tilde, np.eye(2))
+    assert np.array_equal(om.realify(np.array([[1.0 + 0j]]), 1).A_tilde, np.eye(2))
 
 
 def test_realify_imaginary_scalar_pilot():
     # X = [j]: y = j*h maps (a, b) -> (-b, a); verified against the complex product
-    A = om.realify(np.array([[1j]]), 1, 1.0).A_tilde
+    A = om.realify(np.array([[1j]]), 1).A_tilde
     assert np.array_equal(A, np.array([[0.0, -1.0], [1.0, 0.0]]))
     h = np.array([0.3, -0.7])
     y_complex = 1j * (0.3 - 0.7j)
@@ -28,8 +28,8 @@ def test_realify_matches_explicit_kronecker_and_complex_product():
     rng = np.random.default_rng(7)
     M, K, L = 3, 2, 4
     X = rng.normal(size=(K, L)) + 1j * rng.normal(size=(K, L))
-    model = om.realify(X, M, 1.0)
-    ch = om.generate_channel(M, K, 1.0, rng)
+    model = om.realify(X, M)
+    ch = om.generate_channel(M, K, rng)
 
     A_full = np.kron(np.eye(M), model.A_tilde)
     assert np.allclose(A_full @ ch.h, model.apply(ch.h), atol=1e-12)
@@ -46,7 +46,7 @@ def test_realification_preserves_energy(seed):
     K, L = int(rng.integers(1, 5)), int(rng.integers(1, 7))
     L = max(K, L)
     X = rng.normal(size=(K, L)) + 1j * rng.normal(size=(K, L))
-    model = om.realify(X, 1, 1.0)
+    model = om.realify(X, 1)
     g = rng.normal(size=K) + 1j * rng.normal(size=K)
     g_real = np.concatenate([g.real, g.imag])
     lhs = np.linalg.norm(model.A_tilde @ g_real) ** 2
@@ -80,26 +80,26 @@ def test_block_gram_matches_reference_contraction(M_blocks, K, L):
 
 
 def test_channel_round_trip_exact():
-    ch = om.generate_channel(5, 3, 2.0, rng_seed=11)
+    ch = om.generate_channel(5, 3, rng_seed=11)
     assert np.array_equal(om.channel_to_real(ch.H), ch.h)
     assert np.array_equal(om.real_to_channel(ch.h, 5, 3), ch.H)
 
 
 def test_channel_statistics():
-    ch = om.generate_channel(250, 200, sigma_h2=1.6, rng_seed=0)
+    ch = om.generate_channel(250, 200, rng_seed=0)
     power = np.abs(ch.H) ** 2  # 5e4 draws
     n = power.size
-    # |H|^2 has mean sigma_h2 and std sigma_h2 (exponential)
-    assert abs(power.mean() - 1.6) < 3 * 1.6 / np.sqrt(n)
+    # |H|^2 has mean 1 and std 1 (exponential)
+    assert abs(power.mean() - 1.0) < 3 / np.sqrt(n)
     re, im = ch.H.real.ravel(), ch.H.imag.ravel()
-    assert abs(np.var(re) - 0.8) < 4 * 0.8 * np.sqrt(2.0 / n)
-    assert abs(np.var(im) - 0.8) < 4 * 0.8 * np.sqrt(2.0 / n)
-    assert abs(np.mean(re * im)) < 4 * 0.8 / np.sqrt(n)
+    assert abs(np.var(re) - 0.5) < 4 * 0.5 * np.sqrt(2.0 / n)
+    assert abs(np.var(im) - 0.5) < 4 * 0.5 * np.sqrt(2.0 / n)
+    assert abs(np.mean(re * im)) < 4 * 0.5 / np.sqrt(n)
 
 
 def test_channel_deterministic_under_seed():
-    a = om.generate_channel(4, 3, 1.0, rng_seed=42)
-    b = om.generate_channel(4, 3, 1.0, rng_seed=42)
+    a = om.generate_channel(4, 3, rng_seed=42)
+    b = om.generate_channel(4, 3, rng_seed=42)
     assert np.array_equal(a.H, b.H)
 
 
@@ -130,7 +130,7 @@ def test_noisy_observation_noiseless_limit_and_variance():
     draws = np.array([om.generate_noisy_observation(model, ch.h, rng_seed=s) - model.apply(ch.h)
                       for s in range(300)])
     n = draws.size
-    assert abs(np.var(draws) - model.sigma2) < 4 * model.sigma2 * np.sqrt(2.0 / n)
+    assert abs(np.var(draws) - 1.0) < 4 * np.sqrt(2.0 / n)
     assert resid.shape == (model.N,)
     # determinism
     y1 = om.generate_noisy_observation(model, ch.h, rng_seed=4)
@@ -138,26 +138,25 @@ def test_noisy_observation_noiseless_limit_and_variance():
 
 
 def test_snr_definition():
-    assert abs(om.power_for_snr(15.0, 8, 32, 1.0) - 8 * 32 * 10 ** 1.5) < 1e-6
-    # P = K L sigma2 gives 0 dB
-    assert om.power_for_snr(0.0, 4, 16, 1.0) == 4 * 16
+    assert abs(om.power_for_snr(15.0, 8, 32) - 8 * 32 * 10 ** 1.5) < 1e-6
+    # P = K L gives 0 dB
+    assert om.power_for_snr(0.0, 4, 16) == 4 * 16
 
 
-@pytest.mark.parametrize("M,sigma2", [(0, 1.0), (1, 0.0)])
-def test_realify_rejects_bad_antenna_count_and_noise(M, sigma2):
+def test_realify_rejects_bad_antenna_count():
     with pytest.raises(ValueError):
-        om.realify(np.ones((2, 3), dtype=complex), M, sigma2)
+        om.realify(np.ones((2, 3), dtype=complex), 0)
 
 
 def test_real_model_rejects_odd_operator():
     with pytest.raises(ValueError):
-        om.RealModel(A_tilde=np.ones((3, 2)), M=1, sigma2=1.0)
+        om.RealModel(A_tilde=np.ones((3, 2)), M=1)
 
 
 def test_users_and_pilots_come_from_operator():
-    model = om.realify(np.ones((2, 5), dtype=complex), 3, 1.0)
+    model = om.realify(np.ones((2, 5), dtype=complex), 3)
     assert model.A_tilde.shape == (10, 4)
-    assert (model.K, model.L, model.N, model.dim) == (2, 5, 30, 12)
+    assert (model.K, model.L, model.N) == (2, 5, 30)
 
 
 def test_channel_realization_derives_read_only_h():
@@ -169,8 +168,8 @@ def test_channel_realization_derives_read_only_h():
 
 def test_pilot_model_spends_its_budget():
     # A_tilde stacks Re X and Im X twice, so ||A_tilde||_F^2 = 2 ||X||_F^2 = 2 P
-    model = om.pilot_model(4, 3, 7, 12.0, rng=5, sigma2=0.7)
-    P = om.power_for_snr(12.0, 3, 7, 0.7)
+    model = om.pilot_model(4, 3, 7, 12.0, rng=5)
+    P = om.power_for_snr(12.0, 3, 7)
     assert abs(np.sum(model.A_tilde ** 2) - 2.0 * P) <= 1e-9 * P
 
 

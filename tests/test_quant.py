@@ -38,21 +38,20 @@ def test_quantize_length_mismatch():
 
 
 def test_thresholds_fixed():
-    assert np.array_equal(om.thresholds_fixed(4, 0.0), np.zeros(4))
-    assert np.array_equal(om.thresholds_fixed(3, 1.0), [1.0, 1.0, 1.0])
+    assert np.array_equal(om.thresholds_fixed(4), np.zeros(4))
 
 
 def test_thresholds_oracle_zero_channel():
     model = small_model()
-    assert np.array_equal(om.thresholds_oracle(model, np.zeros(model.dim)), np.zeros(model.N))
+    assert np.array_equal(om.thresholds_oracle(model, np.zeros(2 * model.M * model.K)), np.zeros(model.N))
 
 
 def test_thresholds_oracle_single_antenna_complex_arithmetic():
     # K = 1: thresholds must equal Re/Im of x_l * h for each pilot symbol
     rng = np.random.default_rng(3)
     X = rng.normal(size=(1, 5)) + 1j * rng.normal(size=(1, 5))
-    model = om.realify(X, 1, 1.0)
-    ch = om.generate_channel(1, 1, 1.0, rng)
+    model = om.realify(X, 1)
+    ch = om.generate_channel(1, 1, rng)
     tau = om.thresholds_oracle(model, ch.h)
     prod = X[0] * ch.H[0, 0]
     assert np.allclose(tau, np.concatenate([prod.real, prod.imag]), atol=1e-12)
@@ -60,7 +59,7 @@ def test_thresholds_oracle_single_antenna_complex_arithmetic():
 
 def test_oracle_thresholds_noiseless_all_plus_one():
     model = small_model(seed=5)
-    ch = om.generate_channel(model.M, model.K, 1.0, 5)
+    ch = om.generate_channel(model.M, model.K, 5)
     y = model.apply(ch.h)  # no noise
     out = om.quantize(y, om.thresholds_oracle(model, ch.h))
     assert np.all(out.b == 1)
@@ -68,7 +67,7 @@ def test_oracle_thresholds_noiseless_all_plus_one():
 
 def test_oracle_thresholds_noisy_signs_symmetric():
     model = small_model(M=50, K=2, L=50, seed=6)
-    ch = om.generate_channel(model.M, model.K, 1.0, 6)
+    ch = om.generate_channel(model.M, model.K, 6)
     tau = om.thresholds_oracle(model, ch.h)
     rng = np.random.default_rng(0)
     means = []
@@ -79,24 +78,19 @@ def test_oracle_thresholds_noisy_signs_symmetric():
     assert abs(np.mean(means)) < 4 / np.sqrt(n)
 
 
-def test_thresholds_random_variance_and_degenerate_prior():
+def test_thresholds_random_variance():
     model = small_model(M=100, K=2, L=125, seed=2)  # N = 25000
-    sigma_h2 = 1.7
-    taus = np.concatenate([om.thresholds_random(model, sigma_h2, rng_seed=s)
-                           for s in range(4)])
+    taus = np.concatenate([om.thresholds_random(model, rng_seed=s) for s in range(4)])
     scaled = taus / np.sqrt(np.tile((model.A_tilde ** 2).sum(axis=1), 4 * model.M))
     n = scaled.size
-    target = sigma_h2 / 2.0
+    target = 0.5  # unit complex prior: 1/2 per real part
     assert abs(np.var(scaled) - target) < 4 * target * np.sqrt(2.0 / n)
-    # zero prior variance collapses to the fixed zero threshold
-    assert np.array_equal(om.thresholds_random(model, 0.0, rng_seed=0),
-                          np.zeros(model.N))
 
 
 def test_thresholds_random_deterministic():
     model = small_model()
-    a = om.thresholds_random(model, 1.0, rng_seed=9)
-    b = om.thresholds_random(model, 1.0, rng_seed=9)
+    a = om.thresholds_random(model, rng_seed=9)
+    b = om.thresholds_random(model, rng_seed=9)
     assert np.array_equal(a, b)
 
 

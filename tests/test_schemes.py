@@ -5,9 +5,9 @@ import onebit_mimo as om
 from onebit_mimo import schemes
 
 
-def setup(M, K, L, snr_db, seed, sigma2=1.0):
-    model = om.pilot_model(M, K, L, snr_db, seed, sigma2=sigma2)
-    ch = om.generate_channel(M, K, 1.0, seed + 10_000)
+def setup(M, K, L, snr_db, seed):
+    model = om.pilot_model(M, K, L, snr_db, seed)
+    ch = om.generate_channel(M, K, seed + 10_000)
     return model, ch
 
 
@@ -28,7 +28,7 @@ def test_schemes_deterministic_under_seed(name):
     model, ch = setup(2, 2, 8, 8.0, 1)
     runner = {
         "FQ": lambda s: om.run_fq(model, ch.h, s),
-        "RQ": lambda s: om.run_rq(model, ch.h, 1.0, s),
+        "RQ": lambda s: om.run_rq(model, ch.h, s),
         "OQ": lambda s: om.run_oq(model, ch.h, s),
         "NQ": lambda s: om.run_nq(model, ch.h, s),
     }[name]
@@ -55,18 +55,6 @@ def test_aq_single_round_is_fixed_quantization(monkeypatch):
     assert np.array_equal(aq.h_hat, fq.h_hat)
     assert len(batches) == 1
     assert np.array_equal(batches[0].tau, np.zeros(model.N))
-
-
-def test_rq_zero_prior_variance_reduces_to_fixed_thresholds():
-    model, ch = setup(2, 2, 8, 5.0, 4)
-    rng = np.random.default_rng(9)
-    tau = om.thresholds_random(model, 0.0, rng)
-    assert np.array_equal(tau, np.zeros(model.N))
-    y = om.generate_noisy_observation(model, ch.h, rng)
-    est_rq_path = om.solve_ml(om.LikelihoodProblem([om.quantize(y, tau)], model))
-    est_fq_path = om.solve_ml(om.LikelihoodProblem(
-        [om.quantize(y, om.thresholds_fixed(model.N, 0.0))], model))
-    assert np.array_equal(est_rq_path.h_hat, est_fq_path.h_hat)
 
 
 def test_aq_state_invariants(monkeypatch):
@@ -161,8 +149,8 @@ def test_nq_mse_matches_closed_form_over_trials():
 def test_fq_zero_channel_estimates_near_zero():
     M, K, L = 2, 1, 64
     model, _ = setup(M, K, L, 10.0, 9)
-    h0 = np.zeros(model.dim)
-    per_coeff = om.crb_trace(model, om.thresholds_fixed(model.N, 0.0), h0) / (M * K)
+    h0 = np.zeros(2 * M * K)
+    per_coeff = om.crb_trace(model, om.thresholds_fixed(model.N), h0) / (M * K)
     mses = [om.channel_mse(om.run_fq(model, h0, 300 + t).h_hat, h0)
             for t in range(30)]
     assert np.median(mses) < 4 * per_coeff
@@ -179,7 +167,7 @@ def test_scheme_quality_relations_hold_at_matched_config():
         for t in range(60):
             model, ch = setup(M, K, L, snr, 5000 + t)
             run = {"NQ": om.run_nq, "OQ": om.run_oq, "FQ": om.run_fq}.get(name)
-            est = run(model, ch.h, t) if run else om.run_rq(model, ch.h, 1.0, t)
+            est = run(model, ch.h, t) if run else om.run_rq(model, ch.h, t)
             vals.append(om.channel_mse(est.h_hat, ch.h))
         meds[name] = np.median(vals)
     assert meds["NQ"] <= meds["OQ"] <= meds["RQ"] <= meds["FQ"]
