@@ -3,10 +3,11 @@ achievable-rate metric.
 
 The data phase quantizes with zero thresholds (the comparators have no
 side information about payload symbols) and has unit noise, as in model.
-Detection is exhaustive ML over all 4^K QPSK hypotheses; per channel
-estimate the per-measurement log Phi tables are precomputed once (the
-table for the negated signs is the first one read backwards) and folded
-into a score base + (b > 0) @ delta.T per hypothesis.
+Frames and hypotheses reach the 2M comparators through one real product
+with model.complex_block (_received).  Detection is exhaustive ML over all
+4^K QPSK hypotheses; per channel estimate the log Phi tables are
+precomputed once (the negated-sign table is the first one read backwards)
+and folded into a score base + (b > 0) @ delta.T per hypothesis.
 
 Frames are scored in two passes.  A float32 screen scores every
 hypothesis and keeps, per frame, the blocks of SCREEN_BLOCK hypotheses
@@ -27,11 +28,13 @@ from functools import cache
 import numpy as np
 
 from .gauss import norm_logcdf
+from .model import complex_block
 
 # Fixed constellation order; ties in the likelihood resolve to the first
 # (lexicographically smallest) hypothesis under this indexing.
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 K_MAX = 8  # largest K whose 4^K hypotheses detection searches
+RATE_CAP = 20.0  # bits per user reported for a perfectly correlated detection
 FRAME_CHUNK = 256   # frames per score tile
 HYP_CHUNK = 512     # hypotheses per score tile (256 x 512 float64 = 1 MB)
 SCREEN_BLOCK = 64   # hypotheses per float32 screen block
@@ -53,26 +56,19 @@ def hypothesis_indices(K: int) -> np.ndarray:
     return idx
 
 
-def _loglik_tables(H_hat: np.ndarray, symbol_power: float):
-    """log Phi(+u) and log Phi(-u) for every hypothesis.
+def _received(idx: np.ndarray, H: np.ndarray, symbol_power: float) -> np.ndarray:
+    """[Re, Im] of (QPSK[idx] * sqrt(symbol_power)) @ H.T, as one real product: (F, 2M)."""
+    S = QPSK[idx] * np.sqrt(symbol_power)
+    return np.concatenate([S.real, S.imag], axis=1) @ complex_block(H.T)
 
-    u stacks [Re, Im] of H_hat @ s over the 2M comparators: (4^K, 2M).
-    Negating every symbol maps constellation index d to 3 - d, which sends
-    hypothesis row i to row 4^K - 1 - i and u to -u exactly (IEEE negation
-    is exact), so the second table is the first one reversed.
+
+def _loglik_tables(H_hat: np.ndarray, symbol_power: float):
+    """log Phi(+u) and log Phi(-u) for the (4^K, 2M) inputs u = _received of every hypothesis.
+
+    Negating every symbol maps index d to 3 - d, hypothesis row i to row
+    4^K - 1 - i and u to -u exactly, so the second table is the first one reversed.
     """
-    K = H_hat.shape[1]
-    S = QPSK[hypothesis_indices(K)] * np.sqrt(symbol_power)  # (4^K, K)
-    R = S @ H_hat.T                                          # (4^K, M)
-    U = np.concatenate([R.real, R.imag], axis=1)
-    # A no-op numpy arithmetic pass between the complex product and log_ndtr.
-    # On an AVX-512 Xeon, OpenBLAS's complex product leaves the core in a
-    # state in which scipy's log_ndtr runs about 5x slower; any numpy
-    # arithmetic pass clears it, np.concatenate does not.  Without this line
-    # one K=8, M=16 table took 0.50 s instead of 0.10 s, and the data phase
-    # ran 1.2 instead of 3.4 trials/s.
-    U *= 1.0
-    log_pos = norm_logcdf(U)
+    log_pos = norm_logcdf(_received(hypothesis_indices(H_hat.shape[1]), H_hat, symbol_power))
     return log_pos, log_pos[::-1]
 
 
@@ -253,19 +249,17 @@ def simulate_frames(H: np.ndarray, symbol_power: float, n_frames: int, rng_seed=
     H = np.asarray(H, dtype=complex)
     M, K = H.shape
     idx = rng.integers(0, 4, size=(n_frames, K))
-    S = QPSK[idx] * np.sqrt(symbol_power)
-    noise = rng.standard_normal((n_frames, M)) + 1j * rng.standard_normal((n_frames, M))
-    R = S @ H.T + noise
-    b = np.where(np.concatenate([R.real, R.imag], axis=1) >= 0.0, 1, -1).astype(np.int8)
+    noise = np.hstack(rng.standard_normal((2, n_frames, M)))  # the Re block, then the Im block
+    b = np.where(_received(idx, H, symbol_power) + noise >= 0.0, 1, -1).astype(np.int8)
     return idx, b
 
 
-def achievable_rate(s: np.ndarray, s_hat: np.ndarray, cap: float = 20.0) -> np.ndarray:
+def achievable_rate(s: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
     """Per-user rates log2(1 + |E[s* s_hat]|^2 / (E[|s_hat|^2] - |E[s* s_hat]|^2)), shape (K,).
 
     Expectations are sample means over the T rows of the paired (T, K)
     sequences.  A non-positive denominator means perfect correlation; that
-    user's rate is the configured cap.
+    user's rate is RATE_CAP.
     """
     s = np.asarray(s, dtype=complex)
     s_hat = np.asarray(s_hat, dtype=complex)
@@ -281,4 +275,4 @@ def achievable_rate(s: np.ndarray, s_hat: np.ndarray, cap: float = 20.0) -> np.n
     # means perfect correlation, not an astronomically large SINR
     capped = den <= 1e-12 * power
     safe = np.where(capped, 1.0, den)
-    return np.where(capped, float(cap), np.log2(1.0 + num / safe))
+    return np.where(capped, RATE_CAP, np.log2(1.0 + num / safe))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .crb import crb_nq_trace, crb_trace
-from .detect import K_MAX, QPSK, achievable_rate, detect_frames, simulate_frames
+from .detect import K_MAX, QPSK, RATE_CAP, achievable_rate, detect_frames, simulate_frames
 from .errors import ConfigError
 from .mle import ChannelEstimate
 from .model import (RealModel, channel_mse, generate_channel, generate_pilots_orthogonal,
@@ -87,9 +87,9 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     n_frames: int = 0       # data-phase frames per trial; 0 skips SER/rate
-    rate_cap: float = 20.0
     threads: int = 1
     out_dir: str | None = None
+    rate_cap = RATE_CAP     # not a field: a perfect detection's rate, fixed by detect
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -169,8 +169,6 @@ class ExperimentConfig:
         if self.n_frames > 0 and self.K > K_MAX:
             raise ConfigError(f"K: one-bit detection in the data phase allows "
                               f"K <= {K_MAX} (got K={self.K})")
-        if self.rate_cap <= 0:
-            raise ConfigError("rate_cap: must be positive")
         if self.threads < 1:
             raise ConfigError("threads: must be >= 1")
         return self
@@ -237,8 +235,7 @@ def draw_instance(ss: np.random.SeedSequence, M: int, K: int, L: int, snr_db: fl
 
 
 def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
-              master_seed: int, i_max: int = 5, n_frames: int = 0,
-              rate_cap: float = 20.0) -> TrialResult:
+              master_seed: int, i_max: int = 5, n_frames: int = 0) -> TrialResult:
     """Draw pilots + channel, run one scheme, optionally run the data phase."""
     if scheme not in SCHEMES:  # "REF" seeds reference instances but runs no scheme
         raise ConfigError(f"schemes: unknown scheme {scheme!r}")
@@ -250,7 +247,7 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
     ser = rate = None
     if n_frames > 0:
         ser, rate = data_phase(ch.H, real_to_channel(est.h_hat, M, K),
-                               power_for_snr(snr_db, 1, 1), n_frames, rng, rate_cap)
+                               power_for_snr(snr_db, 1, 1), n_frames, rng)
 
     return TrialResult(
         scheme=scheme, M=M, K=K, L=L, snr_db=snr_db, trial=trial,
@@ -261,7 +258,7 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
 
 
 def data_phase(H: np.ndarray, H_est: np.ndarray, symbol_power: float, n_frames: int,
-               rng_seed=None, rate_cap: float = 20.0) -> tuple[float, float]:
+               rng_seed=None) -> tuple[float, float]:
     """Send frames through the true channel H, detect them with H_est; (SER, rate).
 
     SER is the error share over all frames and users; rate is the per-user
@@ -269,7 +266,7 @@ def data_phase(H: np.ndarray, H_est: np.ndarray, symbol_power: float, n_frames: 
     """
     s_idx, b = simulate_frames(H, symbol_power, n_frames, rng_seed)
     det = detect_frames(H_est, b, symbol_power=symbol_power)
-    rate = achievable_rate(QPSK[s_idx], QPSK[det], cap=rate_cap)
+    rate = achievable_rate(QPSK[s_idx], QPSK[det])
     return float((det != s_idx).mean()), float(rate.mean())
 
 
@@ -286,8 +283,7 @@ def sweep_tasks(cfg: ExperimentConfig) -> list:
                 for trial in range(cfg.trials):
                     tasks.append(dict(
                         scheme=scheme, M=cfg.M, K=cfg.K, L=L, snr_db=snr,
-                        trial=trial, master_seed=cfg.seed, i_max=cfg.i_max,
-                        n_frames=cfg.n_frames, rate_cap=cfg.rate_cap,
+                        trial=trial, master_seed=cfg.seed, i_max=cfg.i_max, n_frames=cfg.n_frames,
                     ))
     return tasks
 

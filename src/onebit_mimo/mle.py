@@ -233,8 +233,9 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
     Concavity means any stationary point is the global maximum, so the
     solver only needs monotone ascent (Armijo backtracking) to be safe.
     An antenna whose data are one-sided in some direction has no finite
-    maximizer; its estimate is clamped at NORM_CAP and the result is
-    flagged converged=False rather than returned silently.
+    maximizer: its iterate runs out along a ray until the decaying gradient
+    passes the GRAD_TOL test (rarely, until it is clamped at NORM_CAP), and
+    the result is flagged converged=False rather than returned silently.
     """
     m = prob.model
     At = m.A_tilde

@@ -2,7 +2,8 @@
 
 The complex training model Y = H X + W is handled throughout in its real
 vectorized form y = A h + w with A = I_M (kron) A_tilde.  ``realify`` builds
-A_tilde from any complex K x L pilot matrix X, whose power is ||X||_F^2.
+A_tilde = complex_block(X)^T from any complex K x L pilot matrix X, whose
+power is ||X||_F^2; detection's data phase uses complex_block's real form too.
 A is never materialized: every product routes through the shared 2L x 2K
 factor A_tilde, one antenna block at a time, which makes each matvec
 O(M*L*K) instead of O(M^2*L*K).  K and L are read from A_tilde's shape.
@@ -104,17 +105,23 @@ def real_to_channel(h: np.ndarray, M: int, K: int) -> np.ndarray:
     return Hm[:, :K] + 1j * Hm[:, K:]
 
 
+def complex_block(X: np.ndarray) -> np.ndarray:
+    """Real form [[Re X, Im X], [-Im X, Re X]] of a complex a x b matrix X: (2a, 2b).
+
+    For complex rows G, [Re G, Im G] @ complex_block(X) = [Re(G X), Im(G X)].
+    """
+    Xr, Xi = np.real(X), np.imag(X)
+    return np.block([[Xr, Xi], [-Xi, Xr]])
+
+
 def realify(X: np.ndarray, M: int) -> RealModel:
     """Real model of M antennas receiving the complex K x L pilot matrix X.
 
-    A_tilde = [[Re X, Im X], [-Im X, Re X]]^T, so that applying A_tilde to
-    an antenna's [Re, Im] channel block reproduces exactly the real and
-    imaginary parts of that antenna's row of H X.
+    A_tilde = complex_block(X)^T, so that applying A_tilde to an antenna's
+    [Re, Im] channel block reproduces exactly the real and imaginary parts
+    of that antenna's row of H X.
     """
-    X = np.asarray(X, dtype=complex)
-    Xr, Xi = X.real, X.imag
-    A_tilde = np.block([[Xr, Xi], [-Xi, Xr]]).T
-    return RealModel(A_tilde=A_tilde, M=M)
+    return RealModel(A_tilde=complex_block(X).T, M=M)
 
 
 def generate_channel(M: int, K: int, rng_seed=None) -> ChannelRealization:

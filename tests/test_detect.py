@@ -197,11 +197,33 @@ def test_tie_break_is_lexicographic_across_tiles():
 def test_negated_table_is_first_table_reversed(K):
     H = _channel(6, K, 20 + K)
     S = QPSK[hypothesis_indices(K)] * np.sqrt(3.0)
-    R = S @ H.T
-    U = np.concatenate([R.real, R.imag], axis=1)
+    # the real form, written out: [Re S, Im S] @ [[Re H^T, Im H^T], [-Im H^T, Re H^T]]
+    Hr, Hi = H.T.real, H.T.imag
+    S_real, H_real = np.hstack([S.real, S.imag]), np.block([[Hr, Hi], [-Hi, Hr]])
+    U = S_real @ H_real
     log_pos, log_neg = detect._loglik_tables(H, 3.0)
     assert np.array_equal(log_pos, norm_logcdf(U))
     assert np.array_equal(log_neg, norm_logcdf(-U))
+    # [Re, Im] of the complex product, to within the rounding of 2K-term sums
+    R = S @ H.T
+    size = np.abs(S_real) @ np.abs(H_real)
+    assert np.all(np.abs(U - np.hstack([R.real, R.imag])) <= 8 * K * 2.0 ** -53 * size)
+
+
+@pytest.mark.parametrize("M, K", [(1, 1), (3, 2), (5, 4), (16, 8)])
+def test_simulated_signs_match_complex_reference(M, K):
+    # the complex model S @ H.T + noise, with the real noise block drawn
+    # before the imaginary one, gives the same symbols and signs
+    H = _channel(M, K, 50 + K)
+    for snr_db in (-5.0, 15.0, 45.0):
+        p = 10 ** (snr_db / 10)
+        idx, b = om.simulate_frames(H, p, 500, rng_seed=M + K)
+        rng = np.random.default_rng(M + K)
+        ref_idx = rng.integers(0, 4, size=(500, K))
+        noise = rng.standard_normal((500, M)) + 1j * rng.standard_normal((500, M))
+        R = QPSK[ref_idx] * np.sqrt(p) @ H.T + noise
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(b, np.where(np.hstack([R.real, R.imag]) >= 0, 1, -1))
 
 
 def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
@@ -297,8 +319,8 @@ def test_rate_independent_symbols_near_zero():
 
 def test_rate_perfect_correlation_capped():
     s = QPSK[np.random.default_rng(10).integers(0, 4, size=(2000, 1))]
-    rate = om.achievable_rate(s, s.copy(), cap=20.0)
-    assert rate == 20.0
+    rate = om.achievable_rate(s, s.copy())
+    assert rate == detect.RATE_CAP == 20.0
 
 
 def test_rate_phase_invariance():

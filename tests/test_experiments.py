@@ -303,9 +303,9 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("L", "abc"), ("M", "x"), ("rate_cap", "1"), ("threads", 2.5), ("L", [[1]]),
+    ("L", "abc"), ("M", "x"), ("K", 2.5), ("threads", 2.5), ("L", [[1]]),
     ("schemes", 5), ("snr_db", "abc"), ("i_max", None), ("n_frames", 1.5), ("seed", 1.5),
-    ("snr_db", float("inf")), ("rate_cap", float("nan")), ("rate_cap", -3.0), ("rate_cap", 0.0),
+    ("snr_db", float("inf")), ("trials", "3"), ("M", True), ("i_max", 2.0),
     ("snr_db", [-4000.0]), ("snr_db", [4000.0]),
 ])
 def test_cli_wrong_typed_config_value_exits_2(tmp_path, capsys, field, value):
@@ -380,9 +380,10 @@ def test_cli_crb_draws_each_reference_instance_once(tmp_path, monkeypatch):
 
 def test_cli_rejects_timing(tmp_path, capsys):
     out = tmp_path / "out"
-    # deleted fields; the sweep fixes noise and channel prior variance at 1
+    # deleted fields; the sweep fixes noise and channel prior variance at 1,
+    # and detect fixes a perfect detection's rate
     for field, value in (("timing", True), ("pilot_method", "qr"), ("sigma2", 1.0),
-                         ("sigma_h2", 1.0)):
+                         ("sigma_h2", 1.0), ("rate_cap", 20.0)):
         cfg_path = write_yaml(tmp_path, {"M": 2, "K": 2, "L": [4], "snr_db": [5.0],
                                          "schemes": ["NQ"], "trials": 1, "seed": 1, field: value})
         assert cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 2

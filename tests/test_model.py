@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import onebit_mimo as om
-from onebit_mimo.model import block_gram
+from onebit_mimo.model import block_gram, complex_block
 
 
 def random_system(M, K, L, seed, snr_db=10.0):
@@ -37,6 +37,20 @@ def test_realify_matches_explicit_kronecker_and_complex_product():
     Y = ch.H @ X
     y_from_complex = np.hstack([Y.real, Y.imag]).reshape(-1)
     assert np.allclose(y_from_complex, model.apply(ch.h), atol=1e-12)
+
+
+@pytest.mark.parametrize("K, L", [(1, 1), (2, 5), (8, 32)])
+def test_complex_block_is_realify_operator(K, L):
+    rng = np.random.default_rng(K * L)
+    X = rng.normal(size=(K, L)) + 1j * rng.normal(size=(K, L))
+    B = complex_block(X)
+    assert np.array_equal(B.T, om.realify(X, 3).A_tilde)
+    # entry by entry: [[Re X, Im X], [-Im X, Re X]]
+    for i in range(K):
+        for j in range(L):
+            x = X[i, j]
+            assert [B[i, j], B[i, L + j], B[K + i, j], B[K + i, L + j]] == [
+                x.real, x.imag, -x.imag, x.real]
 
 
 @given(st.integers(0, 2**32 - 1))
