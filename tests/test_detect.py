@@ -68,8 +68,8 @@ def _channel(M, K, seed):
 
 def _full_matrix_decisions(H, b, symbol_power):
     """Reference: the whole frames-by-hypotheses score array and one argmax."""
-    log_pos, log_neg = detect._loglik_tables(H, symbol_power)
-    scores = log_neg.sum(axis=1) + (b > 0).astype(float) @ (log_pos - log_neg).T
+    base, delta = detect._score_terms(H, symbol_power)
+    scores = base + (b > 0).astype(float) @ delta.T
     return hypothesis_indices(H.shape[1])[np.argmax(scores, axis=1)]
 
 
@@ -96,8 +96,8 @@ def test_tiled_scorer_matches_full_matrix(M, K, n_frames, snr_db, zero_user):
         H[:, 0] = 0.0
     p = 10 ** (snr_db / 10)
     _, b = om.simulate_frames(H, p, n_frames, rng_seed=13)
-    log_pos, log_neg = detect._loglik_tables(H, p)
-    ours = detect._score_frames(log_neg.sum(axis=1), log_pos - log_neg, b, hypothesis_indices(K))
+    base, delta = detect._score_terms(H, p)
+    ours = detect._score_frames(base, delta, b, hypothesis_indices(K))
     assert np.array_equal(ours, _full_matrix_decisions(H, b, p))
 
 
@@ -166,8 +166,7 @@ def test_screen_bound_covers_float32_rounding(M, K, snr_db):
     rng = np.random.default_rng(30 + K)
     for _ in range(3):
         H = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
-        log_pos, log_neg = detect._loglik_tables(H, 10 ** (snr_db / 10))
-        base, delta = log_neg.sum(axis=1), log_pos - log_neg
+        base, delta = detect._score_terms(H, 10 ** (snr_db / 10))
         table, err = detect._screen_table(base, delta)
         pos = rng.random((40, 2 * M)) < 0.5
         signs = np.ones((2 * M + 1, 40), dtype=np.float32)
@@ -195,19 +194,31 @@ def test_tie_break_is_lexicographic_across_tiles():
 
 @pytest.mark.parametrize("K", range(1, 9))
 def test_negated_table_is_first_table_reversed(K):
-    H = _channel(6, K, 20 + K)
-    S = QPSK[hypothesis_indices(K)] * np.sqrt(3.0)
-    # the real form, written out: [Re S, Im S] @ [[Re H^T, Im H^T], [-Im H^T, Re H^T]]
-    Hr, Hi = H.T.real, H.T.imag
-    S_real, H_real = np.hstack([S.real, S.imag]), np.block([[Hr, Hi], [-Hi, Hr]])
-    U = S_real @ H_real
-    log_pos, log_neg = detect._loglik_tables(H, 3.0)
-    assert np.array_equal(log_pos, norm_logcdf(U))
-    assert np.array_equal(log_neg, norm_logcdf(-U))
-    # [Re, Im] of the complex product, to within the rounding of 2K-term sums
-    R = S @ H.T
-    size = np.abs(S_real) @ np.abs(H_real)
-    assert np.all(np.abs(U - np.hstack([R.real, R.imag])) <= 8 * K * 2.0 ** -53 * size)
+    # the slow way: the comparator inputs U of all 4^K hypotheses, summed over
+    # the users in order from written-out per-user [Re, Im] products
+    for M in (1, 5, 16):
+        H = _channel(M, K, 20 + K)
+        sr, si = (QPSK.real * np.sqrt(3.0))[:, None], (QPSK.imag * np.sqrt(3.0))[:, None]
+        for k in range(K):
+            hr, hi = H[:, k].real, H[:, k].imag
+            c = np.hstack([sr * hr - si * hi, sr * hi + si * hr])
+            U = (U[:, None] + c[None]).reshape(-1, 2 * M) if k else c
+        # negating every symbol (d -> 3 - d) reverses the rows and negates U;
+        # multiplying them by j (d -> ROT[d]) maps [Re, Im] to [-Im, Re]
+        assert np.array_equal(U[::-1], -U)
+        idx = hypothesis_indices(K)
+        rotated = (detect.ROT[idx] * 4 ** np.arange(K - 1, -1, -1)).sum(axis=1)
+        assert np.array_equal(U[rotated], np.hstack([-U[:, M:], U[:, :M]]))
+        log_pos, log_neg = norm_logcdf(U), norm_logcdf(-U)
+        base, delta = detect._score_terms(H, 3.0)
+        assert np.array_equal(base, log_neg[:, :M].sum(axis=1) + log_neg[:, M:].sum(axis=1))
+        assert np.array_equal(delta, log_pos - log_neg)
+        # [Re, Im] of the complex product, to within the rounding of 2K-term sums
+        S = QPSK[idx] * np.sqrt(3.0)
+        R = S @ H.T
+        Hr, Hi = H.T.real, H.T.imag
+        size = np.abs(np.hstack([S.real, S.imag])) @ np.abs(np.block([[Hr, Hi], [-Hi, Hr]]))
+        assert np.all(np.abs(U - np.hstack([R.real, R.imag])) <= 8 * K * 2.0 ** -53 * size)
 
 
 @pytest.mark.parametrize("M, K", [(1, 1), (3, 2), (5, 4), (16, 8)])
@@ -242,9 +253,10 @@ def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [(4 ** 8, 32)]
-    # less than one FRAME_CHUNK x 4^K float64 score block
-    assert peak < detect.FRAME_CHUNK * 4 ** 8 * 8
+    # log Phi(+U) and log Phi(-U) on the d_0 = 0 quarter: 4^K M evaluations
+    assert calls == [(4 ** 7, 32)] * 2
+    # 2.25 times the (4^K, 2M) float64 delta table
+    assert peak < 2.25 * 4 ** 8 * 32 * 8
 
 
 @pytest.mark.parametrize("H_bad, symbol_power, name", [
