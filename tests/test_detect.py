@@ -101,23 +101,52 @@ def test_tiled_scorer_matches_full_matrix(M, K, n_frames, snr_db, zero_user):
     assert np.array_equal(ours, _full_matrix_decisions(H, b, p))
 
 
-def _two_hypotheses(a, b, delta_a=0.0, delta_b=0.0):
-    """Table over 4^7 hypotheses (enough for the screen) where only 3 and
-    700, in different screen blocks, can win: score base + delta[:, 0] on
-    all-positive frames."""
-    assert 4 ** 7 >= detect.SCREEN_MIN_HYP
-    base = np.full(4 ** 7, -50.0)
-    delta = np.zeros((4 ** 7, 2))
-    base[3], base[700] = a, b
-    delta[3, 0], delta[700, 0] = delta_a, delta_b
-    assert 3 // detect.SCREEN_BLOCK != 700 // detect.SCREEN_BLOCK
+def _expand_quarter(D, neg_re, neg_im):
+    """(base, delta) of all 4^K hypotheses from the d_0 = 0 quarter's
+    D = log Phi(u) - log Phi(-u) (4^(K-1), 2M) and its sums of log Phi(-u)
+    over the Re and the Im half, laid out as _score_terms lays them out.
+
+    t ROT steps take hypothesis h's digits into the quarter, so its inputs
+    are j^-t times that row's: [R, I], [I, -R], [-R, -I], [-I, R] for
+    t = 0, 1, 2, 3.
+    """
+    M = D.shape[1] // 2
+    K = int(round(np.log(D.shape[0]) / np.log(4))) + 1
+    pos_re, pos_im = neg_re + D[:, :M].sum(axis=1), neg_im + D[:, M:].sum(axis=1)
+    digits = hypothesis_indices(K).astype(np.intp)
+    turns = np.zeros(len(digits), dtype=np.intp)
+    for _ in range(3):
+        off = digits[:, 0] != 0
+        digits[off] = detect.ROT[digits[off]]
+        turns += off
+    r = digits[:, 1:] @ 4 ** np.arange(K - 2, -1, -1)
+    re, im = D[r, :M], D[r, M:]
+    delta = np.choose(turns[:, None], [np.hstack([re, im]), np.hstack([im, -re]),
+                                       np.hstack([-re, -im]), np.hstack([-im, re])])
+    base = np.choose(turns, [neg_re[r] + neg_im[r], neg_im[r] + pos_re[r],
+                             pos_re[r] + pos_im[r], pos_im[r] + neg_re[r]])
     return base, delta
 
 
+def _two_rows(a, b, d_a=0.0, d_b=0.0):
+    """Symmetric table over 4^7 hypotheses (enough for the screen), M = 1,
+    where only quarter rows 3 and 700, in different screen blocks, and their
+    images under j and negation can win: their sums of log Phi(-u) are a and
+    b, their D = [d_a, 0] and [d_b, 0]; every other row has -50 and D = 0."""
+    assert 4 ** 7 >= detect.SCREEN_MIN_HYP
+    n = 4 ** 6
+    D = np.zeros((n, 2))
+    neg_re = np.full(n, -50.0)
+    neg_re[3], neg_re[700] = a, b
+    D[3, 0], D[700, 0] = d_a, d_b
+    assert 3 // detect.SCREEN_BLOCK != 700 // detect.SCREEN_BLOCK
+    return _expand_quarter(D, neg_re, np.zeros(n))
+
+
 def test_float32_tie_goes_to_the_float64_winner():
-    # 3 and 700 score the same in float32; only the float64 confirm pass
-    # sees that 700 is higher
-    base, delta = _two_hypotheses(-1.0, -1.0 + 1e-12)
+    # 3 and 700 score the same in float32, as do their images; only the
+    # float64 confirm pass sees that 700 is higher
+    base, delta = _two_rows(-1.0, -1.0 + 1e-12)
     assert np.float32(base[3]) == np.float32(base[700])
     hyp = hypothesis_indices(7)
     out = detect._score_frames(base, delta, np.ones((5, 2)), hyp)
@@ -125,14 +154,19 @@ def test_float32_tie_goes_to_the_float64_winner():
 
 
 def test_float32_reversal_goes_to_the_float64_winner():
-    # two nonzero terms per score, so one float32 rounding in any order:
-    # 3 scores 1 + 0.49e in float64 and 1 in float32, 700 scores 1 + 0.21e
-    # and 1 + e (e = 2^-23); the screen ranks 700 first, the bound keeps 3
+    # on all-positive frames a quarter row scores m + D_Re / 2 in float64,
+    # and in float32 fl(fl(m) + D_Re / 2), rounded once more if negated.
+    # With e = 2^-23, 3 has m = 1 + 0.49e and D_Re = 0.8e: 1 + 0.89e in
+    # float64 and 1 in float32.  700 has m = 1 + 0.51e and D_Re = -0.6e: at
+    # most 1 + 0.81e in float64 and 1 + e in float32 in every orientation.
+    # The screen ranks 700 first, the bound keeps 3
     e = 2.0 ** -23
-    base, delta = _two_hypotheses(1.0, 1.0 + 0.51 * e, 0.49 * e, -0.3 * e)
-    s32 = (base.astype(np.float32) + delta[:, 0].astype(np.float32))[[3, 700]]
-    s64 = (base + delta[:, 0])[[3, 700]]
-    assert s32[0] < s32[1] and s64[0] > s64[1]
+    base, delta = _two_rows(1.0 + 0.09 * e, 1.0 + 0.81 * e, 0.8 * e, -0.6 * e)
+    table = detect._screen_table(base, delta)[0]
+    s32 = table[[3, 700]] @ np.ones(3, dtype=np.float32)
+    s64 = base + delta.sum(axis=1)
+    assert s32[0] < s32[1] and s64[3] > s64[700]
+    assert np.argmax(s64) == 3
     hyp = hypothesis_indices(7)
     out = detect._score_frames(base, delta, np.ones((5, 2)), hyp)
     assert np.array_equal(out, np.repeat(hyp[[3]], 5, axis=0))
@@ -159,21 +193,42 @@ def test_confirm_products_have_full_tile_shapes(monkeypatch):
     assert all(c % detect.HYP_CHUNK == 0 for _, c in seen)
 
 
-@pytest.mark.parametrize("M, K, snr_db", [(1, 5, -5.0), (3, 6, 15.0), (8, 7, 45.0)])
-def test_screen_bound_covers_float32_rounding(M, K, snr_db):
-    # random channels and random sign patterns: in every block the float32
-    # score is within err_k / 2 of the float64 score the confirm pass uses
-    rng = np.random.default_rng(30 + K)
+@pytest.mark.parametrize("M, K, snr_db, zero_user", [
+    pytest.param(1, 7, -5.0, False, id="1-7--5.0"),
+    pytest.param(3, 7, 15.0, False, id="3-7-15.0"),
+    pytest.param(8, 7, 45.0, False, id="8-7-45.0"),
+    pytest.param(5, 8, 45.0, False, id="5-8-45.0"),
+    pytest.param(2, 7, 60.0, False, id="2-7-60.0"),
+    pytest.param(4, 7, 15.0, True, id="4-7-15.0-zero"),
+])
+def test_screen_bound_covers_float32_rounding(M, K, snr_db, zero_user):
+    # random channels and random sign patterns: every hypothesis' float32
+    # screen score, rebuilt from the quarter table in its orientation, is
+    # within err_k / 2 of the float64 score the confirm pass uses, in every
+    # block k
+    rng = np.random.default_rng(30 + K + M)
+    n, F = 4 ** (K - 1), 40
+    idx = hypothesis_indices(K)
+    # quarter row of each d_0 = 1 hypothesis: its digits turned by ROT
+    turned = detect.ROT[idx[n:2 * n, 1:]] @ 4 ** np.arange(K - 2, -1, -1)
     for _ in range(3):
         H = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
+        if zero_user:
+            H[:, 0] = 0.0
         base, delta = detect._score_terms(H, 10 ** (snr_db / 10))
-        table, err = detect._screen_table(base, delta)
-        pos = rng.random((40, 2 * M)) < 0.5
-        signs = np.ones((2 * M + 1, 40), dtype=np.float32)
-        signs[:-1] = pos.T
-        s32 = (table @ signs).astype(float)
+        # the test helper lays a quarter out as _score_terms does
+        assert np.array_equal(_expand_quarter(delta[:n], base[:n], np.zeros(n))[1], delta)
+        table, order, err = detect._screen_table(base, delta)
+        pos = rng.random((F, 2 * M)) < 0.5
+        b = 2.0 * pos - 1.0
+        signs = np.ones((2 * M + 1, 2 * F), dtype=np.float32)
+        signs[:-1, :F] = b.T
+        signs[:-1, F:] = np.hstack([-b[:, M:], b[:, :M]]).T  # b' = [-b_Im, b_Re]
+        P = table @ signs
+        Q = 2 * table[:, -1:] - P
+        s32 = np.concatenate([P[:, :F], P[turned, F:], Q[turned[::-1], F:], Q[::-1, :F]])
         s64 = (pos.astype(float) @ delta.T + base).T
-        gap = np.abs(s32 - s64).reshape(-1, detect.SCREEN_BLOCK, 40).max(axis=(1, 2))
+        gap = np.abs(s32.astype(float) - s64).reshape(-1, detect.SCREEN_BLOCK, F).max(axis=(1, 2))
         assert gap.max() > 0
         assert (gap <= err / 2).all()
 
@@ -244,7 +299,16 @@ def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
         calls.append(np.shape(t))
         return norm_logcdf(t)
 
+    tables = []
+    screen_table = detect._screen_table
+
+    def spy(base, delta):
+        out = screen_table(base, delta)
+        tables.append(out[0].shape)
+        return out
+
     monkeypatch.setattr(detect, "norm_logcdf", counting)
+    monkeypatch.setattr(detect, "_screen_table", spy)
     H = _channel(16, 8, 17)
     _, b = om.simulate_frames(H, 10.0, 600, rng_seed=18)
     tracemalloc.start()
@@ -255,8 +319,10 @@ def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
         tracemalloc.stop()
     # log Phi(+U) and log Phi(-U) on the d_0 = 0 quarter: 4^K M evaluations
     assert calls == [(4 ** 7, 32)] * 2
-    # 2.25 times the (4^K, 2M) float64 delta table
-    assert peak < 2.25 * 4 ** 8 * 32 * 8
+    # the float32 screen table [D / 2 | m] covers the same quarter
+    assert tables == [(4 ** 7, 33)]
+    # 1.75 times the (4^K, 2M) float64 delta table
+    assert peak < 1.75 * 4 ** 8 * 32 * 8
 
 
 @pytest.mark.parametrize("H_bad, symbol_power, name", [
@@ -373,3 +439,25 @@ def test_ser_level_full_scale_random_thresholds():
         sers.append(ser)
     level = np.mean(sers)
     assert 10 ** -3.5 <= level <= 10 ** -2.5
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("K", [7, 8])
+def test_screened_decisions_match_full_matrix_audit(K):
+    # K=7 and 8 run the float32 screen.  In each cell a channel is estimated
+    # with added error, or user 0 is unseen in both, and every screened
+    # decision equals one argmax over the whole score array, built for 64
+    # frames at a time
+    rng = np.random.default_rng(70 + K)
+    for M in (2, 5, 16):
+        for snr_db in (-5.0, 15.0, 45.0):
+            for zero_user in (False, True):
+                H = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
+                H_hat = H + 0.3 * (rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K)))
+                if zero_user:
+                    H[:, 0] = H_hat[:, 0] = 0.0
+                p = 10 ** (snr_db / 10)
+                _, b = om.simulate_frames(H, p, 300, rng_seed=int(rng.integers(2 ** 31)))
+                ours = om.detect_frames(H_hat, b, symbol_power=p)
+                for grp in detect._even_slices(b.shape[0], 64):
+                    assert np.array_equal(ours[grp], _full_matrix_decisions(H_hat, b[grp], p))
