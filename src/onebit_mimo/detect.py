@@ -8,10 +8,12 @@ model.complex_block.  Detection is exhaustive ML over all 4^K QPSK
 hypotheses, scored as base + (b > 0) @ delta.T.  Per channel estimate,
 _score_terms sums each hypothesis' comparator inputs user by user from
 written-out per-user [Re, Im] products, so multiplying every symbol by j,
-or negating them, maps the inputs onto another hypothesis' exactly.  log
-Phi is then evaluated only on the quarter of hypotheses whose first symbol
-is index 0, at 4^K M points instead of 4^K 2M, and the other three quarters
-of base and delta are read from it.
+or negating them, maps the inputs onto another hypothesis' exactly.  So
+only the quarter of hypotheses whose first symbol is index 0 is kept: the
+float64 D = log Phi(u) - log Phi(-u) (4^(K-1) x 2M) and base (4^K).  It is
+built in cache-sized row blocks, and gauss.norm_logcdf_pair gives log
+Phi(u) and log Phi(-u) from one erfcx per input, at 4^(K-1) 2M points.  No
+4^K x 2M table is built: _delta_rows reads any hypothesis' delta row from D.
 
 Frames are scored in two passes.  A float32 screen scores every
 hypothesis from a table over the same quarter: in the signs b = +-1 a
@@ -20,21 +22,21 @@ under j and negation, so one product against each frame's signs and their
 j-rotation scores two quarters, and 2m minus those scores the other two.
 It keeps, per frame, the blocks of SCREEN_BLOCK hypotheses whose float32
 maximum lies within a rigorous rounding bound of the best; the confirm
-pass rescores only those contender blocks with the float64 matrix product,
-in groups of frames, and takes the first maximum.  Every hypothesis that
-could win is scored in float64 exactly as a full FRAME_CHUNK x HYP_CHUNK
-tile scores it, so decisions are those of one argmax over the full score
-array, which is never built.  Ties go to the lexicographically first
-hypothesis only where those float64 scores are exactly equal.  At high SNR,
-or at M <= 5, many hypotheses score within a few u sum|terms| of each other
-(u = 2^-53); there the winner follows the summation order of the confirm
-pass's dgemm, which OpenBLAS picks per CPU, so it can differ between
-machines.  Below SCREEN_MIN_HYP hypotheses (K < 7), or when the bound is
-not finite, every block is a contender and the screen is skipped.  At M=16,
-K=8 and 1,500 frames on one core the screen takes 67-73 ms instead of
-93-103 ms over all 4^K hypotheses, a detection call 127-140 ms instead of
-165-173 ms, and the benchmark's data_phase peaks at 92.6 MB RSS instead of
-100.7 MB (BENCH_20.json).
+pass reads those contender blocks' rows from D once per group of frames,
+rescores them with the float64 matrix product, and takes the first
+maximum.  Every hypothesis that could win is scored in float64 exactly as a
+full FRAME_CHUNK x HYP_CHUNK tile scores it, so decisions are those of one
+argmax over the full score array, which is never built.  Ties go to the
+lexicographically first hypothesis only where those float64 scores are
+exactly equal.  At high SNR, or at M <= 5, many hypotheses score within a
+few u sum|terms| of each other (u = 2^-53); there the winner follows the
+summation order of the confirm pass's dgemm, which OpenBLAS picks per CPU,
+so it can differ between machines.  Below SCREEN_MIN_HYP hypotheses
+(K < 7), or when the bound is not finite, every block is a contender and
+the screen is skipped.  At M=16, K=8 and 1,500 frames on one core the
+score terms take 23-26 ms instead of 43-50 ms, a detection call 118-145 ms
+instead of 131-153 ms, and the benchmark's data_phase peaks at 78.5 MB RSS
+instead of 92.6 MB (BENCH_21.json).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from functools import cache
 
 import numpy as np
 
-from .gauss import norm_logcdf
+from .gauss import norm_logcdf_pair
 from .model import complex_block
 
 # Fixed constellation order; exact ties in the computed float64 scores
@@ -55,6 +57,7 @@ K_MAX = 8  # largest K whose 4^K hypotheses detection searches
 RATE_CAP = 20.0  # bits per user reported for a perfectly correlated detection
 FRAME_CHUNK = 256   # frames per score tile
 HYP_CHUNK = 512     # hypotheses per score tile (256 x 512 float64 = 1 MB)
+TERMS_BLOCK = 2 ** 18  # bytes of comparator inputs per log-Phi block
 SCREEN_BLOCK = 64   # hypotheses per float32 screen block
 # Fewest hypotheses the screen runs for.  Below it a 32-frame group's
 # contenders cover most blocks and the screen costs more than it saves (at
@@ -74,54 +77,92 @@ def hypothesis_indices(K: int) -> np.ndarray:
     return idx
 
 
+@cache
 def _rot_rows(n: int) -> np.ndarray:
     """For n = 4^k: the row of ROT[d] (every digit mapped) among the k-digit
     index tuples in lexicographic order, for each such tuple d."""
     rows = np.zeros(1, dtype=np.intp)
     while rows.size < n:
         rows = (4 * rows[:, None] + ROT).reshape(-1)
+    rows.setflags(write=False)
     return rows
 
 
 def _score_terms(H_hat: np.ndarray, symbol_power: float):
-    """Score terms of every hypothesis: base (4^K,), the sum of log Phi(-u),
-    and delta (4^K, 2M) = log Phi(u) - log Phi(-u), for the comparator inputs u.
+    """Score terms: base (4^K,), the sum of log Phi(-u) of every hypothesis,
+    and D (4^(K-1), 2M) = log Phi(u) - log Phi(-u) of the d_0 = 0 quarter,
+    for the comparator inputs u.
 
     u is summed over the users in order from c_k[d] = [Re, Im] of
     QPSK[d] sqrt(symbol_power) h_k, each entry a written-out two-term real
     sum.  Addition commutes and negation is exact, so multiplying every
     symbol by j (d -> ROT[d]) maps u = [R, I] to [-I, R] and negating them
-    (d -> 3 - d) maps u to -u, bit for bit.  So log Phi is evaluated on the
-    d_0 = 0 quarter U only, at +U and -U.  The d_0 = 1 block is U rotated by
-    -j, read through a digit-wise ROT row map; the d_0 = 2 and 3 blocks are
-    the d_0 = 1 and 0 blocks negated, whose rows run backwards.  base sums
-    the Re and the Im half of each row apart.
+    (d -> 3 - d) maps u to -u, bit for bit; _delta_rows reads the other
+    three quarters' rows of delta from D.  The quarter is built in blocks of
+    4^t rows, about TERMS_BLOCK bytes each: one prefix row of the leading
+    users' sums, with the t tail users added in the same order, so every
+    input keeps its bits.  Per block, norm_logcdf_pair gives log Phi(+-u)
+    from one erfcx per input.  base sums the Re and the Im half of each
+    row apart: the d_0 = 1 block is the quarter rotated by -j, read through
+    a digit-wise ROT row map, and the d_0 = 2 and 3 blocks are the d_0 = 1
+    and 0 blocks negated, whose rows run backwards.
     """
     M, K = H_hat.shape
     hr, hi = H_hat.real.T, H_hat.imag.T
     amp = np.sqrt(symbol_power)
     sr, si = QPSK.real[:, None] * amp, QPSK.imag[:, None] * amp
     c = [np.hstack([sr * hr[k] - si * hi[k], sr * hi[k] + si * hr[k]]) for k in range(K)]
-    U = c[0][:1]
-    for k in range(1, K):
-        U = (U[:, None] + c[k][None]).reshape(-1, 2 * M)
-    rows = _rot_rows(U.shape[0])  # quarter row of each d_0 = 1 hypothesis
-    log_pos = norm_logcdf(U)
-    log_neg = norm_logcdf(np.negative(U, out=U))
-    del U
-    pos_re, pos_im = log_pos[:, :M].sum(axis=1), log_pos[:, M:].sum(axis=1)
-    neg_re, neg_im = log_neg[:, :M].sum(axis=1), log_neg[:, M:].sum(axis=1)
-    delta = np.empty((4, *log_pos.shape))
-    D = np.subtract(log_pos, log_neg, out=delta[0])
-    del log_pos, log_neg
-    G = D[rows]
-    delta[1, :, :M] = G[:, M:]
-    np.negative(G[:, :M], out=delta[1, :, M:])
-    np.negative(delta[1, ::-1], out=delta[2])
-    np.negative(D[::-1], out=delta[3])
+    tail = 0
+    while tail < K - 1 and 4 ** (tail + 1) * 2 * M * 8 <= TERMS_BLOCK:
+        tail += 1
+    prefix = c[0][:1]
+    for k in range(1, K - tail):
+        prefix = (prefix[:, None] + c[k][None]).reshape(-1, 2 * M)
+    n, size = 4 ** (K - 1), 4 ** tail
+    D = np.empty((n, 2 * M))
+    pos_re, pos_im, neg_re, neg_im = np.empty((4, n))
+    for i, row in enumerate(prefix):
+        U = row[None]
+        for k in range(K - tail, K):
+            U = (U[:, None] + c[k][None]).reshape(-1, 2 * M)
+        log_pos, log_neg = norm_logcdf_pair(U)
+        blk = slice(i * size, (i + 1) * size)
+        np.subtract(log_pos, log_neg, out=D[blk])
+        pos_re[blk], pos_im[blk] = log_pos[:, :M].sum(axis=1), log_pos[:, M:].sum(axis=1)
+        neg_re[blk], neg_im[blk] = log_neg[:, :M].sum(axis=1), log_neg[:, M:].sum(axis=1)
+    rows = _rot_rows(n)  # quarter row of each d_0 = 1 hypothesis
     base = np.concatenate([neg_re + neg_im, (neg_im + pos_re)[rows],
                            (pos_im + neg_re)[rows][::-1], (pos_re + pos_im)[::-1]])
-    return base, delta.reshape(-1, 2 * M)
+    return base, D
+
+
+def _delta_rows(D: np.ndarray, hyps: np.ndarray) -> np.ndarray:
+    """Rows delta_h = log Phi(u_h) - log Phi(-u_h) of the ascending
+    hypothesis indices hyps, read from the d_0 = 0 quarter D.
+
+    With [R, I] a row of D: q0 is D itself, q1 is [I, -R] of the ROT row,
+    q2 and q3 are q1 and q0 negated with their rows reversed.  Copies and
+    negations only, so every row is bit for bit the one the quarter's
+    hypothesis has.
+    """
+    n, two_m = D.shape
+    M = two_m // 2
+    rows = _rot_rows(n)
+    e1, e2, e3 = np.searchsorted(hyps, (n, 2 * n, 3 * n))
+    src = hyps % n  # the quarter row each hypothesis reads
+    src[e1:e2] = rows[src[e1:e2]]
+    src[e2:e3] = rows[n - 1 - src[e2:e3]]
+    np.subtract(n - 1, src[e3:], out=src[e3:])
+    out = np.take(D, src, axis=0)
+    q1, q2, q3 = out[e1:e2], out[e2:e3], out[e3:]
+    re = q1[:, :M].copy()
+    q1[:, :M] = q1[:, M:]
+    np.negative(re, out=q1[:, M:])
+    re = q2[:, :M].copy()
+    np.negative(q2[:, M:], out=q2[:, :M])
+    q2[:, M:] = re
+    np.negative(q3, out=q3)
+    return out
 
 
 def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray,
@@ -146,8 +187,8 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray,
     if b_frames.shape[1] != 2 * M:
         raise ValueError(f"frames must have 2M={2 * M} sign entries")
 
-    base, delta = _score_terms(H_hat, symbol_power)
-    return _score_frames(base, delta, b_frames, hypothesis_indices(K))
+    base, D = _score_terms(H_hat, symbol_power)
+    return _score_frames(base, D, b_frames, hypothesis_indices(K))
 
 
 def _even_slices(n: int, most: int) -> list:
@@ -157,10 +198,10 @@ def _even_slices(n: int, most: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _score_frames(base: np.ndarray, delta: np.ndarray, b_frames: np.ndarray,
+def _score_frames(base: np.ndarray, D: np.ndarray, b_frames: np.ndarray,
                   hyp: np.ndarray) -> np.ndarray:
     """Best hypothesis per frame by score base + (b > 0) @ delta.T, for
-    _score_terms' tables.
+    _score_terms' base and quarter D, from which _delta_rows reads delta.
 
     Pass 1 (the screen) scores every hypothesis in float32 from a table
     over the d_0 = 0 quarter (_screen_table): one sgemm gives each quarter
@@ -183,35 +224,32 @@ def _score_frames(base: np.ndarray, delta: np.ndarray, b_frames: np.ndarray,
     about 1,200 rows x columns, takes another kernel and can differ in the
     last bit (3 x 256 and 17 x 64 do; 3 x 512 and 19 x 64 do not).
     """
-    n_hyp = delta.shape[0]
     pos_all = b_frames > 0
-    best = np.empty(b_frames.shape[0], dtype=np.intp)
     # one score buffer per call: a fresh 1 MB array per tile costs page
     # faults that doubled the time at K=5
     out = np.empty(FRAME_CHUNK * HYP_CHUNK)
     err = None
-    if n_hyp >= SCREEN_MIN_HYP:  # a quarter of 4^K is a whole number of HYP_CHUNK tiles
-        table, order, err = _screen_table(base, delta)
-        out32 = np.empty(HYP_CHUNK * 2 * FRAME_CHUNK, dtype=np.float32)
+    if base.size >= SCREEN_MIN_HYP:
+        table, order, err = _screen_table(base, D)
+    if err is None:
+        return hyp[_first_best(pos_all, base, D, None, out)]
+    best = np.empty(b_frames.shape[0], dtype=np.intp)
+    out32 = np.empty(HYP_CHUNK * 2 * FRAME_CHUNK, dtype=np.float32)
     per_tile = HYP_CHUNK // SCREEN_BLOCK
     block_cols = np.arange(SCREEN_BLOCK)
     for lo in range(0, b_frames.shape[0], FRAME_CHUNK):
         pos = pos_all[lo:lo + FRAME_CHUNK]
-        if err is None:
-            best[lo:lo + pos.shape[0]] = _first_best(pos.astype(float), base, delta, None, out)
-            continue
         contender = _contenders(table, order, err, pos, out32)
         for grp in _even_slices(pos.shape[0], CONFIRM_FRAMES):
             keep = contender[:, grp].any(axis=1)
             pad = -np.count_nonzero(keep) % per_tile
             keep[np.flatnonzero(~keep)[:pad]] = True
             cols = (np.flatnonzero(keep)[:, None] * SCREEN_BLOCK + block_cols).ravel()
-            best[lo + grp.start:lo + grp.stop] = _first_best(
-                pos[grp].astype(float), base, delta, cols, out)
+            best[lo + grp.start:lo + grp.stop] = _first_best(pos[grp], base, D, cols, out)
     return hyp[best]
 
 
-def _screen_table(base: np.ndarray, delta: np.ndarray):
+def _screen_table(base: np.ndarray, D: np.ndarray):
     """Float32 screen table [D/2 | m] over the d_0 = 0 quarter, the quarter
     block each SCREEN_BLOCK of hypotheses reads, and per-block error bounds:
     (table, order, err).
@@ -249,14 +287,13 @@ def _screen_table(base: np.ndarray, delta: np.ndarray):
     when mag is not finite or float32 could overflow; then every block is
     a contender.
     """
-    n_hyp, n_cols = delta.shape
-    n = n_hyp // 4
+    n, n_cols = D.shape
     m = 0.5 * (base[:n] + base[::-1][:n])
     table = np.empty((n, n_cols + 1), dtype=np.float32)
     table[:, n_cols] = m
     size = np.abs(m)
     for h in range(0, n, HYP_CHUNK):
-        half = 0.5 * delta[h:h + HYP_CHUNK]
+        half = 0.5 * D[h:h + HYP_CHUNK]
         table[h:h + HYP_CHUNK, :n_cols] = half
         size[h:h + HYP_CHUNK] += np.abs(half, out=half).sum(axis=1)
     mag = size.reshape(-1, SCREEN_BLOCK).max(axis=1)
@@ -274,12 +311,12 @@ def _contenders(table: np.ndarray, order: np.ndarray, err: np.ndarray,
                 pos: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(blocks, frames) mask: block k can hold frame f's first maximum.
 
-    One sgemm per HYP_CHUNK rows of the quarter table into the float32
-    buffer out, against [[b, b'], [1, 1]], scores q0 and q1 of every frame;
-    2 m - P turns them into q3 and q2 in place.  The scores sit in the
-    (rows x 2 frames) layout, where the max over each SCREEN_BLOCK of rows
-    is a contiguous reduction; top holds the block maxima by quarter block
-    and d_0, and order picks each hypothesis block's.
+    One sgemm per HYP_CHUNK rows of the quarter table (the last tile may be
+    shorter) into the float32 buffer out, against [[b, b'], [1, 1]], scores
+    q0 and q1 of every frame; 2 m - P turns them into q3 and q2 in place.
+    The scores sit in the (rows x 2 frames) layout, where the max over each
+    SCREEN_BLOCK of rows is a contiguous reduction; top holds the block
+    maxima by quarter block and d_0, and order picks each hypothesis block's.
     """
     n_frames = pos.shape[0]
     half = (table.shape[1] - 1) // 2
@@ -291,13 +328,14 @@ def _contenders(table: np.ndarray, order: np.ndarray, err: np.ndarray,
     signs = signs.reshape(table.shape[1], 2 * n_frames)
     twice_m = 2 * table[:, -1]
     top = np.empty((table.shape[0] // SCREEN_BLOCK, 4, n_frames), dtype=np.float32)
-    scores = out[:HYP_CHUNK * 2 * n_frames].reshape(HYP_CHUNK, 2 * n_frames)
-    blocks = scores.reshape(-1, SCREEN_BLOCK, 2, n_frames)
     for h in range(0, table.shape[0], HYP_CHUNK):
-        k = slice(h // SCREEN_BLOCK, (h + HYP_CHUNK) // SCREEN_BLOCK)
-        np.matmul(table[h:h + HYP_CHUNK], signs, out=scores)
+        rows = min(HYP_CHUNK, table.shape[0] - h)
+        scores = out[:rows * 2 * n_frames].reshape(rows, 2 * n_frames)
+        blocks = scores.reshape(-1, SCREEN_BLOCK, 2, n_frames)
+        k = slice(h // SCREEN_BLOCK, (h + rows) // SCREEN_BLOCK)
+        np.matmul(table[h:h + rows], signs, out=scores)
         np.max(blocks, axis=1, out=top[k, :2])
-        np.subtract(twice_m[h:h + HYP_CHUNK, None], scores, out=scores)
+        np.subtract(twice_m[h:h + rows, None], scores, out=scores)
         np.max(blocks, axis=1, out=top[k, :1:-1])
     bmax = top[order, np.arange(order.size) // (order.size // 4)].astype(float)
     floor = (bmax - err[:, None]).max(axis=0)
@@ -305,31 +343,42 @@ def _contenders(table: np.ndarray, order: np.ndarray, err: np.ndarray,
     return bmax >= floor
 
 
-def _first_best(pos_mask: np.ndarray, base: np.ndarray, delta: np.ndarray,
+def _first_best(pos: np.ndarray, base: np.ndarray, D: np.ndarray,
                 cols, out: np.ndarray) -> np.ndarray:
-    """Index of each frame's first maximum of base + pos_mask @ delta.T over
-    the ascending hypothesis indices cols (None: all of them).
+    """Index of each frame's first maximum of base + pos @ delta.T over the
+    ascending hypothesis indices cols (None: all of them), for the frames'
+    masks pos (b > 0).
 
-    Scores HYP_CHUNK hypotheses per product, into the buffer out, and keeps a
-    running best per frame.  A later tile replaces a frame's best only on a
-    strictly higher score, so ties go to the lexicographically first
-    hypothesis, as with one argmax.
+    Reads delta's rows from the quarter D (_delta_rows) once for all of
+    cols, or, for cols None, once per HYP_CHUNK tile, which then scores every
+    FRAME_CHUNK chunk of frames.  Scores one tile per product, into the
+    buffer out, and keeps a running best per frame.  A later tile replaces a
+    frame's best only on a strictly higher score, so ties go to the
+    lexicographically first hypothesis, as with one argmax.
     """
-    n_frames = pos_mask.shape[0]
-    rows = np.arange(n_frames)
+    n_frames = pos.shape[0]
     best_score = np.full(n_frames, -np.inf)
     best_idx = np.zeros(n_frames, dtype=np.intp)
-    for h in range(0, delta.shape[0] if cols is None else cols.size, HYP_CHUNK):
-        tile = slice(h, h + HYP_CHUNK) if cols is None else cols[h:h + HYP_CHUNK]
-        part = delta[tile]
-        scores = np.matmul(pos_mask, part.T,
-                           out=out[:n_frames * part.shape[0]].reshape(n_frames, -1))
-        scores += base[tile]
-        arg = np.argmax(scores, axis=1)
-        score = scores[rows, arg]
-        better = score > best_score
-        best_score[better] = score[better]
-        best_idx[better] = arg[better] + h if cols is None else tile[arg[better]]
+    if cols is None:
+        reads = (np.arange(h, min(h + HYP_CHUNK, base.size))
+                 for h in range(0, base.size, HYP_CHUNK))
+    else:
+        reads = [cols]
+    for hyps in reads:
+        delta = _delta_rows(D, hyps)
+        for h in range(0, hyps.size, HYP_CHUNK):
+            tile, part = hyps[h:h + HYP_CHUNK], delta[h:h + HYP_CHUNK]
+            for f in range(0, n_frames, FRAME_CHUNK):
+                frames = pos[f:f + FRAME_CHUNK].astype(float)
+                scores = np.matmul(frames, part.T,
+                                   out=out[:frames.shape[0] * tile.size].reshape(frames.shape[0], -1))
+                scores += base[tile]
+                arg = np.argmax(scores, axis=1)
+                score = scores[np.arange(frames.shape[0]), arg]
+                best_s, best_i = best_score[f:f + FRAME_CHUNK], best_idx[f:f + FRAME_CHUNK]
+                better = score > best_s
+                best_s[better] = score[better]
+                best_i[better] = tile[arg[better]]
     return best_idx
 
 

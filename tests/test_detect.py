@@ -7,7 +7,7 @@ from scipy.stats import norm
 import onebit_mimo as om
 from onebit_mimo import detect
 from onebit_mimo.detect import QPSK, hypothesis_indices
-from onebit_mimo.gauss import norm_logcdf
+from onebit_mimo.gauss import norm_logcdf, norm_logcdf_pair
 
 
 def brute_force_detect(H, b, symbol_power):
@@ -68,8 +68,8 @@ def _channel(M, K, seed):
 
 def _full_matrix_decisions(H, b, symbol_power):
     """Reference: the whole frames-by-hypotheses score array and one argmax."""
-    base, delta = detect._score_terms(H, symbol_power)
-    scores = base + (b > 0).astype(float) @ delta.T
+    base, D = detect._score_terms(H, symbol_power)
+    scores = base + (b > 0).astype(float) @ _full_delta(D).T
     return hypothesis_indices(H.shape[1])[np.argmax(scores, axis=1)]
 
 
@@ -96,8 +96,8 @@ def test_tiled_scorer_matches_full_matrix(M, K, n_frames, snr_db, zero_user):
         H[:, 0] = 0.0
     p = 10 ** (snr_db / 10)
     _, b = om.simulate_frames(H, p, n_frames, rng_seed=13)
-    base, delta = detect._score_terms(H, p)
-    ours = detect._score_frames(base, delta, b, hypothesis_indices(K))
+    base, D = detect._score_terms(H, p)
+    ours = detect._score_frames(base, D, b, hypothesis_indices(K))
     assert np.array_equal(ours, _full_matrix_decisions(H, b, p))
 
 
@@ -128,11 +128,18 @@ def _expand_quarter(D, neg_re, neg_im):
     return base, delta
 
 
+def _full_delta(D):
+    """delta of all 4^K hypotheses from the quarter D."""
+    n = D.shape[0]
+    return _expand_quarter(D, np.zeros(n), np.zeros(n))[1]
+
+
 def _two_rows(a, b, d_a=0.0, d_b=0.0):
     """Symmetric table over 4^7 hypotheses (enough for the screen), M = 1,
     where only quarter rows 3 and 700, in different screen blocks, and their
     images under j and negation can win: their sums of log Phi(-u) are a and
-    b, their D = [d_a, 0] and [d_b, 0]; every other row has -50 and D = 0."""
+    b, their D = [d_a, 0] and [d_b, 0]; every other row has -50 and D = 0.
+    Returns base over all 4^7 hypotheses and the quarter D."""
     assert 4 ** 7 >= detect.SCREEN_MIN_HYP
     n = 4 ** 6
     D = np.zeros((n, 2))
@@ -140,16 +147,16 @@ def _two_rows(a, b, d_a=0.0, d_b=0.0):
     neg_re[3], neg_re[700] = a, b
     D[3, 0], D[700, 0] = d_a, d_b
     assert 3 // detect.SCREEN_BLOCK != 700 // detect.SCREEN_BLOCK
-    return _expand_quarter(D, neg_re, np.zeros(n))
+    return _expand_quarter(D, neg_re, np.zeros(n))[0], D
 
 
 def test_float32_tie_goes_to_the_float64_winner():
     # 3 and 700 score the same in float32, as do their images; only the
     # float64 confirm pass sees that 700 is higher
-    base, delta = _two_rows(-1.0, -1.0 + 1e-12)
+    base, D = _two_rows(-1.0, -1.0 + 1e-12)
     assert np.float32(base[3]) == np.float32(base[700])
     hyp = hypothesis_indices(7)
-    out = detect._score_frames(base, delta, np.ones((5, 2)), hyp)
+    out = detect._score_frames(base, D, np.ones((5, 2)), hyp)
     assert np.array_equal(out, np.repeat(hyp[[700]], 5, axis=0))
 
 
@@ -161,14 +168,14 @@ def test_float32_reversal_goes_to_the_float64_winner():
     # most 1 + 0.81e in float64 and 1 + e in float32 in every orientation.
     # The screen ranks 700 first, the bound keeps 3
     e = 2.0 ** -23
-    base, delta = _two_rows(1.0 + 0.09 * e, 1.0 + 0.81 * e, 0.8 * e, -0.6 * e)
-    table = detect._screen_table(base, delta)[0]
+    base, D = _two_rows(1.0 + 0.09 * e, 1.0 + 0.81 * e, 0.8 * e, -0.6 * e)
+    table = detect._screen_table(base, D)[0]
     s32 = table[[3, 700]] @ np.ones(3, dtype=np.float32)
-    s64 = base + delta.sum(axis=1)
+    s64 = base + _full_delta(D).sum(axis=1)
     assert s32[0] < s32[1] and s64[3] > s64[700]
     assert np.argmax(s64) == 3
     hyp = hypothesis_indices(7)
-    out = detect._score_frames(base, delta, np.ones((5, 2)), hyp)
+    out = detect._score_frames(base, D, np.ones((5, 2)), hyp)
     assert np.array_equal(out, np.repeat(hyp[[3]], 5, axis=0))
 
 
@@ -179,9 +186,9 @@ def test_confirm_products_have_full_tile_shapes(monkeypatch):
     seen = []
     first_best = detect._first_best
 
-    def spy(pos_mask, base, delta, cols, out):
-        seen.append((pos_mask.shape[0], cols.size))
-        return first_best(pos_mask, base, delta, cols, out)
+    def spy(pos, base, D, cols, out):
+        seen.append((pos.shape[0], cols.size))
+        return first_best(pos, base, D, cols, out)
 
     monkeypatch.setattr(detect, "_first_best", spy)
     H = _channel(16, 7, 40)
@@ -191,6 +198,55 @@ def test_confirm_products_have_full_tile_shapes(monkeypatch):
     assert sum(rows) == 258 and max(rows) <= detect.CONFIRM_FRAMES
     assert [r for r in rows if r < 3] == [2]
     assert all(c % detect.HYP_CHUNK == 0 for _, c in seen)
+
+
+@pytest.mark.parametrize("K", [5, 6])
+def test_screen_takes_a_partial_last_tile(monkeypatch, K):
+    # with the screen lowered to 4^5 hypotheses, the K=5 quarter (256 rows)
+    # is less than one HYP_CHUNK tile; decisions still equal one argmax
+    monkeypatch.setattr(detect, "SCREEN_MIN_HYP", 4 ** 5)
+    for M in (3, 16):
+        for snr_db in (15.0, 45.0):
+            H = _channel(M, K, 60 + M)
+            p = 10 ** (snr_db / 10)
+            _, b = om.simulate_frames(H, p, 300, rng_seed=61)
+            assert np.array_equal(om.detect_frames(H, b, symbol_power=p),
+                                  _full_matrix_decisions(H, b, p))
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 7])
+def test_delta_rows_are_the_full_table_rows(K):
+    # ascending index sets that cross all three quarter boundaries, and the
+    # whole range: every row bit for bit that of the expanded table
+    rng = np.random.default_rng(80 + K)
+    D = detect._score_terms(_channel(5, K, 81), 2.0)[1]
+    full = _full_delta(D)
+    n = 4 ** (K - 1)
+    edges = n * np.arange(1, 4)
+    sets = [np.arange(4 * n), np.union1d(edges - 1, edges)]
+    for frac in (0.05, 0.3, 0.8):
+        sets.append(np.union1d(np.flatnonzero(rng.random(4 * n) < frac), edges))
+    for hyps in sets:
+        rows = detect._delta_rows(D, hyps)
+        assert np.array_equal(rows.view(np.int64), full[hyps].view(np.int64))
+
+
+@pytest.mark.parametrize("M, K", [(1, 1), (5, 3), (16, 6), (16, 8), (3, 8)])
+@pytest.mark.parametrize("block", ["default", "one row"])
+def test_blocked_terms_move_no_float(monkeypatch, M, K, block):
+    # log_ndtr's two calls run in the blocked quarter layout give bit for
+    # bit the terms of every hypothesis computed from the full input table
+    def scipy_pair(t):
+        return norm_logcdf(t), norm_logcdf(-t)
+
+    monkeypatch.setattr(detect, "norm_logcdf_pair", scipy_pair)
+    if block == "one row":
+        monkeypatch.setattr(detect, "TERMS_BLOCK", 2 * M * 8)
+    H = _channel(M, K, 90 + K)
+    full_base, full_delta = _full_terms(_inputs(H, 7.0), scipy_pair)
+    base, D = detect._score_terms(H, 7.0)
+    assert np.array_equal(base.view(np.int64), full_base.view(np.int64))
+    assert np.array_equal(_full_delta(D).view(np.int64), full_delta.view(np.int64))
 
 
 @pytest.mark.parametrize("M, K, snr_db, zero_user", [
@@ -215,10 +271,9 @@ def test_screen_bound_covers_float32_rounding(M, K, snr_db, zero_user):
         H = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
         if zero_user:
             H[:, 0] = 0.0
-        base, delta = detect._score_terms(H, 10 ** (snr_db / 10))
-        # the test helper lays a quarter out as _score_terms does
-        assert np.array_equal(_expand_quarter(delta[:n], base[:n], np.zeros(n))[1], delta)
-        table, order, err = detect._screen_table(base, delta)
+        base, D = detect._score_terms(H, 10 ** (snr_db / 10))
+        delta = _full_delta(D)
+        table, order, err = detect._screen_table(base, D)
         pos = rng.random((F, 2 * M)) < 0.5
         b = 2.0 * pos - 1.0
         signs = np.ones((2 * M + 1, 2 * F), dtype=np.float32)
@@ -247,27 +302,42 @@ def test_tie_break_is_lexicographic_across_tiles():
     assert np.array_equal(out, _full_matrix_decisions(H, b, 10.0))
 
 
+def _inputs(H, symbol_power):
+    """The slow way: the comparator inputs U of all 4^K hypotheses, summed
+    over the users in order from written-out per-user [Re, Im] products."""
+    M, K = H.shape
+    amp = np.sqrt(symbol_power)
+    sr, si = (QPSK.real * amp)[:, None], (QPSK.imag * amp)[:, None]
+    for k in range(K):
+        hr, hi = H[:, k].real, H[:, k].imag
+        c = np.hstack([sr * hr - si * hi, sr * hi + si * hr])
+        U = (U[:, None] + c[None]).reshape(-1, 2 * M) if k else c
+    return U
+
+
+def _full_terms(U, pair):
+    """base and delta of all 4^K hypotheses from their inputs U, with
+    (log Phi(U), log Phi(-U)) = pair(U)."""
+    M = U.shape[1] // 2
+    log_pos, log_neg = pair(U)
+    return log_neg[:, :M].sum(axis=1) + log_neg[:, M:].sum(axis=1), log_pos - log_neg
+
+
 @pytest.mark.parametrize("K", range(1, 9))
 def test_negated_table_is_first_table_reversed(K):
-    # the slow way: the comparator inputs U of all 4^K hypotheses, summed over
-    # the users in order from written-out per-user [Re, Im] products
     for M in (1, 5, 16):
         H = _channel(M, K, 20 + K)
-        sr, si = (QPSK.real * np.sqrt(3.0))[:, None], (QPSK.imag * np.sqrt(3.0))[:, None]
-        for k in range(K):
-            hr, hi = H[:, k].real, H[:, k].imag
-            c = np.hstack([sr * hr - si * hi, sr * hi + si * hr])
-            U = (U[:, None] + c[None]).reshape(-1, 2 * M) if k else c
+        U = _inputs(H, 3.0)
         # negating every symbol (d -> 3 - d) reverses the rows and negates U;
         # multiplying them by j (d -> ROT[d]) maps [Re, Im] to [-Im, Re]
         assert np.array_equal(U[::-1], -U)
         idx = hypothesis_indices(K)
         rotated = (detect.ROT[idx] * 4 ** np.arange(K - 1, -1, -1)).sum(axis=1)
         assert np.array_equal(U[rotated], np.hstack([-U[:, M:], U[:, :M]]))
-        log_pos, log_neg = norm_logcdf(U), norm_logcdf(-U)
-        base, delta = detect._score_terms(H, 3.0)
-        assert np.array_equal(base, log_neg[:, :M].sum(axis=1) + log_neg[:, M:].sum(axis=1))
-        assert np.array_equal(delta, log_pos - log_neg)
+        full_base, full_delta = _full_terms(U, norm_logcdf_pair)
+        base, D = detect._score_terms(H, 3.0)
+        assert np.array_equal(base, full_base)
+        assert np.array_equal(_full_delta(D), full_delta)
         # [Re, Im] of the complex product, to within the rounding of 2K-term sums
         S = QPSK[idx] * np.sqrt(3.0)
         R = S @ H.T
@@ -293,11 +363,16 @@ def test_simulated_signs_match_complex_reference(M, K):
 
 
 def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
+    H = _channel(16, 8, 17)
+    quarter = _inputs(H, 10.0)[:4 ** 7]
     calls = []
 
     def counting(t):
-        calls.append(np.shape(t))
-        return norm_logcdf(t)
+        # the inputs arrive in quarter row order, each row once
+        start = sum(calls)
+        assert np.array_equal(t, quarter[start:start + t.shape[0]])
+        calls.append(t.shape[0])
+        return norm_logcdf_pair(t)
 
     tables = []
     screen_table = detect._screen_table
@@ -307,9 +382,8 @@ def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
         tables.append(out[0].shape)
         return out
 
-    monkeypatch.setattr(detect, "norm_logcdf", counting)
+    monkeypatch.setattr(detect, "norm_logcdf_pair", counting)
     monkeypatch.setattr(detect, "_screen_table", spy)
-    H = _channel(16, 8, 17)
     _, b = om.simulate_frames(H, 10.0, 600, rng_seed=18)
     tracemalloc.start()
     try:
@@ -317,12 +391,12 @@ def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # log Phi(+U) and log Phi(-U) on the d_0 = 0 quarter: 4^K M evaluations
-    assert calls == [(4 ** 7, 32)] * 2
+    # log Phi(+-u) once per input of the d_0 = 0 quarter: 4^(K-1) 2M points
+    assert sum(calls) == 4 ** 7
     # the float32 screen table [D / 2 | m] covers the same quarter
     assert tables == [(4 ** 7, 33)]
-    # 1.75 times the (4^K, 2M) float64 delta table
-    assert peak < 1.75 * 4 ** 8 * 32 * 8
+    # less than a (4^K, 2M) float64 delta table, which is never built
+    assert peak < 1.0 * 4 ** 8 * 32 * 8
 
 
 @pytest.mark.parametrize("H_bad, symbol_power, name", [

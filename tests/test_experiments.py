@@ -102,6 +102,17 @@ def test_aq_trace_thread_count_does_not_change_results(tmp_path):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
+def test_detection_thread_count_does_not_change_results(tmp_path):
+    # criterion 11 runs no data phase; this sweep detects K=8 frames, through
+    # the float32 screen and the float64 confirm pass, in one process and in
+    # a pool of two
+    cfg = dict(M=16, K=8, L=[32], schemes=["PCSI", "RQ"], trials=2, n_frames=300)
+    for threads in (1, 2):
+        cli.cmd_sweep(ExperimentConfig.from_dict(dict(cfg, threads=threads)).validate(),
+                      tmp_path / f"t{threads}")
+    assert (tmp_path / "t1" / "sweep.csv").read_bytes() == (tmp_path / "t2" / "sweep.csv").read_bytes()
+
+
 def test_csv_columns(tmp_path):
     cfg = tiny_config().validate()
     path = tmp_path / "sweep.csv"

@@ -5,7 +5,8 @@ import numpy as np
 from hypothesis import given, strategies as st
 from scipy.stats import norm
 
-from onebit_mimo.gauss import MILLS_LOGCDF_CUT, mills_from_logcdf, mills_ratio, norm_logcdf
+from onebit_mimo.gauss import (MILLS_LOGCDF_CUT, mills_from_logcdf, mills_ratio, norm_logcdf,
+                               norm_logcdf_pair)
 
 
 def test_mills_matches_naive_ratio_midrange():
@@ -59,3 +60,24 @@ def test_mills_from_logcdf_deep_tail_uses_erfcx_and_never_warns():
     assert np.array_equal(lam[1:4], mills_ratio(t[1:4]))
     assert scalar == mills_ratio(-1e12)
     assert abs(lam[4] - np.sqrt(2.0 / np.pi)) < 1e-15
+
+
+def test_logcdf_pair_matches_mpmath():
+    # a linear grid over |t| <= 40, geometric points down to 1e-8 on both
+    # sides, and the far tails
+    geo = np.geomspace(1e-8, 40.0, 600)
+    t = np.concatenate([np.linspace(-40.0, 40.0, 4001), geo, -geo,
+                        [1e3, -1e3, 1e5, -1e5, 0.0, -0.0]])
+    log_pos, log_neg = norm_logcdf_pair(t)
+    with mpmath.workdps(40):
+        ref_pos = np.array([float(mpmath.log(mpmath.ncdf(x))) for x in t])
+        ref_neg = np.array([float(mpmath.log(mpmath.ncdf(-x))) for x in t])
+    small = np.where(t < 0, log_pos, log_neg)  # the side <= 1/2
+    ref_small = np.where(t < 0, ref_pos, ref_neg)
+    other, ref_other = np.where(t < 0, log_neg, log_pos), np.where(t < 0, ref_neg, ref_pos)
+    assert np.all(np.abs(small - ref_small) <= 4 * np.spacing(np.abs(ref_small)))
+    assert np.all(np.abs(other - ref_other) <= 2 * 2.0 ** -53)
+    # scalars keep their shape; +-0 give log(1/2) on both sides
+    for zero in (0.0, -0.0):
+        pos, neg = norm_logcdf_pair(zero)
+        assert pos.shape == () and pos == neg == np.log(0.5)
