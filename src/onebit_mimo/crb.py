@@ -13,7 +13,7 @@ from scipy.special import erf
 
 from .errors import NumericalError
 from .gauss import SQRT_2, mills_ratio
-from .model import RealModel, block_gram
+from .model import RealModel
 
 COND_LIMIT = 1e12
 
@@ -36,7 +36,7 @@ def fim(model: RealModel, tau, h: np.ndarray) -> np.ndarray:
     if tau.shape != (model.N,):
         raise ValueError("tau length does not match the model's N")
     u = (model.apply(h) - tau).reshape(model.M, 2 * model.L)
-    return block_gram(model.A_tilde, g_weight(u))
+    return model.block_gram(g_weight(u))
 
 
 def crb_trace(model: RealModel, tau, h: np.ndarray) -> float:

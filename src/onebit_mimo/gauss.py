@@ -47,8 +47,11 @@ def norm_logcdf_pair(t):
     mag = np.abs(flat)
     a = mag * SQRT_HALF
     e = erfcx(a)
-    a *= a
-    low = np.log(0.5 * e)
+    # past |t| ~ 1.3e154 a^2 overflows and e / 2 reaches 0: both give the
+    # limits log_ndtr returns, -inf on the small side and 0 on the other
+    with np.errstate(over="ignore", divide="ignore"):
+        a *= a
+        low = np.log(0.5 * e)
     low -= a  # log Phi(-|t|)
     np.negative(a, out=a)
     np.exp(a, out=a)
@@ -92,10 +95,18 @@ def mills_from_logcdf(t, log_phi):
     t = np.asarray(t, dtype=float)
     log_phi = np.asarray(log_phi, dtype=float)
     if t.size == 0 or t.min() >= MILLS_LOGCDF_CUT:
-        return np.exp(-0.5 * t * t - LOG_SQRT_2PI - log_phi)
+        return _mills_body(t, log_phi)
     out = np.empty_like(t)
     body = t >= MILLS_LOGCDF_CUT
-    tb = t[body]
-    out[body] = np.exp(-0.5 * tb * tb - LOG_SQRT_2PI - log_phi[body])
+    out[body] = _mills_body(t[body], log_phi[body])
     out[~body] = mills_ratio(t[~body])
     return out
+
+
+def _mills_body(t, log_phi):
+    """exp(-t^2/2 - log sqrt(2 pi) - log_phi), in one buffer, in that order of operations."""
+    x = np.multiply(t, -0.5, out=np.empty_like(t))
+    x *= t
+    x -= LOG_SQRT_2PI
+    x -= log_phi
+    return np.exp(x, out=x)

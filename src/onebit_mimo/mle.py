@@ -19,10 +19,16 @@ which are finite and well-scaled arbitrarily deep into both tails.
 The Newton loop evaluates log Phi once per point it visits: the margins
 and log Phi of each accepted line-search trial are carried into the next
 step, and mills(s) is taken from them through gauss.mills_from_logcdf
-(erfcx only in the deep left tail).  log_likelihood, gradient,
-hessian_action and the solver's final convergence check recompute
-margins and call norm_logcdf / mills_ratio directly, so they stay
-independent of that bookkeeping.
+(erfcx only in the deep left tail).  The solver's final convergence check
+recomputes the margins and log Phi of the final iterate and takes mills(s)
+from that log Phi the same way.  log_likelihood, gradient and
+hessian_action recompute margins and call norm_logcdf / mills_ratio
+directly, so they stay independent of that bookkeeping.
+
+Each Newton step's -Hessian blocks sum_r curv_r a_r a_r^T come from
+RealModel.block_gram, the kernel crb.fim uses too: one GEMM of the
+curvature rows against the model's packed outer-product table, then one
+gather into exactly symmetric blocks (model's docstring has the timings).
 
 An antenna stops when its gradient norm is at most GRAD_TOL per
 measurement, or when its Newton decrement G^T step is within
@@ -41,7 +47,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .gauss import mills_from_logcdf, mills_ratio, norm_logcdf
-from .model import RealModel, block_gram
+from .model import RealModel
 
 GRAD_TOL = 1e-8    # converged when per-antenna ||grad|| <= GRAD_TOL * measurements
 MAX_ITER = 100
@@ -113,7 +119,9 @@ def _stacked(prob: LikelihoodProblem):
 
 def _margins(H, B, T, At):
     """s = b * (a^T h - tau) for antenna rows H against (batch, row, 2L) data."""
-    return B * ((H @ At.T)[None, :, :] - T)
+    S = np.subtract((H @ At.T)[None, :, :], T)
+    S *= B
+    return S
 
 
 def _score(B, lam, At):
@@ -135,7 +143,8 @@ def _curvature(S, lam):
         t = 1.0 / S[far]
         t2 = t * t
         gap[far] = -t * (1.0 - 2.0 * t2 + 10.0 * t2 * t2)
-    return (lam * gap).sum(axis=0)
+    gap *= lam
+    return gap.sum(axis=0)
 
 
 def _problem_margins(prob: LikelihoodProblem, h: np.ndarray):
@@ -164,7 +173,7 @@ def hessian_action(prob: LikelihoodProblem, h: np.ndarray, v: np.ndarray) -> np.
     _, S = _problem_margins(prob, h)
     curv = _curvature(S, mills_ratio(S))
     V = np.asarray(v, dtype=float).reshape(m.M, 2 * m.K)
-    return -(block_gram(m.A_tilde, curv) @ V[..., None]).reshape(-1)
+    return -(m.block_gram(curv) @ V[..., None]).reshape(-1)
 
 
 def _newton_direction(Hneg: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -270,7 +279,7 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
             if idx.size == 0:
                 break
 
-        step = _newton_direction(block_gram(At, _curvature(S, lam)), G)
+        step = _newton_direction(m.block_gram(_curvature(S, lam)), G)
         slope = (G * step).sum(axis=1)
         ll0 = LP.sum(axis=(0, 2))
         # Newton decrement within rounding of the log-likelihood: no step
@@ -299,9 +308,10 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
             idx, Hs, Bs, Ts, S, LP = _keep(keep, idx, Hs, Bs, Ts, S, LP)
 
     S_final = _margins(H, B, T, At)
-    g_final = _score(B, mills_ratio(S_final), At)
+    LP_final = norm_logcdf(S_final)
+    g_final = _score(B, mills_from_logcdf(S_final, LP_final), At)
     per_antenna = np.linalg.norm(g_final, axis=1)
-    ll_per_antenna = norm_logcdf(S_final).sum(axis=(0, 2))
+    ll_per_antenna = LP_final.sum(axis=(0, 2))
     separable = ll_per_antenna > SEPARABLE_LL_TOL
     antenna_ok = ((per_antenna <= tol) | at_floor) & ~capped & ~separable
     return ChannelEstimate(

@@ -54,6 +54,22 @@ def test_fim_with_oracle_thresholds_is_scaled_gram():
     assert np.allclose(J0, J, rtol=1e-12)
 
 
+@pytest.mark.parametrize("M, K, L", [(1, 1, 1), (3, 2, 6), (16, 8, 32)])
+def test_fim_matches_reference_contraction(M, K, L):
+    model = make_model(M, K, L, seed=M + L)
+    ch = om.generate_channel(M, K, M + L)
+    tau = om.thresholds_random(model, rng_seed=L)
+    J = om.fim(model, tau, ch.h)
+    A = model.A_tilde
+    g = om.g_weight((model.apply(ch.h) - tau).reshape(M, 2 * L))
+    ref = np.einsum("ar,ri,rj->aij", g, A, A)
+    # g > 0, so the summed terms' size is the reference's own |entries| with |A|
+    scale = np.einsum("ar,ri,rj->aij", g, np.abs(A), np.abs(A))
+    assert J.shape == (M, 2 * K, 2 * K)
+    assert np.all(np.abs(J - ref) <= 1e-12 * scale)
+    assert np.array_equal(J, J.transpose(0, 2, 1))
+
+
 def test_fim_dominance_of_oracle_thresholds():
     model = make_model(seed=2)
     ch = om.generate_channel(model.M, model.K, 2)

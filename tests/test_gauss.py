@@ -81,3 +81,20 @@ def test_logcdf_pair_matches_mpmath():
     for zero in (0.0, -0.0):
         pos, neg = norm_logcdf_pair(zero)
         assert pos.shape == () and pos == neg == np.log(0.5)
+
+
+def test_logcdf_pair_reaches_log_ndtr_limits_without_warnings():
+    t = np.array([np.inf, -np.inf, 1e300, -1e300, -1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_pos, log_neg = norm_logcdf_pair(t)
+    assert np.array_equal(log_pos, [0.0, -np.inf, 0.0, -np.inf, -np.inf])
+    assert np.array_equal(log_neg, [-np.inf, 0.0, -np.inf, 0.0, 0.0])
+    assert np.array_equal(log_pos, norm_logcdf(t)) and np.array_equal(log_neg, norm_logcdf(-t))
+    # below the overflow, large finite inputs keep log_ndtr's tail to 4 ulp
+    big = np.geomspace(1e10, 1e150, 15)
+    t = np.concatenate([big, -big])
+    log_pos, log_neg = norm_logcdf_pair(t)
+    small, ref = np.where(t < 0, log_pos, log_neg), norm_logcdf(-np.abs(t))
+    assert np.all(np.abs(small - ref) <= 4 * np.spacing(np.abs(ref)))
+    assert np.all(np.where(t < 0, log_neg, log_pos) == 0.0)

@@ -288,11 +288,25 @@ def test_newton_loop_evaluates_special_functions_once_per_point(policy, seed, de
     # trial and the final check, and on nothing else
     assert len(logcdf) == len(margins)
     assert all(arg is S for arg, S in zip(logcdf, margins))
-    # Mills comes from log Phi inside the loop: erfcx runs for the final
-    # check and for deep-tail margins only
-    assert len(mills) == 1 and mills[0] is margins[-1]
+    # Mills comes from log Phi, in the loop and in the final check: erfcx
+    # runs for deep-tail margins only
+    assert not mills
     assert all((t < gauss.MILLS_LOGCDF_CUT).all() for t in fallback)
     assert bool(fallback) == deep_tail
+
+
+def test_newton_blocks_are_exactly_symmetric(monkeypatch):
+    model, ch, prob = make_problem(M=16, K=8, L=32, seed=4, snr_db=15.0, n_batches=2)
+    blocks = []
+
+    def recorded(Hneg, G):
+        blocks.append(Hneg)
+        return newton_direction(Hneg, G)
+
+    newton_direction = mle._newton_direction
+    monkeypatch.setattr(mle, "_newton_direction", recorded)
+    mle.solve_ml(prob)
+    assert blocks and all(np.array_equal(b, b.transpose(0, 2, 1)) for b in blocks)
 
 
 def test_curvature_keeps_precision_for_far_negative_margins():

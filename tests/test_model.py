@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import onebit_mimo as om
-from onebit_mimo.model import block_gram, complex_block
+from onebit_mimo.model import complex_block
 
 
 def random_system(M, K, L, seed, snr_db=10.0):
@@ -82,15 +82,37 @@ def test_block_application_equals_per_antenna():
 @pytest.mark.parametrize("K,L", [(1, 1), (8, 32)])
 def test_block_gram_matches_reference_contraction(M_blocks, K, L):
     rng = np.random.default_rng(100 * M_blocks + L)
-    A_tilde = rng.normal(size=(2 * L, 2 * K))
+    model = om.RealModel(A_tilde=rng.normal(size=(2 * L, 2 * K)), M=M_blocks)
+    A_tilde = model.A_tilde
     w = rng.normal(size=(M_blocks, 2 * L))   # mixed signs: the contraction must not assume w >= 0
     assert (w > 0).any() and (w < 0).any()
     ref = np.einsum("ar,ri,rj->aij", w, A_tilde, A_tilde)
-    got = block_gram(A_tilde, w)
+    got = model.block_gram(w)
     assert got.shape == (M_blocks, 2 * K, 2 * K)
     # rtol 1e-12 against the size of the summed terms, so cancelling entries are judged fairly
     scale = np.einsum("ar,ri,rj->aij", np.abs(w), np.abs(A_tilde), np.abs(A_tilde))
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+    # both triangles are read from one packed entry, so the blocks are symmetric bit for bit
+    assert np.array_equal(got, got.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("K,L", [(1, 1), (3, 5), (8, 256)])
+def test_outer_table_is_packed_read_only_and_built_once(K, L):
+    model = om.pilot_model(2, K, L, 10.0, rng=K + L)
+    K2 = 2 * K
+    assert "outer_table" not in vars(model)   # built on first use, not with the model
+    Q = model.outer_table
+    assert Q.shape == (2 * L, K2 * (K2 + 1) // 2)   # K = L = 1: 3 packed columns
+    assert not Q.flags.writeable
+    with pytest.raises(ValueError):
+        Q[0, 0] = 1.0
+    i, j = np.triu_indices(K2)   # packed order: row i's run (i, i), (i, i + 1), ..., (i, 2K - 1)
+    assert np.array_equal(Q, model.A_tilde[:, i] * model.A_tilde[:, j])
+    w = np.random.default_rng(L).normal(size=(3, 2 * L))
+    blocks = model.block_gram(w)
+    assert model.outer_table is Q
+    assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+    assert np.array_equal(blocks[:, i, j], w @ Q)
 
 
 def test_channel_round_trip_exact():
