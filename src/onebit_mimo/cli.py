@@ -83,6 +83,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     for cell in summary["cells"]:
         data = "".join(f"  {m} {cell['median_' + m]:.4g}"
                        for m in ("ser", "rate") if "median_" + m in cell)
+        if "n_rate_capped" in cell:
+            data += f" ({cell['n_rate_capped']}/{cell['n_rate_users']} users capped)"
         print(f"{cell['scheme']:>4s}  L={cell['L']:<4d} snr={cell['snr_db']:g} dB  median mse "
               f"{cell['median_mse']:.4g}{data}  ({cell['n_converged']}/{cell['n']} converged)")
     for r in agg_rows:

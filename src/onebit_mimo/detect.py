@@ -33,10 +33,11 @@ few u sum|terms| of each other (u = 2^-53); there the winner follows the
 summation order of the confirm pass's dgemm, which OpenBLAS picks per CPU,
 so it can differ between machines.  Below SCREEN_MIN_HYP hypotheses
 (K < 7), or when the bound is not finite, every block is a contender and
-the screen is skipped.  At M=16, K=8 and 1,500 frames on one core the
-score terms take 23-26 ms instead of 43-50 ms, a detection call 118-145 ms
-instead of 131-153 ms, and the benchmark's data_phase peaks at 78.5 MB RSS
-instead of 92.6 MB (BENCH_21.json).
+the screen is skipped.  At M=16, K=8 and 1,500 frames on one core of a
+2-vCPU Xeon VM, scaled to the benchmark's calibration speed, the score
+terms take 33-37 ms, the screen 90-103 ms, the confirm pass 24-39 ms and a
+detection call 158-175 ms; the benchmark's data_phase peaks at 73.7 MB RSS
+(BENCH_23.json).
 """
 
 from __future__ import annotations
@@ -225,14 +226,15 @@ def _score_frames(base: np.ndarray, D: np.ndarray, b_frames: np.ndarray,
     last bit (3 x 256 and 17 x 64 do; 3 x 512 and 19 x 64 do not).
     """
     pos_all = b_frames > 0
-    # one score buffer per call: a fresh 1 MB array per tile costs page
-    # faults that doubled the time at K=5
-    out = np.empty(FRAME_CHUNK * HYP_CHUNK)
     err = None
     if base.size >= SCREEN_MIN_HYP:
         table, order, err = _screen_table(base, D)
+    # one score buffer per call, sized for the tiles its path scores: a fresh
+    # array per tile costs page faults that doubled the time at K=5
     if err is None:
+        out = np.empty(FRAME_CHUNK * HYP_CHUNK)
         return hyp[_first_best(pos_all, base, D, None, out)]
+    out = np.empty(CONFIRM_FRAMES * HYP_CHUNK)
     best = np.empty(b_frames.shape[0], dtype=np.intp)
     out32 = np.empty(HYP_CHUNK * 2 * FRAME_CHUNK, dtype=np.float32)
     per_tile = HYP_CHUNK // SCREEN_BLOCK
@@ -316,7 +318,13 @@ def _contenders(table: np.ndarray, order: np.ndarray, err: np.ndarray,
     q0 and q1 of every frame; 2 m - P turns them into q3 and q2 in place.
     The scores sit in the (rows x 2 frames) layout, where the max over each
     SCREEN_BLOCK of rows is a contiguous reduction; top holds the block
-    maxima by quarter block and d_0, and order picks each hypothesis block's.
+    maxima by quarter block and d_0.  err depends only on the quarter block,
+    and order starts with the quarter blocks in order, so err's first rows
+    are the quarter's.  The test stays in top's layout: a frame's floor is
+    max (max_d0 top - err), which equals the max over every block of
+    top - err because rounding x - e is non-decreasing in x; top + err >=
+    floor runs one d_0 slab at a time, and one gather through order puts
+    the mask in hypothesis-block order.
     """
     n_frames = pos.shape[0]
     half = (table.shape[1] - 1) // 2
@@ -337,10 +345,15 @@ def _contenders(table: np.ndarray, order: np.ndarray, err: np.ndarray,
         np.max(blocks, axis=1, out=top[k, :2])
         np.subtract(twice_m[h:h + rows, None], scores, out=scores)
         np.max(blocks, axis=1, out=top[k, :1:-1])
-    bmax = top[order, np.arange(order.size) // (order.size // 4)].astype(float)
-    floor = (bmax - err[:, None]).max(axis=0)
-    bmax += err[:, None]
-    return bmax >= floor
+    n_q = top.shape[0]
+    errq = err[:n_q, None]  # order starts with the quarter's blocks
+    floor = (top.max(axis=1) - errq).max(axis=0)
+    keep = np.empty((4 * n_q, n_frames), dtype=bool)
+    slab = np.empty((n_q, n_frames))
+    for d0 in range(4):
+        np.add(top[:, d0], errq, out=slab)
+        np.greater_equal(slab, floor, out=keep[d0 * n_q:(d0 + 1) * n_q])
+    return keep[np.arange(order.size) // n_q * n_q + order]
 
 
 def _first_best(pos: np.ndarray, base: np.ndarray, D: np.ndarray,

@@ -179,7 +179,8 @@ class ExperimentConfig:
 
 @dataclass
 class TrialResult:
-    """One scheme run on one random instance; every field but rounds is a CSV column."""
+    """One scheme run on one random instance; every field but rounds and
+    rate_capped is a CSV column."""
 
     scheme: str
     M: int
@@ -194,9 +195,10 @@ class TrialResult:
     ser: float | None = None
     rate: float | None = None
     rounds: list | None = None  # AQ only: one AqIterate per adaptive round
+    rate_capped: int | None = None  # users whose rate is RATE_CAP (data phase only)
 
 
-CSV_COLUMNS = [f.name for f in fields(TrialResult) if f.name != "rounds"]
+CSV_COLUMNS = [f.name for f in fields(TrialResult) if f.name not in ("rounds", "rate_capped")]
 
 
 def snr_key(snr_db: float) -> int:
@@ -244,30 +246,34 @@ def run_trial(scheme: str, M: int, K: int, L: int, snr_db: float, trial: int,
 
     est, rounds = SCHEMES[scheme][1](model, ch.h, rng, i_max)
 
-    ser = rate = None
+    ser = rate = rate_capped = None
     if n_frames > 0:
-        ser, rate = data_phase(ch.H, real_to_channel(est.h_hat, M, K),
-                               power_for_snr(snr_db, 1, 1), n_frames, rng)
+        ser, rates = data_phase(ch.H, real_to_channel(est.h_hat, M, K),
+                                power_for_snr(snr_db, 1, 1), n_frames, rng)
+        rate = float(rates.mean())
+        # an uncapped rate equals RATE_CAP only at a SINR of exactly 2^20 - 1
+        rate_capped = int(np.count_nonzero(rates == RATE_CAP))
 
     return TrialResult(
         scheme=scheme, M=M, K=K, L=L, snr_db=snr_db, trial=trial,
         seed=int(ss.generate_state(1)[0]),
         mse=channel_mse(est.h_hat, ch.h), converged=est.converged,
         iters=int(est.iterations), ser=ser, rate=rate, rounds=rounds,
+        rate_capped=rate_capped,
     )
 
 
 def data_phase(H: np.ndarray, H_est: np.ndarray, symbol_power: float, n_frames: int,
-               rng_seed=None) -> tuple[float, float]:
-    """Send frames through the true channel H, detect them with H_est; (SER, rate).
+               rng_seed=None) -> tuple[float, np.ndarray]:
+    """Send frames through the true channel H, detect them with H_est; (SER, rates).
 
-    SER is the error share over all frames and users; rate is the per-user
-    achievable rate averaged over users.
+    SER is the error share over all frames and users; rates holds each
+    user's achievable rate, shape (K,).
     """
     s_idx, b = simulate_frames(H, symbol_power, n_frames, rng_seed)
     det = detect_frames(H_est, b, symbol_power=symbol_power)
-    rate = achievable_rate(QPSK[s_idx], QPSK[det])
-    return float((det != s_idx).mean()), float(rate.mean())
+    rates = achievable_rate(QPSK[s_idx], QPSK[det])
+    return float((det != s_idx).mean()), rates
 
 
 def _trial_worker(kwargs: dict) -> TrialResult:
@@ -331,7 +337,9 @@ def _median_mean(name: str, values) -> dict:
 def summarize(cfg: ExperimentConfig, rows: list) -> dict:
     """Aggregate medians/means per cell plus the CRB reference curves.
 
-    Every aggregate is recomputable from the CSV rows alone.
+    Every median and mean is recomputable from the CSV rows alone.  A cell
+    with a data phase also counts its users whose rate is RATE_CAP
+    (n_rate_capped) beside its number of users (n_rate_users).
     """
     cells = []
     for L in cfg.L:
@@ -349,6 +357,10 @@ def summarize(cfg: ExperimentConfig, rows: list) -> dict:
                     values = [getattr(r, metric) for r in sel if getattr(r, metric) is not None]
                     if values:
                         cell.update(_median_mean(metric, values))
+                capped = [r.rate_capped for r in sel if r.rate_capped is not None]
+                if capped:
+                    cell["n_rate_capped"] = sum(capped)
+                    cell["n_rate_users"] = cfg.K * len(capped)
                 cells.append(cell)
     refs = [reference_floors(cfg, L, snr) for L in cfg.L for snr in cfg.snr_db]
     return {"config": cfg.to_dict(), "cells": cells, "crb": refs}

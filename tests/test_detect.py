@@ -249,6 +249,25 @@ def test_blocked_terms_move_no_float(monkeypatch, M, K, block):
     assert np.array_equal(_full_delta(D).view(np.int64), full_delta.view(np.int64))
 
 
+def _screen_scores(table, pos):
+    """Float32 screen scores (4^K, F) of every hypothesis in index order,
+    from the quarter table in its four orientations; one sgemm per HYP_CHUNK
+    rows of the quarter, the shapes _contenders scores, so the bits match."""
+    n, F = table.shape[0], pos.shape[0]
+    M = (table.shape[1] - 1) // 2
+    K = round(np.log(4 * n) / np.log(4))
+    # quarter row of each d_0 = 1 hypothesis: its digits turned by ROT
+    turned = detect.ROT[hypothesis_indices(K)[n:2 * n, 1:]] @ 4 ** np.arange(K - 2, -1, -1)
+    b = 2.0 * pos - 1.0
+    signs = np.ones((2 * M + 1, 2 * F), dtype=np.float32)
+    signs[:-1, :F] = b.T
+    signs[:-1, F:] = np.hstack([-b[:, M:], b[:, :M]]).T  # b' = [-b_Im, b_Re]
+    P = np.concatenate([table[h:h + detect.HYP_CHUNK] @ signs
+                        for h in range(0, n, detect.HYP_CHUNK)])
+    Q = 2 * table[:, -1:] - P
+    return np.concatenate([P[:, :F], P[turned, F:], Q[turned[::-1], F:], Q[::-1, :F]])
+
+
 @pytest.mark.parametrize("M, K, snr_db, zero_user", [
     pytest.param(1, 7, -5.0, False, id="1-7--5.0"),
     pytest.param(3, 7, 15.0, False, id="3-7-15.0"),
@@ -263,10 +282,7 @@ def test_screen_bound_covers_float32_rounding(M, K, snr_db, zero_user):
     # within err_k / 2 of the float64 score the confirm pass uses, in every
     # block k
     rng = np.random.default_rng(30 + K + M)
-    n, F = 4 ** (K - 1), 40
-    idx = hypothesis_indices(K)
-    # quarter row of each d_0 = 1 hypothesis: its digits turned by ROT
-    turned = detect.ROT[idx[n:2 * n, 1:]] @ 4 ** np.arange(K - 2, -1, -1)
+    F = 40
     for _ in range(3):
         H = rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
         if zero_user:
@@ -275,17 +291,88 @@ def test_screen_bound_covers_float32_rounding(M, K, snr_db, zero_user):
         delta = _full_delta(D)
         table, order, err = detect._screen_table(base, D)
         pos = rng.random((F, 2 * M)) < 0.5
-        b = 2.0 * pos - 1.0
-        signs = np.ones((2 * M + 1, 2 * F), dtype=np.float32)
-        signs[:-1, :F] = b.T
-        signs[:-1, F:] = np.hstack([-b[:, M:], b[:, :M]]).T  # b' = [-b_Im, b_Re]
-        P = table @ signs
-        Q = 2 * table[:, -1:] - P
-        s32 = np.concatenate([P[:, :F], P[turned, F:], Q[turned[::-1], F:], Q[::-1, :F]])
+        s32 = _screen_scores(table, pos)
         s64 = (pos.astype(float) @ delta.T + base).T
         gap = np.abs(s32.astype(float) - s64).reshape(-1, detect.SCREEN_BLOCK, F).max(axis=(1, 2))
         assert gap.max() > 0
         assert (gap <= err / 2).all()
+
+
+@pytest.mark.parametrize("M, K, snr_db, zero_user", [
+    pytest.param(16, 8, 15.0, False, id="16-8-15.0"),
+    pytest.param(5, 8, 45.0, False, id="5-8-45.0"),
+    pytest.param(3, 7, 15.0, False, id="3-7-15.0"),
+    pytest.param(4, 7, 15.0, True, id="4-7-15.0-zero"),
+    pytest.param(16, 5, 15.0, False, id="16-5-15.0"),
+    pytest.param(3, 5, 45.0, True, id="3-5-45.0-zero"),
+])
+def test_contenders_are_the_blocks_within_the_bound_of_the_best(monkeypatch, M, K, snr_db,
+                                                                 zero_user):
+    # every mask _contenders hands the confirm pass, over a whole chunk and
+    # the short last one, is the rule written out in hypothesis order: block
+    # k contends for frame f iff its float32 maximum plus err_k reaches the
+    # best block maximum minus its err.  At K=5 the screen is lowered to run
+    # on a quarter shorter than one HYP_CHUNK tile; a zero user makes
+    # blocks tie exactly
+    monkeypatch.setattr(detect, "SCREEN_MIN_HYP", 4 ** 5)
+    seen = []
+    contenders = detect._contenders
+
+    def spy(table, order, err, pos, out):
+        mask = contenders(table, order, err, pos, out)
+        seen.append((table, err, pos, mask))
+        return mask
+
+    monkeypatch.setattr(detect, "_contenders", spy)
+    H = _channel(M, K, 100 + M + K)
+    if zero_user:
+        H[:, 0] = 0.0
+    p = 10 ** (snr_db / 10)
+    _, b = om.simulate_frames(H, p, 300, rng_seed=101)
+    om.detect_frames(H, b, symbol_power=p)
+    assert [s[2].shape[0] for s in seen] == [detect.FRAME_CHUNK, 300 - detect.FRAME_CHUNK]
+    for table, err, pos, mask in seen:
+        bmax = _screen_scores(table, pos).reshape(-1, detect.SCREEN_BLOCK, pos.shape[0])
+        bmax = bmax.max(axis=1).astype(float)
+        want = bmax + err[:, None] >= (bmax - err[:, None]).max(axis=0)
+        assert mask.dtype == bool and np.array_equal(mask, want)
+        if zero_user:  # the four images of the best block under user 0 tie
+            assert (mask.sum(axis=0) >= 4).all()
+
+
+def test_screened_scoring_peak_memory_is_its_buffers(monkeypatch):
+    # one call at M=16, K=8 and 1,500 frames peaks within the buffers its
+    # shapes imply: per chunk of frames, no float64 copy of the block maxima
+    M, K, F = 16, 8, 1500
+    H = _channel(M, K, 19)
+    _, b = om.simulate_frames(H, 10 ** 1.5, F, rng_seed=20)
+    base, D = detect._score_terms(H, 10 ** 1.5)
+    hyp = hypothesis_indices(K)  # cached, so built outside the trace
+    widest = []
+    first_best = detect._first_best
+
+    def spy(pos, base, D, cols, out):
+        widest.append(cols.size)
+        return first_best(pos, base, D, cols, out)
+
+    monkeypatch.setattr(detect, "_first_best", spy)
+    tracemalloc.start()
+    try:
+        detect._score_frames(base, D, b, hyp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, n_blocks = 4 ** (K - 1), 4 ** K // detect.SCREEN_BLOCK
+    buffers = (n * (2 * M + 1) * 4                                   # screen table
+               + detect.HYP_CHUNK * 2 * detect.FRAME_CHUNK * 4          # float32 tile
+               + n_blocks * detect.FRAME_CHUNK * 4                      # block maxima
+               + n_blocks // 4 * detect.FRAME_CHUNK * 8                 # one d_0 slab
+               + detect.CONFIRM_FRAMES * detect.HYP_CHUNK * 8           # confirm tile
+               + max(widest) * 2 * M * 8)                               # a group's delta rows
+    # besides: a chunk's bool masks (the d_0 slabs, the gathered mask, the
+    # last chunk's) and 0.5 MiB for the frames' sign matrices, 2m and pos
+    masks = 3 * n_blocks * detect.FRAME_CHUNK
+    assert peak <= buffers + masks + 2 ** 19
 
 
 def test_tie_break_is_lexicographic_across_tiles():

@@ -168,6 +168,30 @@ def test_summary_aggregates_recomputable_from_csv(tmp_path):
     assert abs(ref["ratio_oq_nq"] - np.pi / 2) < 1e-12
 
 
+def test_sweep_json_counts_users_at_the_rate_cap(tmp_path):
+    # perfect CSI at 40 dB detects every frame of M=8, K=2 without error, so
+    # achievable_rate sets every user's rate to RATE_CAP; at -10 dB none.
+    # The count rides on the trial and reaches sweep.json, not sweep.csv
+    cfg = tiny_config(M=8, K=2, snr_db=[-10.0, 40.0], schemes=["PCSI", "NQ"],
+                      n_frames=200).validate()
+    cli.cmd_sweep(cfg, tmp_path)
+    cells = {(c["scheme"], c["snr_db"]): c
+             for c in json.loads((tmp_path / "sweep.json").read_text())["cells"]}
+    rows = run_sweep(cfg)
+    high = [r for r in rows if r.snr_db == 40.0 and r.scheme == "PCSI"]
+    assert [r.rate_capped for r in high] == [2, 2, 2]
+    assert all(r.ser == 0.0 and r.rate == experiments.RATE_CAP for r in high)
+    assert cells[("PCSI", 40.0)]["n_rate_capped"] == cells[("PCSI", 40.0)]["n_rate_users"] == 6
+    assert cells[("PCSI", -10.0)]["n_rate_capped"] == 0
+    assert cells[("PCSI", -10.0)]["n_rate_users"] == 6
+    assert sum(r.rate_capped for r in rows) == sum(c["n_rate_capped"] for c in cells.values())
+    assert "rate_capped" not in CSV_COLUMNS
+    with open(tmp_path / "sweep.csv") as f:
+        assert next(csv.reader(f)) == CSV_COLUMNS
+    no_frames = summarize(tiny_config().validate(), run_sweep(tiny_config().validate()))
+    assert not any("n_rate_capped" in c for c in no_frames["cells"])
+
+
 def test_detect_metrics_populated_when_frames_requested():
     cfg = tiny_config(schemes=["PCSI"], n_frames=200, trials=2).validate()
     rows = run_sweep(cfg)
