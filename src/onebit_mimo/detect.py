@@ -21,23 +21,26 @@ score is m + b . delta / 2, and m is the same for a hypothesis and its images
 under j and negation, so one product against each frame's signs and their
 j-rotation scores two quarters, and 2m minus those scores the other two.
 It keeps, per frame, the blocks of SCREEN_BLOCK hypotheses whose float32
-maximum lies within a rigorous rounding bound of the best; the confirm
-pass reads those contender blocks' rows from D once per group of frames,
-rescores them with the float64 matrix product, and takes the first
-maximum.  Every hypothesis that could win is scored in float64 exactly as a
-full FRAME_CHUNK x HYP_CHUNK tile scores it, so decisions are those of one
-argmax over the full score array, which is never built.  Ties go to the
-lexicographically first hypothesis only where those float64 scores are
-exactly equal.  At high SNR, or at M <= 5, many hypotheses score within a
-few u sum|terms| of each other (u = 2^-53); there the winner follows the
-summation order of the confirm pass's dgemm, which OpenBLAS picks per CPU,
-so it can differ between machines.  Below SCREEN_MIN_HYP hypotheses
-(K < 7), or when the bound is not finite, every block is a contender and
-the screen is skipped.  At M=16, K=8 and 1,500 frames on one core of a
-2-vCPU Xeon VM, scaled to the benchmark's calibration speed, the score
-terms take 33-37 ms, the screen 90-103 ms, the confirm pass 24-39 ms and a
-detection call 158-175 ms; the benchmark's data_phase peaks at 73.7 MB RSS
-(BENCH_23.json).
+maximum lies within a rigorous rounding bound of the best, and names, per
+aligned HYP_CHUNK tile of hypotheses, the frames with such a block in it.
+The confirm pass visits those tiles once each, in ascending order, reads a
+tile's rows from D once, rescores it against its frames alone with the
+float64 matrix product, and keeps the first maximum.  Every hypothesis that
+could win is scored in float64 exactly as a full FRAME_CHUNK x HYP_CHUNK
+tile scores it, so decisions are those of one argmax over the full score
+array, which is never built.  Ties go to the lexicographically first
+hypothesis only where those float64 scores are exactly equal.  At high SNR,
+or at M <= 5, many hypotheses score within a few u sum|terms| of each other
+(u = 2^-53); there the winner follows the summation order of the confirm
+pass's dgemm, which OpenBLAS picks per CPU, so it can differ between
+machines.  Below SCREEN_MIN_HYP hypotheses (K < 7), or when the bound is
+not finite, every frame is confirmed in every tile.  At M=16, K=8 and 1,500
+frames on one core of a 2-vCPU Xeon VM whose calibration loop read 33-41 ms
+(nominal 40 ms), scaled to that nominal speed, the score terms take 35-37
+ms, the screen 94-110 ms, the confirm pass 5-23 ms and a detection call
+137-165 ms; the benchmark's data_phase peaks at 73.6 MB RSS (BENCH_24.json).
+These timings move with the host's state, which calibration does not fully
+undo, so they cannot be compared across BENCH files.
 """
 
 from __future__ import annotations
@@ -60,12 +63,11 @@ FRAME_CHUNK = 256   # frames per score tile
 HYP_CHUNK = 512     # hypotheses per score tile (256 x 512 float64 = 1 MB)
 TERMS_BLOCK = 2 ** 18  # bytes of comparator inputs per log-Phi block
 SCREEN_BLOCK = 64   # hypotheses per float32 screen block
-# Fewest hypotheses the screen runs for.  Below it a 32-frame group's
-# contenders cover most blocks and the screen costs more than it saves (at
-# M=16 and 1,500 frames, without -> with the quarter screen: K=5 3.0-3.3 ->
-# 7.7-10.2 ms, K=6 12.1-14.2 -> 15.4-22.8 ms, but K=7 50-76 -> 30-36 ms).
+# Fewest hypotheses the screen runs for; below it, it costs more than the
+# float64 scoring it saves (at M=16 and 1,500 frames, without -> with the
+# quarter screen: K=5 3.0-3.3 -> 7.7-10.2 ms, K=6 12.1-14.2 -> 15.4-22.8 ms,
+# but K=7 50-76 -> 30-36 ms).
 SCREEN_MIN_HYP = 4 ** 7
-CONFIRM_FRAMES = 32  # most frames per float64 confirm group
 F32_EPS = 2.0 ** -24  # float32 unit roundoff
 F32_SAFE = 2.0 ** 126  # largest score magnitude the float32 screen takes
 
@@ -166,6 +168,16 @@ def _delta_rows(D: np.ndarray, hyps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked(H: np.ndarray, symbol_power: float, name: str) -> np.ndarray:
+    """H as a complex array, once it and symbol_power are finite and the power positive."""
+    H = np.asarray(H, dtype=complex)
+    if not np.isfinite(H).all():
+        raise ValueError(f"{name} must be finite")
+    if not (np.isfinite(symbol_power) and symbol_power > 0):
+        raise ValueError(f"symbol_power must be a positive finite number, got {symbol_power}")
+    return H
+
+
 def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray,
                   symbol_power: float = 1.0) -> np.ndarray:
     """Exhaustive one-bit ML detection of many frames against one channel.
@@ -173,11 +185,7 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray,
     b_frames is (F, 2M) of signs with the [Re block, Im block] comparator
     order.  Returns (F, K) constellation indices.
     """
-    H_hat = np.asarray(H_hat, dtype=complex)
-    if not np.isfinite(H_hat).all():
-        raise ValueError("H_hat must be finite")
-    if not (np.isfinite(symbol_power) and symbol_power > 0):
-        raise ValueError(f"symbol_power must be a positive finite number, got {symbol_power}")
+    H_hat = _checked(H_hat, symbol_power, "H_hat")
     M, K = H_hat.shape
     if K > K_MAX:
         raise ValueError(
@@ -192,63 +200,57 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray,
     return _score_frames(base, D, b_frames, hypothesis_indices(K))
 
 
-def _even_slices(n: int, most: int) -> list:
-    """range(n) in ceil(n / most) contiguous slices whose sizes differ by at most one."""
-    parts = -(-n // most)
-    edges = [n * i // parts for i in range(parts + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
 def _score_frames(base: np.ndarray, D: np.ndarray, b_frames: np.ndarray,
                   hyp: np.ndarray) -> np.ndarray:
     """Best hypothesis per frame by score base + (b > 0) @ delta.T, for
     _score_terms' base and quarter D, from which _delta_rows reads delta.
 
-    Pass 1 (the screen) scores every hypothesis in float32 from a table
-    over the d_0 = 0 quarter (_screen_table): one sgemm gives each quarter
-    row's score and that of its image under j, and 2m minus those give the
-    negated two (_contenders).  Each SCREEN_BLOCK's best float32 score is
-    within err_k / 2 of its float64 one.  A block whose float32
-    maximum plus err_k falls below some block's float32 maximum minus its
-    err_j holds no hypothesis that can match that block's float64 best, so
-    it cannot hold the first maximum; every other block is a contender.
-    Pass 2 (confirm) scores the union of a frame group's contender blocks
-    with the float64 product and takes the first maximum (_first_best).
+    Pass 1 (the screen, _screened_tiles) scores every hypothesis in float32
+    and names, per aligned HYP_CHUNK tile of hypotheses, the frames with a
+    contender block in it; without it (K < 7, or a bound that is not
+    finite) every frame is in every tile.  Pass 2 (the confirm, _first_best)
+    scores each named tile once, against its frames alone, in float64.
 
-    Every float64 product has the shape of an exhaustive-scoring tile,
-    which makes its scores that tile's bit for bit: HYP_CHUNK columns
-    (contender unions are padded with further blocks to whole tiles) and
-    the rows of one FRAME_CHUNK chunk, split evenly into groups of at most
-    CONFIRM_FRAMES, so a group has at least 3 frames unless its chunk does.
-    OpenBLAS picks its kernel, and with it the summation order, from the
-    shape: on x86-64 a product over one row, or (for 2M >= 32) over at most
-    about 1,200 rows x columns, takes another kernel and can differ in the
-    last bit (3 x 256 and 17 x 64 do; 3 x 512 and 19 x 64 do not).
+    Every float64 product has the shape of an exhaustive-scoring tile, which
+    makes its scores that tile's bit for bit: HYP_CHUNK columns over 3 to
+    FRAME_CHUNK rows, or one row in a one-frame call, whose full score array
+    is itself one row.  OpenBLAS picks its kernel, and with it the summation
+    order, from the shape: on x86-64 a product over one row, or (for 2M >=
+    32) over at most about 1,200 rows x columns, takes another kernel and
+    can differ in the last bit (2 x 512, 3 x 256 and 17 x 64 do; 3 x 512
+    and 19 x 64 do not).
     """
-    pos_all = b_frames > 0
-    err = None
-    if base.size >= SCREEN_MIN_HYP:
-        table, order, err = _screen_table(base, D)
-    # one score buffer per call, sized for the tiles its path scores: a fresh
-    # array per tile costs page faults that doubled the time at K=5
+    pos = b_frames > 0
+    visits = _screened_tiles(base, D, pos) if base.size >= SCREEN_MIN_HYP else None
+    if visits is None:
+        every = np.arange(pos.shape[0])
+        visits = [(h, every) for h in range(0, base.size, HYP_CHUNK)]
+    return hyp[_first_best(pos, base, D, visits)]
+
+
+def _screened_tiles(base: np.ndarray, D: np.ndarray, pos: np.ndarray):
+    """The float32 screen: ascending (first hypothesis, frames) pairs, one
+    per aligned HYP_CHUNK tile that holds a contender block of some frame,
+    with those frames ascending; None when the bound is not finite.
+
+    _contenders scores each FRAME_CHUNK chunk of frames against the quarter
+    table (_screen_table).  Each SCREEN_BLOCK's best float32 score is within
+    err_k / 2 of its float64 one.  A block whose float32 maximum plus err_k
+    falls below some block's float32 maximum minus its err_j holds no
+    hypothesis that can match that block's float64 best, so it cannot hold
+    the first maximum; every other block is a contender.
+    """
+    table, order, err = _screen_table(base, D)
     if err is None:
-        out = np.empty(FRAME_CHUNK * HYP_CHUNK)
-        return hyp[_first_best(pos_all, base, D, None, out)]
-    out = np.empty(CONFIRM_FRAMES * HYP_CHUNK)
-    best = np.empty(b_frames.shape[0], dtype=np.intp)
-    out32 = np.empty(HYP_CHUNK * 2 * FRAME_CHUNK, dtype=np.float32)
+        return None
+    out = np.empty(HYP_CHUNK * 2 * FRAME_CHUNK, dtype=np.float32)
     per_tile = HYP_CHUNK // SCREEN_BLOCK
-    block_cols = np.arange(SCREEN_BLOCK)
-    for lo in range(0, b_frames.shape[0], FRAME_CHUNK):
-        pos = pos_all[lo:lo + FRAME_CHUNK]
-        contender = _contenders(table, order, err, pos, out32)
-        for grp in _even_slices(pos.shape[0], CONFIRM_FRAMES):
-            keep = contender[:, grp].any(axis=1)
-            pad = -np.count_nonzero(keep) % per_tile
-            keep[np.flatnonzero(~keep)[:pad]] = True
-            cols = (np.flatnonzero(keep)[:, None] * SCREEN_BLOCK + block_cols).ravel()
-            best[lo + grp.start:lo + grp.stop] = _first_best(pos[grp], base, D, cols, out)
-    return hyp[best]
+    # hits[t, f]: tile t holds a contender block of frame f
+    hits = np.empty((order.size // per_tile, pos.shape[0]), dtype=bool)
+    for lo in range(0, pos.shape[0], FRAME_CHUNK):
+        contender = _contenders(table, order, err, pos[lo:lo + FRAME_CHUNK], out)
+        contender.reshape(hits.shape[0], per_tile, -1).any(axis=1, out=hits[:, lo:lo + FRAME_CHUNK])
+    return [(t * HYP_CHUNK, np.flatnonzero(row)) for t, row in enumerate(hits) if row.any()]
 
 
 def _screen_table(base: np.ndarray, D: np.ndarray):
@@ -356,42 +358,36 @@ def _contenders(table: np.ndarray, order: np.ndarray, err: np.ndarray,
     return keep[np.arange(order.size) // n_q * n_q + order]
 
 
-def _first_best(pos: np.ndarray, base: np.ndarray, D: np.ndarray,
-                cols, out: np.ndarray) -> np.ndarray:
-    """Index of each frame's first maximum of base + pos @ delta.T over the
-    ascending hypothesis indices cols (None: all of them), for the frames'
-    masks pos (b > 0).
+def _first_best(pos: np.ndarray, base: np.ndarray, D: np.ndarray, visits) -> np.ndarray:
+    """Index of each frame's first maximum of base + pos @ delta.T, for the
+    frames' masks pos (b > 0), over the ascending (first hypothesis, frames)
+    tile visits.
 
-    Reads delta's rows from the quarter D (_delta_rows) once for all of
-    cols, or, for cols None, once per HYP_CHUNK tile, which then scores every
-    FRAME_CHUNK chunk of frames.  Scores one tile per product, into the
-    buffer out, and keeps a running best per frame.  A later tile replaces a
-    frame's best only on a strictly higher score, so ties go to the
-    lexicographically first hypothesis, as with one argmax.
+    Reads each tile's delta rows from D once (_delta_rows) and scores its
+    frames in pieces of at most FRAME_CHUNK rows, one product each into one
+    buffer; a piece is padded to 3 rows (1 in a one-frame call) by repeating
+    its rows.  Only a strictly higher score replaces a frame's running best,
+    so ties go to the lexicographically first hypothesis, as with one argmax.
     """
     n_frames = pos.shape[0]
+    least = 3 if n_frames > 1 else 1
+    out = np.empty(FRAME_CHUNK * HYP_CHUNK)  # fresh arrays per tile doubled the time at K=5
     best_score = np.full(n_frames, -np.inf)
     best_idx = np.zeros(n_frames, dtype=np.intp)
-    if cols is None:
-        reads = (np.arange(h, min(h + HYP_CHUNK, base.size))
-                 for h in range(0, base.size, HYP_CHUNK))
-    else:
-        reads = [cols]
-    for hyps in reads:
-        delta = _delta_rows(D, hyps)
-        for h in range(0, hyps.size, HYP_CHUNK):
-            tile, part = hyps[h:h + HYP_CHUNK], delta[h:h + HYP_CHUNK]
-            for f in range(0, n_frames, FRAME_CHUNK):
-                frames = pos[f:f + FRAME_CHUNK].astype(float)
-                scores = np.matmul(frames, part.T,
-                                   out=out[:frames.shape[0] * tile.size].reshape(frames.shape[0], -1))
-                scores += base[tile]
-                arg = np.argmax(scores, axis=1)
-                score = scores[np.arange(frames.shape[0]), arg]
-                best_s, best_i = best_score[f:f + FRAME_CHUNK], best_idx[f:f + FRAME_CHUNK]
-                better = score > best_s
-                best_s[better] = score[better]
-                best_i[better] = tile[arg[better]]
+    for h, frames in visits:
+        tile = slice(h, min(h + HYP_CHUNK, base.size))
+        delta = _delta_rows(D, np.arange(tile.start, tile.stop))
+        for f in range(0, frames.size, FRAME_CHUNK):
+            piece = frames[f:f + FRAME_CHUNK]
+            rows = np.resize(piece, max(piece.size, least))
+            scores = np.matmul(pos[rows].astype(float), delta.T,
+                               out=out[:rows.size * delta.shape[0]].reshape(rows.size, -1))
+            scores += base[tile]
+            arg = np.argmax(scores[:piece.size], axis=1)
+            score = scores[np.arange(piece.size), arg]
+            better = score > best_score[piece]
+            best_score[piece[better]] = score[better]
+            best_idx[piece[better]] = h + arg[better]
     return best_idx
 
 
@@ -400,8 +396,8 @@ def simulate_frames(H: np.ndarray, symbol_power: float, n_frames: int, rng_seed=
 
     Returns (constellation indices (F, K), one-bit data (F, 2M)).
     """
+    H = _checked(H, symbol_power, "H")
     rng = np.random.default_rng(rng_seed)
-    H = np.asarray(H, dtype=complex)
     M, K = H.shape
     idx = rng.integers(0, 4, size=(n_frames, K))
     noise = np.hstack(rng.standard_normal((2, n_frames, M)))  # the Re block, then the Im block

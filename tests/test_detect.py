@@ -89,6 +89,18 @@ def _full_matrix_decisions(H, b, symbol_power):
     pytest.param(2, 1, 30, -5.0, True, id="2-1-30--5dB-zero"),
     pytest.param(3, 2, 50, 0.0, False, id="3-2-50-0dB"),
     pytest.param(5, 2, 40, 45.0, True, id="5-2-40-45dB-zero"),
+    # calls of 1, 2, 257 and 258 frames: the screened confirm at K=7 and the
+    # unscreened one at K=4 score pieces of 1 or 2 frames, which are padded;
+    # at 45 dB and M <= 5, a lone 257th frame scored by a one-row product
+    # is decided otherwise than by the full array
+    pytest.param(16, 7, 1, 15.0, False, id="16-7-1"),
+    pytest.param(16, 7, 2, 15.0, False, id="16-7-2"),
+    pytest.param(3, 7, 257, 45.0, True, id="3-7-257-45dB-zero"),
+    pytest.param(16, 7, 258, 15.0, False, id="16-7-258"),
+    pytest.param(16, 4, 1, 45.0, False, id="16-4-1-45dB"),
+    pytest.param(16, 4, 2, 45.0, False, id="16-4-2-45dB"),
+    pytest.param(5, 4, 257, 45.0, False, id="5-4-257-45dB"),
+    pytest.param(4, 4, 258, 45.0, True, id="4-4-258-45dB-zero"),
 ])
 def test_tiled_scorer_matches_full_matrix(M, K, n_frames, snr_db, zero_user):
     H = _channel(M, K, 12)
@@ -99,6 +111,26 @@ def test_tiled_scorer_matches_full_matrix(M, K, n_frames, snr_db, zero_user):
     base, D = detect._score_terms(H, p)
     ours = detect._score_frames(base, D, b, hypothesis_indices(K))
     assert np.array_equal(ours, _full_matrix_decisions(H, b, p))
+
+
+def test_two_frame_call_scores_like_the_full_matrix():
+    # user 1 is user 0 times j, so many hypotheses score within rounding of
+    # each other and the last bit decides.  A 2 x 512 product at 2M = 32 can
+    # take another OpenBLAS kernel than the call's full 2-row array, so the
+    # confirm pads both frames' pieces to 3 rows
+    H = _channel(16, 7, 5)
+    H[:, 1] = 1j * H[:, 0]
+    p = 10 ** 4.5
+    _, b = om.simulate_frames(H, p, 2, rng_seed=6)
+    assert np.array_equal(om.detect_frames(H, b, symbol_power=p), _full_matrix_decisions(H, b, p))
+
+
+@pytest.mark.parametrize("K", [4, 7])
+def test_zero_frames_give_an_empty_decision_array(K):
+    # K=7 runs the screen, K=4 scores every hypothesis; with no frames both
+    # return (0, K) and name no tile
+    out = om.detect_frames(_channel(5, K, 3), np.empty((0, 10)), symbol_power=2.0)
+    assert out.shape == (0, K)
 
 
 def _expand_quarter(D, neg_re, neg_im):
@@ -180,24 +212,43 @@ def test_float32_reversal_goes_to_the_float64_winner():
 
 
 def test_confirm_products_have_full_tile_shapes(monkeypatch):
-    # whole HYP_CHUNK tiles over >= 3 frames, or over the call's own 1- or
-    # 2-frame last chunk: the shapes whose float64 scores are those of
-    # exhaustive tiled scoring bit for bit
-    seen = []
-    first_best = detect._first_best
+    # each aligned HYP_CHUNK tile's delta rows are read once, in ascending
+    # order, and every float64 product scores a whole tile over 3 to
+    # FRAME_CHUNK frames (1 in a one-frame call): the shapes whose scores are
+    # those of exhaustive tiled scoring bit for bit.  K=7 runs the screen,
+    # K=5 confirms every frame in every tile
+    reads, products = [], []
+    delta_rows, matmul = detect._delta_rows, np.matmul
 
-    def spy(pos, base, D, cols, out):
-        seen.append((pos.shape[0], cols.size))
-        return first_best(pos, base, D, cols, out)
+    def spy_rows(D, hyps):
+        reads.append(hyps)
+        return delta_rows(D, hyps)
 
-    monkeypatch.setattr(detect, "_first_best", spy)
-    H = _channel(16, 7, 40)
-    _, b = om.simulate_frames(H, 10.0, 258, rng_seed=41)
-    om.detect_frames(H, b, symbol_power=10.0)
-    rows = [r for r, _ in seen]
-    assert sum(rows) == 258 and max(rows) <= detect.CONFIRM_FRAMES
-    assert [r for r in rows if r < 3] == [2]
-    assert all(c % detect.HYP_CHUNK == 0 for _, c in seen)
+    def spy_matmul(a, b, **kw):
+        if a.dtype == np.float64:
+            products.append((a.shape[0], b.shape[1]))
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(detect, "_delta_rows", spy_rows)
+    monkeypatch.setattr(detect.np, "matmul", spy_matmul)
+    for K, n_frames in [(7, 258), (7, 2), (7, 1), (5, 257)]:
+        reads.clear()
+        products.clear()
+        H = _channel(16, K, 40)
+        _, b = om.simulate_frames(H, 10.0, n_frames, rng_seed=41)
+        om.detect_frames(H, b, symbol_power=10.0)
+        starts = [int(hyps[0]) for hyps in reads]
+        assert starts == sorted(set(starts))
+        for h, hyps in zip(starts, reads):
+            assert h % detect.HYP_CHUNK == 0
+            assert np.array_equal(hyps, np.arange(h, h + detect.HYP_CHUNK))
+        assert len(products) >= len(reads) > 0
+        least = 3 if n_frames > 1 else 1
+        assert all(least <= r <= detect.FRAME_CHUNK and c == detect.HYP_CHUNK
+                   for r, c in products)
+        if K == 5:  # every tile scores 256 frames and the padded last one
+            assert len(reads) == 4 ** K // detect.HYP_CHUNK
+            assert [r for r, _ in products] == [detect.FRAME_CHUNK, 3] * len(reads)
 
 
 @pytest.mark.parametrize("K", [5, 6])
@@ -342,37 +393,43 @@ def test_contenders_are_the_blocks_within_the_bound_of_the_best(monkeypatch, M, 
 
 def test_screened_scoring_peak_memory_is_its_buffers(monkeypatch):
     # one call at M=16, K=8 and 1,500 frames peaks within the buffers its
-    # shapes imply: per chunk of frames, no float64 copy of the block maxima
+    # shapes imply: per chunk of frames, no float64 copy of the block
+    # maxima, and the confirm's score buffer only once the screen's are
+    # freed.  With a zero channel every block of every frame contends
     M, K, F = 16, 8, 1500
     H = _channel(M, K, 19)
     _, b = om.simulate_frames(H, 10 ** 1.5, F, rng_seed=20)
-    base, D = detect._score_terms(H, 10 ** 1.5)
     hyp = hypothesis_indices(K)  # cached, so built outside the trace
-    widest = []
-    first_best = detect._first_best
+    pairs = []
+    screened_tiles = detect._screened_tiles
 
-    def spy(pos, base, D, cols, out):
-        widest.append(cols.size)
-        return first_best(pos, base, D, cols, out)
+    def spy(base, D, pos):
+        visits = screened_tiles(base, D, pos)
+        pairs.append(sum(frames.size for _, frames in visits))
+        return visits
 
-    monkeypatch.setattr(detect, "_first_best", spy)
-    tracemalloc.start()
-    try:
-        detect._score_frames(base, D, b, hyp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    monkeypatch.setattr(detect, "_screened_tiles", spy)
     n, n_blocks = 4 ** (K - 1), 4 ** K // detect.SCREEN_BLOCK
-    buffers = (n * (2 * M + 1) * 4                                   # screen table
-               + detect.HYP_CHUNK * 2 * detect.FRAME_CHUNK * 4          # float32 tile
-               + n_blocks * detect.FRAME_CHUNK * 4                      # block maxima
-               + n_blocks // 4 * detect.FRAME_CHUNK * 8                 # one d_0 slab
-               + detect.CONFIRM_FRAMES * detect.HYP_CHUNK * 8           # confirm tile
-               + max(widest) * 2 * M * 8)                               # a group's delta rows
-    # besides: a chunk's bool masks (the d_0 slabs, the gathered mask, the
-    # last chunk's) and 0.5 MiB for the frames' sign matrices, 2m and pos
-    masks = 3 * n_blocks * detect.FRAME_CHUNK
-    assert peak <= buffers + masks + 2 ** 19
+    screen = (n * (2 * M + 1) * 4                                    # screen table
+              + detect.HYP_CHUNK * 2 * detect.FRAME_CHUNK * 4           # float32 tile
+              + n_blocks * detect.FRAME_CHUNK * 4                       # block maxima
+              + n_blocks // 4 * detect.FRAME_CHUNK * 8                  # one d_0 slab
+              + 3 * n_blocks * detect.FRAME_CHUNK)  # a chunk's bool masks: d_0 slabs, gathered, last
+    confirm = (detect.FRAME_CHUNK * detect.HYP_CHUNK * 8                # score buffer
+               + detect.HYP_CHUNK * 2 * M * 8)                          # a tile's delta rows
+    # besides: the (tiles, frames) contender mask, each tile's frame indices,
+    # and 0.5 MiB for the frames' sign matrices, 2m and pos
+    hits = n_blocks * detect.SCREEN_BLOCK // detect.HYP_CHUNK * F
+    for channel in (H, np.zeros_like(H)):
+        base, D = detect._score_terms(channel, 10 ** 1.5)
+        pairs.clear()
+        tracemalloc.start()
+        try:
+            detect._score_frames(base, D, b, hyp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(screen, confirm) + hits + 8 * pairs[0] + 2 ** 19
 
 
 def test_tie_break_is_lexicographic_across_tiles():
@@ -498,6 +555,23 @@ def test_non_finite_inputs_raise(H_bad, symbol_power, name):
         om.detect_frames(H, np.ones((3, 8)), symbol_power=symbol_power)
 
 
+@pytest.mark.parametrize("H_bad, symbol_power, name", [
+    (None, -1.0, "symbol_power"),
+    (None, 0.0, "symbol_power"),
+    (None, np.nan, "symbol_power"),
+    (None, np.inf, "symbol_power"),
+    (np.nan, 1.0, "H"),
+    (np.inf, 1.0, "H"),
+])
+def test_simulate_frames_rejects_bad_inputs(H_bad, symbol_power, name):
+    # before the check, these gave all -1 signs with at most a RuntimeWarning
+    H = _channel(4, 2, 19)
+    if H_bad is not None:
+        H[1, 1] = H_bad
+    with pytest.raises(ValueError, match=name):
+        om.simulate_frames(H, symbol_power, 5, rng_seed=0)
+
+
 def test_k_max_guard():
     H = np.zeros((4, 9), dtype=complex)
     with pytest.raises(ValueError, match="reduce"):
@@ -620,5 +694,6 @@ def test_screened_decisions_match_full_matrix_audit(K):
                 p = 10 ** (snr_db / 10)
                 _, b = om.simulate_frames(H, p, 300, rng_seed=int(rng.integers(2 ** 31)))
                 ours = om.detect_frames(H_hat, b, symbol_power=p)
-                for grp in detect._even_slices(b.shape[0], 64):
+                for lo in range(0, b.shape[0], 64):
+                    grp = slice(lo, lo + 64)
                     assert np.array_equal(ours[grp], _full_matrix_decisions(H_hat, b[grp], p))
