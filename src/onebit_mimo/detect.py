@@ -146,10 +146,18 @@ def _delta_rows(D: np.ndarray, hyps: np.ndarray) -> np.ndarray:
     With [R, I] a row of D: q0 is D itself, q1 is [I, -R] of the ROT row,
     q2 and q3 are q1 and q0 negated with their rows reversed.  Copies and
     negations only, so every row is bit for bit the one the quarter's
-    hypothesis has.
+    hypothesis has.  A run of consecutive indices inside q0 is a slice of D
+    (a view, not a copy), and one inside q3 one negation of a reversed slice.
     """
     n, two_m = D.shape
     M = two_m // 2
+    if hyps.size and hyps[-1] - hyps[0] == hyps.size - 1:
+        q, a = divmod(int(hyps[0]), n)
+        b = a + hyps.size
+        if q == 0 and b <= n:
+            return D[a:b]
+        if q == 3:
+            return np.negative(D[n - b:n - a][::-1])
     rows = _rot_rows(n)
     e1, e2, e3 = np.searchsorted(hyps, (n, 2 * n, 3 * n))
     src = hyps % n  # the quarter row each hypothesis reads

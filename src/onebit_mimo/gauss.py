@@ -85,16 +85,17 @@ def mills_ratio(t):
     return SQRT_2_OVER_PI / erfcx(-t / SQRT_2)
 
 
-def mills_from_logcdf(t, log_phi):
+def mills_from_logcdf(t, log_phi, t_min=None):
     """phi(t)/Phi(t) given log_phi = log Phi(t), without a second special function.
 
     Uses phi/Phi = exp(-t^2/2 - log sqrt(2 pi) - log Phi(t)) where
     t >= MILLS_LOGCDF_CUT and falls back to mills_ratio below it, so the
-    exponent never cancels catastrophically or overflows.
+    exponent never cancels catastrophically or overflows.  t_min, if given,
+    is t.min(), for a caller that already has it.
     """
     t = np.asarray(t, dtype=float)
     log_phi = np.asarray(log_phi, dtype=float)
-    if t.size == 0 or t.min() >= MILLS_LOGCDF_CUT:
+    if t.size == 0 or (t.min() if t_min is None else t_min) >= MILLS_LOGCDF_CUT:
         return _mills_body(t, log_phi)
     out = np.empty_like(t)
     body = t >= MILLS_LOGCDF_CUT

@@ -18,10 +18,22 @@ which are finite and well-scaled arbitrarily deep into both tails.
 
 The Newton loop evaluates log Phi once per point it visits: the margins
 and log Phi of each accepted line-search trial are carried into the next
-step, and mills(s) is taken from them through gauss.mills_from_logcdf
-(erfcx only in the deep left tail).  The solver's final convergence check
-recomputes the margins and log Phi of the final iterate and takes mills(s)
-from that log Phi the same way.  log_likelihood, gradient and
+step (with their per-antenna sums, when every antenna took its full step
+and none left the working set), and mills(s) is taken from them through
+gauss.mills_from_logcdf (erfcx only in the deep left tail).  An antenna
+that leaves the working set keeps the margins and log Phi of the evaluation
+that took it to its final row.  The final convergence check recomputes
+every margin of the final iterate with one full-width product and runs log
+Phi only where a margin's bits differ from the kept one's: a capped row,
+or a row whose product rounded otherwise.  Reuse is keyed on the bits of
+each margin, not on rows, because a product over part of the working set
+need not match the full one.  With one row, Hs @ At.T takes numpy's gemv
+path: at M=16, K=8 and L 32-256, all 304 one-row products tried differed
+in the last bit from the full product's row, while 336 products of 2-15
+rows all matched; at L=256, every block_gram GEMM over 1-14 of the 16 rows
+differed from the 16-row one.  solve_ml's memo hands the final margins
+and log Phi on to AQ's next round, whose start then runs log Phi only on
+its new batch and on the rows run_aq shrank.  log_likelihood, gradient and
 hessian_action recompute margins and call norm_logcdf / mills_ratio
 directly, so they stay independent of that bookkeeping.
 
@@ -75,18 +87,32 @@ class LikelihoodProblem:
     """Quantized data for the estimator; batches accumulate across adaptive rounds.
 
     Each batch must come from an independent noise draw on the same model
-    (the log-likelihood below simply sums the batches' terms).
+    (the log-likelihood below simply sums the batches' terms).  signs and
+    thresholds are the batches stacked as (n_batches, M, 2L) float arrays.
+    They are stacked from batches unless the caller passes both: run_aq
+    writes one slab per round into arrays it keeps, instead of restacking
+    every batch for every solve.
     """
 
     batches: list
     model: RealModel
+    signs: np.ndarray | None = None
+    thresholds: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.batches:
             raise ValueError("need at least one quantized batch")
+        m = self.model
         for batch in self.batches:
-            if batch.b.shape != (self.model.N,):
+            if batch.b.shape != (m.N,):
                 raise ValueError("batch length does not match the model's N")
+        slab = (m.M, 2 * m.L)
+        if self.signs is None and self.thresholds is None:
+            self.signs = np.stack([b.b.astype(float).reshape(slab) for b in self.batches])
+            self.thresholds = np.stack([b.tau.reshape(slab) for b in self.batches])
+        elif any(a is None or a.shape != (len(self.batches), *slab)
+                 for a in (self.signs, self.thresholds)):
+            raise ValueError("stacked signs and thresholds must be (n_batches, M, 2L)")
 
 
 @dataclass
@@ -109,14 +135,6 @@ class ChannelEstimate:
         return bool(self.antenna_converged.all())
 
 
-def _stacked(prob: LikelihoodProblem):
-    """Batch data as (n_batches, M, 2L) sign and threshold arrays."""
-    m = prob.model
-    B = np.stack([b.b.astype(float).reshape(m.M, 2 * m.L) for b in prob.batches])
-    T = np.stack([b.tau.reshape(m.M, 2 * m.L) for b in prob.batches])
-    return B, T
-
-
 def _margins(H, B, T, At):
     """s = b * (a^T h - tau) for antenna rows H against (batch, row, 2L) data."""
     S = np.subtract((H @ At.T)[None, :, :], T)
@@ -129,16 +147,18 @@ def _score(B, lam, At):
     return (B * lam).sum(axis=0) @ At
 
 
-def _curvature(S, lam):
+def _curvature(S, lam, s_min=None):
     """-d2l/dz2 = lam (s + lam) per measurement, summed over batches.
 
     For s -> -inf, s + lam(s) = -t (1 - 2t^2 + 10t^4 - ...) with t = 1/s,
     used below CURVATURE_SERIES_BELOW, where the direct sum cancels (and can
     even turn negative).  One S.min() keeps ordinary margins on the direct
-    path at the cost of a single reduction.
+    path at the cost of a single reduction; s_min, if given, is that
+    minimum or any lower bound of it (the Newton step's, taken before its
+    working set shrank).
     """
     gap = S + lam
-    if S.min() < CURVATURE_SERIES_BELOW:
+    if (S.min() if s_min is None else s_min) < CURVATURE_SERIES_BELOW:
         far = S < CURVATURE_SERIES_BELOW
         t = 1.0 / S[far]
         t2 = t * t
@@ -149,9 +169,8 @@ def _curvature(S, lam):
 
 def _problem_margins(prob: LikelihoodProblem, h: np.ndarray):
     m = prob.model
-    B, T = _stacked(prob)
     H = np.asarray(h, dtype=float).reshape(m.M, 2 * m.K)
-    return B, _margins(H, B, T, m.A_tilde)
+    return prob.signs, _margins(H, prob.signs, prob.thresholds, m.A_tilde)
 
 
 def log_likelihood(prob: LikelihoodProblem, h: np.ndarray) -> float:
@@ -196,16 +215,19 @@ def _line_search(Hs, step, slope, ll0, Bs, Ts, At):
     ll0 is each row's log-likelihood and slope its directional derivative
     G.step.  Returns the new rows (a row whose search failed keeps its Hs
     value), their margins and elementwise log Phi (meaningful only for rows
-    that accepted), and which rows accepted a step.  A trial that rounds back
-    to its start row is never accepted: that row has stalled.
+    that accepted), which rows accepted a step, and, when every row accepted
+    the full step, the rows' log-likelihoods LP.sum(axis=(0, 2)) (else
+    None).  A trial that rounds back to its start row is never accepted:
+    that row has stalled.
     """
     Hnew = Hs + step
     S = _margins(Hnew, Bs, Ts, At)
     LP = norm_logcdf(S)
     moved = (Hnew != Hs).any(axis=1)
-    accepted = (LP.sum(axis=(0, 2)) >= ll0 + ARMIJO_C1 * slope) & moved
+    ll = LP.sum(axis=(0, 2))
+    accepted = (ll >= ll0 + ARMIJO_C1 * slope) & moved
     if accepted.all():
-        return Hnew, S, LP, accepted
+        return Hnew, S, LP, accepted, ll
 
     Hnew[~accepted] = Hs[~accepted]
     pend = np.flatnonzero(~accepted & moved)
@@ -224,7 +246,35 @@ def _line_search(Hs, step, slope, ll0, Bs, Ts, At):
         Hnew[good], S[:, good], LP[:, good] = trial[ok], St[:, ok], LPt[:, ok]
         accepted[good] = True
         pend = pend[~ok]
-    return Hnew, S, LP, accepted
+    return Hnew, S, LP, accepted, None
+
+
+def _row_norms(X):
+    """Euclidean norm of each row: what np.linalg.norm(X, axis=1) returns, without its checks."""
+    return np.sqrt(np.add.reduce(X * X, axis=1))
+
+
+def _logcdf_reusing(S, known):
+    """log Phi(S), copied from known values wherever a margin has their bits.
+
+    known lists (rows, S_k, LP_k): margins and their log Phi for the
+    antennas rows (indices or a slice) over S's first len(S_k) batches.  It
+    is emptied as it is read, so each kept array is freed once used.
+    norm_logcdf runs once, on every entry no kept margin matches bit for bit.
+    """
+    if not known:
+        return norm_logcdf(S)
+    LP = np.empty_like(S)
+    fresh = np.ones(S.shape, dtype=bool)
+    while known:
+        rows, S_k, LP_k = known.pop()
+        n = len(S_k)
+        same = S[:n, rows].view(np.int64) == S_k.view(np.int64)
+        LP[:n, rows] = LP_k
+        fresh[:n, rows] = ~same
+    if fresh.any():
+        LP[fresh] = norm_logcdf(S[fresh])
+    return LP
 
 
 def _keep(mask, *arrays):
@@ -236,7 +286,8 @@ def _keep(mask, *arrays):
     return [a[mask] if a.ndim == 1 else a[..., mask, :] for a in arrays]
 
 
-def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEstimate:
+def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
+             memo: list | None = None) -> ChannelEstimate:
     """Damped Newton ascent on the concave log-likelihood.
 
     Concavity means any stationary point is the global maximum, so the
@@ -245,10 +296,15 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
     maximizer: its iterate runs out along a ray until the decaying gradient
     passes the GRAD_TOL test (rarely, until it is clamped at NORM_CAP), and
     the result is flagged converged=False rather than returned silently.
+    memo, if given, is a list of (rows, S, LP) triples as _logcdf_reusing
+    takes them.  The start reuses and empties it, and the solve leaves its
+    final margins and log Phi in it: AQ's round k+1 starts from round k's
+    estimate on the same batches plus one, so most of its first margins
+    have the bits of round k's final ones.
     """
     m = prob.model
     At = m.A_tilde
-    B, T = _stacked(prob)
+    B, T = prob.signs, prob.thresholds
     M, K2 = m.M, 2 * m.K
     meas_per_antenna = B.shape[0] * 2 * m.L
     tol = GRAD_TOL * meas_per_antenna
@@ -261,59 +317,83 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None) -> ChannelEs
 
     # Working set of the active antennas: their indices, rows, data, margins
     # and log Phi of the margins.  Antennas only leave it, and each accepted
-    # line-search trial hands its margins and log Phi to the next step.
+    # line-search trial hands its margins and log Phi to the next step.  An
+    # antenna that leaves at its final row puts its margins and log Phi in
+    # left for the final check.
     idx, Hs, Bs, Ts = np.arange(M), H.copy(), B, T
     S = _margins(Hs, Bs, Ts, At)
-    LP = norm_logcdf(S)
+    LP = _logcdf_reusing(S, [] if memo is None else memo)
+    left = []
+    ll0 = None  # the rows' log-likelihoods, when carried from the line search
 
     for _ in range(MAX_ITER):
         if idx.size == 0:
             break
         iters_used += 1
 
-        lam = mills_from_logcdf(S, LP)
+        s_min = S.min()
+        lam = mills_from_logcdf(S, LP, s_min)
         G = _score(Bs, lam, At)
-        keep = np.linalg.norm(G, axis=1) > tol
+        keep = _row_norms(G) > tol
         if not keep.all():
+            left.append((idx[~keep], S[:, ~keep], LP[:, ~keep]))
             idx, Hs, Bs, Ts, S, LP, lam, G = _keep(keep, idx, Hs, Bs, Ts, S, LP, lam, G)
+            ll0 = None
             if idx.size == 0:
                 break
 
-        step = _newton_direction(m.block_gram(_curvature(S, lam)), G)
+        step = _newton_direction(m.block_gram(_curvature(S, lam, s_min)), G)
         slope = (G * step).sum(axis=1)
-        ll0 = LP.sum(axis=(0, 2))
+        if ll0 is None:
+            ll0 = LP.sum(axis=(0, 2))
         # Newton decrement within rounding of the log-likelihood: no step
         # can show a gain the Armijo test could see.
         flat = np.abs(slope) <= DECREMENT_ULPS * np.spacing(np.abs(ll0))
         if flat.any():
             at_floor[idx[flat]] = True
-            idx, Hs, Bs, Ts, step, slope, ll0 = _keep(~flat, idx, Hs, Bs, Ts, step, slope, ll0)
+            left.append((idx[flat], S[:, flat], LP[:, flat]))
+            idx, Hs, Bs, Ts, S, LP, step, slope, ll0 = _keep(
+                ~flat, idx, Hs, Bs, Ts, S, LP, step, slope, ll0)
             if idx.size == 0:
                 break
 
-        Hs, S, LP, accepted = _line_search(Hs, step, slope, ll0, Bs, Ts, At)
+        Hs, S_new, LP_new, accepted, ll0 = _line_search(Hs, step, slope, ll0, Bs, Ts, At)
         H[idx] = Hs
 
-        norms = np.linalg.norm(Hs, axis=1)
+        norms = _row_norms(Hs)
         blown = norms > NORM_CAP
         if blown.any():
             H[idx[blown]] = Hs[blown] * (NORM_CAP / norms[blown])[:, None]
             capped[idx[blown]] = True
 
-        # Stalled antennas (no step accepted) leave too: either at the
-        # optimum to rounding or genuinely stuck; the final gradient check
-        # below decides which.
+        # Stalled antennas (no step accepted) leave too, with the margins of
+        # the row they kept: either at the optimum to rounding or genuinely
+        # stuck; the final gradient check below decides which.  A sum over
+        # a shrunk working set is taken afresh: numpy sums a (k, 1, 2L)
+        # block over axes (0, 2) as one run, which can round differently.
         keep = accepted & ~blown
         if not keep.all():
-            idx, Hs, Bs, Ts, S, LP = _keep(keep, idx, Hs, Bs, Ts, S, LP)
+            stalled = ~accepted & ~blown
+            if stalled.any():
+                left.append((idx[stalled], S[:, stalled], LP[:, stalled]))
+            idx, Hs, Bs, Ts, S, LP = _keep(keep, idx, Hs, Bs, Ts, S_new, LP_new)
+            ll0 = None
+        else:
+            S, LP = S_new, LP_new
+        del S_new, LP_new  # no full-width trial arrays outlive the step
+    if idx.size:
+        left.append((idx, S, LP))
+    del S, LP  # left holds the kept arrays alone, and frees each once read
 
     S_final = _margins(H, B, T, At)
-    LP_final = norm_logcdf(S_final)
+    LP_final = _logcdf_reusing(S_final, left)
     g_final = _score(B, mills_from_logcdf(S_final, LP_final), At)
-    per_antenna = np.linalg.norm(g_final, axis=1)
+    per_antenna = _row_norms(g_final)
     ll_per_antenna = LP_final.sum(axis=(0, 2))
     separable = ll_per_antenna > SEPARABLE_LL_TOL
     antenna_ok = ((per_antenna <= tol) | at_floor) & ~capped & ~separable
+    if memo is not None:
+        memo.append((slice(None), S_final, LP_final))
     return ChannelEstimate(
         h_hat=H.reshape(-1),
         iterations=iters_used,

@@ -68,7 +68,10 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int,
 
     Starts from zero thresholds.  Every round draws fresh noise, appends
     the new batch, and refits the ML estimate on all accumulated batches
-    (the rounds are independent, so their log-likelihood terms add).
+    (the rounds are independent, so their log-likelihood terms add).  Each
+    batch is stacked once, as one slab of the signs and thresholds every
+    round's problem reads, and solve_ml's memo hands each round's final log
+    Phi values to the next round's start.
 
     Identifiability fallback: an antenna whose accumulated sign data are
     still separable has its likelihood supremum at infinity along a ray;
@@ -84,6 +87,9 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int,
     rng = np.random.default_rng(rng_seed)
 
     batches, rounds = [], []
+    slab = (model.M, 2 * model.L)
+    signs, thresholds = np.empty((i_max, *slab)), np.empty((i_max, *slab))
+    memo = []
     tau = np.zeros(model.N)
     ah_true = model.apply(h)
     ah_norm = float(np.linalg.norm(ah_true))
@@ -93,8 +99,10 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int,
     for i in range(1, i_max + 1):
         y = generate_noisy_observation(model, h, rng)
         batches.append(quantize(y, tau))
-        attempt = solve_ml(LikelihoodProblem(list(batches), model),
-                           h0=cur.reshape(-1))
+        signs[i - 1] = batches[-1].b.reshape(slab)
+        thresholds[i - 1] = batches[-1].tau.reshape(slab)
+        attempt = solve_ml(LikelihoodProblem(list(batches), model, signs[:i], thresholds[:i]),
+                           h0=cur.reshape(-1), memo=memo)
         cur = attempt.h_hat.reshape(model.M, 2 * model.K).copy()
         bad = ~attempt.antenna_converged
         if bad.any():

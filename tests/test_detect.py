@@ -267,14 +267,18 @@ def test_screen_takes_a_partial_last_tile(monkeypatch, K):
 
 @pytest.mark.parametrize("K", [1, 2, 4, 7])
 def test_delta_rows_are_the_full_table_rows(K):
-    # ascending index sets that cross all three quarter boundaries, and the
-    # whole range: every row bit for bit that of the expanded table
+    # ascending index sets that cross all three quarter boundaries, the
+    # whole range, and runs inside one quarter (q0 reads a slice of D, q3
+    # negates a reversed one): every row bit for bit that of the expanded table
     rng = np.random.default_rng(80 + K)
     D = detect._score_terms(_channel(5, K, 81), 2.0)[1]
     full = _full_delta(D)
     n = 4 ** (K - 1)
     edges = n * np.arange(1, 4)
     sets = [np.arange(4 * n), np.union1d(edges - 1, edges)]
+    for q in range(4):
+        sets += [np.arange(q * n, (q + 1) * n), np.arange(q * n + n // 2, (q + 1) * n),
+                 np.arange(q * n, q * n + (n + 1) // 2), np.array([q * n + n - 1])]
     for frac in (0.05, 0.3, 0.8):
         sets.append(np.union1d(np.flatnonzero(rng.random(4 * n) < frac), edges))
     for hyps in sets:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import onebit_mimo as om
-from onebit_mimo import gauss, mle
+from onebit_mimo import gauss, mle, schemes
 from onebit_mimo.mle import LikelihoodProblem, SEPARABLE_LL_TOL
 
 LOG_HALF = np.log(0.5)
@@ -254,45 +254,229 @@ def test_newton_stops_at_rounding_floor():
 
 def test_step_that_rounds_back_to_its_row_is_stalled():
     model, ch, prob = make_problem(M=2, K=2, L=6, seed=5)
-    B, T = mle._stacked(prob)
+    B, T = prob.signs, prob.thresholds
     Hs = np.ones((model.M, 2 * model.K))
     ll0 = mle.norm_logcdf(mle._margins(Hs, B, T, model.A_tilde)).sum(axis=(0, 2))
     # slope 0 lets Armijo pass on equality, which an unmoved row always meets
     step, slope = np.full_like(Hs, 1e-20), np.zeros(model.M)
-    Hnew, _, _, accepted = mle._line_search(Hs, step, slope, ll0, B, T, model.A_tilde)
+    Hnew, _, _, accepted, ll = mle._line_search(Hs, step, slope, ll0, B, T, model.A_tilde)
     assert not accepted.any()
     assert np.array_equal(Hnew, Hs)
+    assert ll is None  # no row took the full step, so no sum is carried
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 # criterion-09 shape: random thresholds at seed 4 leave margins below the
-# Mills cut; fixed zero thresholds give separable antennas that hit the norm cap
-@pytest.mark.parametrize("policy, seed, deep_tail", [("random", 4, True), ("fixed", 9, False)])
+# Mills cut; fixed zero thresholds give separable antennas that hit the norm
+# cap; OQ's trial 3 at L=16 stalls one antenna's line search, and its
+# trial 20 under master seed 99 stops one at the rounding floor
+@pytest.mark.parametrize("policy, seed, deep_tail", [("random", 4, True), ("fixed", 9, False),
+                                                     ("stalled", 3, True), ("floor", 20, True),
+                                                     ("max_iter", 4, True)])
 def test_newton_loop_evaluates_special_functions_once_per_point(policy, seed, deep_tail,
                                                                 monkeypatch):
-    model, ch, prob = make_problem(M=16, K=8, L=32, seed=seed, snr_db=15.0, policy=policy)
-    margins, logcdf, mills, fallback = [], [], [], []
+    if policy in ("stalled", "floor"):  # seed is the trial
+        L, master = (16, 7) if policy == "stalled" else (32, 99)
+        (prob, _, _), = _solves(monkeypatch, [("OQ", 16, 8, L, 15.0, seed, master)])
+        model = prob.model
+    else:
+        model, ch, prob = make_problem(M=16, K=8, L=32, seed=seed, snr_db=15.0,
+                                       policy="fixed" if policy == "fixed" else "random")
+    if policy == "max_iter":
+        monkeypatch.setattr(mle, "MAX_ITER", 2)
+    B, T = prob.signs, prob.thresholds
+    margins, logcdf, mills, fallback, searches = [], [], [], [], []
 
     def recorded(original, log, record_result):
         def call(*args):
             out = original(*args)
-            log.append(out if record_result else args[0])
+            log.append((args, out) if record_result else args[0])
             return out
         return call
 
-    monkeypatch.setattr(mle, "_margins", recorded(mle._margins, margins, True))
+    def margins_at(H, *args):  # _line_search edits its trial rows in place later
+        return original_margins(H.copy(), *args)
+
+    original_margins = recorded(mle._margins, margins, True)
+    monkeypatch.setattr(mle, "_margins", margins_at)
     monkeypatch.setattr(mle, "norm_logcdf", recorded(mle.norm_logcdf, logcdf, False))
     monkeypatch.setattr(mle, "mills_ratio", recorded(mle.mills_ratio, mills, False))
     monkeypatch.setattr(gauss, "mills_ratio", recorded(gauss.mills_ratio, fallback, False))
-    mle.solve_ml(prob)
-    # log Phi runs once per margin evaluation: the start, each line-search
-    # trial and the final check, and on nothing else
-    assert len(logcdf) == len(margins)
-    assert all(arg is S for arg, S in zip(logcdf, margins))
+    monkeypatch.setattr(mle, "_line_search", recorded(mle._line_search, searches, True))
+    est = mle.solve_ml(prob)
+    assert (policy == "stalled") == any(not out[3].all() for _, out in searches)
+    # log Phi runs once per margin evaluation of the loop (the start and each
+    # line-search trial), on the margins array itself
+    *loop, (_, S_final) = margins
+    assert len(logcdf) in (len(loop), len(loop) + 1)
+    assert all(arg is S for arg, (_, S) in zip(logcdf, loop))
+    # the final check recomputes the margins and runs log Phi only on those
+    # whose bits differ from the evaluation that took the antenna to its
+    # final row (every margin of a row the loop never evaluated, as a capped
+    # one; a stalled row's unmoved trial evaluates that row again)
+    antenna = {(B[:, a].tobytes(), T[:, a].tobytes()): a for a in range(model.M)}
+    assert len(antenna) == model.M
+    H = est.h_hat.reshape(model.M, -1)
+    kept = np.full(S_final.shape, np.nan)
+    seen = np.zeros(model.M, dtype=bool)
+    for (Hs, Bs, Ts, _), S in loop:
+        for j in range(Hs.shape[0]):
+            a = antenna[Bs[:, j].tobytes(), Ts[:, j].tobytes()]
+            if not seen[a] and np.array_equal(Hs[j], H[a]):
+                kept[:, a], seen[a] = S[:, j], True
+    fresh = _bits(S_final) != _bits(kept)
+    assert not fresh.all()
+    assert len(logcdf) == len(loop) + bool(fresh.any())
+    if fresh.any():
+        assert np.array_equal(_bits(logcdf[-1]), _bits(S_final[fresh]))
     # Mills comes from log Phi, in the loop and in the final check: erfcx
     # runs for deep-tail margins only
     assert not mills
     assert all((t < gauss.MILLS_LOGCDF_CUT).all() for t in fallback)
     assert bool(fallback) == deep_tail
+
+
+def _solves(monkeypatch, cases):
+    """(problem, h0, estimate) of every solve_ml call that run_trial makes in cases."""
+    solves, solve = [], schemes.solve_ml
+
+    def recorded(prob, h0=None, memo=None):
+        est = solve(prob, h0, memo)
+        solves.append((prob, h0, est))
+        return est
+
+    monkeypatch.setattr(schemes, "solve_ml", recorded)
+    for case in cases:
+        om.run_trial(*case)
+    monkeypatch.setattr(schemes, "solve_ml", solve)
+    return solves
+
+
+def _no_reuse(S, known):
+    known.clear()
+    return gauss.norm_logcdf(S)
+
+
+EXACT_CASES = {
+    "16-8": [(s, 16, 8, L, 15.0, t, 7) for s in ("FQ", "RQ", "OQ", "AQ")
+             for L in (32, 256) for t in (0, 1)],
+    # stalled line searches: 1 of 12 rows at L=16, the last row at L=32
+    "stalled": [("OQ", 16, 8, 16, 15.0, 3, 7), ("OQ", 16, 8, 32, 30.0, 1, 7)],
+    "capped": [(s, 16, 8, L, 15.0, 0, 7) for s in ("FQ", "AQ") for L in (32, 256)],
+    "max_iter": [(s, 16, 8, L, 15.0, 0, 7) for s in ("RQ", "AQ") for L in (32, 256)],
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_final_check_reuses_log_phi_bit_for_bit(case, monkeypatch):
+    if case == "capped":
+        monkeypatch.setattr(mle, "NORM_CAP", 3.0)
+    if case == "max_iter":
+        monkeypatch.setattr(mle, "MAX_ITER", 2)
+    searches, line_search = [], mle._line_search
+
+    def recorded(*args):
+        out = line_search(*args)
+        searches.append(out[3])
+        return out
+
+    monkeypatch.setattr(mle, "_line_search", recorded)
+    solves = _solves(monkeypatch, EXACT_CASES[case])
+    # the oracle is the final check without reuse: margins from the full
+    # product, log_ndtr, Mills from log Phi, the score
+    monkeypatch.setattr(mle, "_logcdf_reusing", _no_reuse)
+    for prob, h0, est in solves:
+        m = prob.model
+        H = est.h_hat.reshape(m.M, 2 * m.K)
+        S = mle._margins(H, prob.signs, prob.thresholds, m.A_tilde)
+        LP = gauss.norm_logcdf(S)
+        g = mle._score(prob.signs, gauss.mills_from_logcdf(S, LP), m.A_tilde)
+        assert est.grad_norm == float(np.linalg.norm(g))
+        assert est.objective == float(LP.sum(axis=(0, 2)).sum())
+        ref = mle.solve_ml(prob, h0)
+        assert np.array_equal(est.antenna_converged, ref.antenna_converged)
+        assert np.array_equal(_bits(est.h_hat), _bits(ref.h_hat))
+        assert (est.grad_norm, est.objective, est.iterations) == \
+            (ref.grad_norm, ref.objective, ref.iterations)
+    converged = np.concatenate([est.antenna_converged for _, _, est in solves])
+    if case == "stalled":
+        assert any(not accepted.all() for accepted in searches)
+    if case == "capped":
+        assert any((np.linalg.norm(est.h_hat.reshape(16, -1), axis=1) > 2.99).any()
+                   for _, _, est in solves)
+        assert not converged.all()
+    if case == "max_iter":
+        assert max(est.iterations for _, _, est in solves) == 2
+        assert not converged.all()
+
+
+def test_aq_start_evaluates_only_the_new_batch_and_changed_rows(monkeypatch):
+    # round 1 of AQ (zero thresholds) leaves separable antennas, which run_aq
+    # shrinks to radius sqrt(K); only their rows, and the new batch, need log Phi
+    logcdf, norm_logcdf = [], mle.norm_logcdf
+
+    def recorded(t):
+        logcdf.append(t)
+        return norm_logcdf(t)
+
+    starts, solve = [], mle.solve_ml
+
+    def first_call(prob, h0=None, memo=None):
+        starts.append(len(logcdf))
+        return solve(prob, h0, memo)
+
+    monkeypatch.setattr(mle, "norm_logcdf", recorded)
+    monkeypatch.setattr(schemes, "solve_ml", first_call)
+    solves = _solves(monkeypatch, [("AQ", 16, 8, 32, 15.0, 0, 7)])
+    assert len(solves) == 5
+    changed_rounds = 0
+    for (prev, _, before), (prob, h0, _), start in zip(solves, solves[1:], starts[1:]):
+        m, k = prob.model, len(prob.batches)
+        At = m.A_tilde
+        S_prev = mle._margins(before.h_hat.reshape(m.M, -1), prev.signs, prev.thresholds, At)
+        S = mle._margins(h0.reshape(m.M, -1), prob.signs, prob.thresholds, At)
+        fresh = np.ones(S.shape, dtype=bool)
+        fresh[:k - 1] = _bits(S[:k - 1]) != _bits(S_prev)
+        assert np.array_equal(_bits(logcdf[start]), _bits(S[fresh]))
+        changed = fresh[:k - 1].any(axis=(0, 2))
+        assert not (changed & (h0 == before.h_hat).reshape(m.M, -1).all(axis=1)).any()
+        changed_rounds += changed.any()
+    assert changed_rounds > 0
+
+
+@pytest.mark.parametrize("norm_cap", [mle.NORM_CAP, 3.0])
+def test_carried_log_likelihoods_equal_fresh_sums(norm_cap, monkeypatch):
+    # the oracle hands no sum on, so every ll0 is LP.sum(axis=(0, 2)) of the
+    # working set; AQ's many-batch sums include the fixed config's
+    # (M=8, K=4, L=16, seed 3, trial 3), whose verdict a sum carried across a
+    # compaction to one row flipped; a low cap makes rows leave after full steps
+    monkeypatch.setattr(mle, "NORM_CAP", norm_cap)
+    cases = [("AQ", 8, 4, 16, 10.0, 3, 3), ("AQ", 16, 8, 32, 15.0, 1, 7),
+             ("AQ", 16, 8, 256, 15.0, 1, 7), ("RQ", 16, 8, 256, 15.0, 0, 7)]
+    line_search = mle._line_search
+
+    def run(carry):
+        sums, carried, last = [], [0], [None]
+
+        def recorded(*args):
+            sums.append(_bits(args[3]))
+            carried[0] += args[3] is last[0]
+            out = line_search(*args)
+            last[0] = out[4] if carry else None
+            return out if carry else (*out[:4], None)
+
+        monkeypatch.setattr(mle, "_line_search", recorded)
+        _solves(monkeypatch, cases)
+        return sums, carried[0]
+
+    sums, carried = run(True)
+    fresh_sums, _ = run(False)
+    assert carried > 0
+    assert len(sums) == len(fresh_sums)
+    assert all(np.array_equal(a, b) for a, b in zip(sums, fresh_sums))
 
 
 def test_newton_blocks_are_exactly_symmetric(monkeypatch):
