@@ -54,6 +54,12 @@ AQ_AGG_COLUMNS = ["M", "K", "L", "snr_db", "iteration", "n", "median_mse",
                   "mean_mse", "crb_oq_per_coeff", "crb_nq_per_coeff"]
 
 
+# The size rule: no array of one trial may exceed this many floats (1 GiB of
+# float64).  The largest are AQ's one-bit data over all rounds (i_max x M x 2L),
+# the random thresholds' draws (M x 2L x 2K), the pilots' outer-product table
+# (2L x K(2K+1)) and the data phase's per-frame tables (n_frames x (2M + 4^K/64)).
+MAX_TRIAL_ARRAY = 2**27
+
 # What a config value may be, by field annotation; bool never passes for a number.
 _ACCEPTS = {
     "int": ("an integer", (int, np.integer)),
@@ -143,17 +149,20 @@ class ExperimentConfig:
         bad = [s for s in self.schemes if s not in SCHEMES]
         if bad:
             raise ConfigError(f"schemes: unknown {', '.join(bad)} (choose from {', '.join(SCHEMES)})")
-        for name, key in (("L", int), ("snr_db", snr_key), ("schemes", str)):
-            keys = [key(v) for v in getattr(self, name)]
-            if len(set(keys)) < len(keys):
-                raise ConfigError(f"{name}: entries of {getattr(self, name)} share trial seeds, "
-                                  "so they would rerun the same trials")
         if self.i_max < 1:
             raise ConfigError("i_max: must be >= 1")
         if self.trials < 1:
             raise ConfigError("trials: must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed: must be non-negative")
+        M, K, L, i_max, n_frames = map(int, (self.M, self.K, max(self.L), self.i_max, self.n_frames))
+        for names, floats in (("L, M, i_max", i_max * M * 2 * L), ("L, M, K", M * 2 * L * 2 * K),
+                              ("L, K", 2 * L * K * (2 * K + 1)),
+                              ("n_frames, M, K", n_frames * (2 * M + 4 ** min(K, K_MAX) // 64))):
+            if floats > MAX_TRIAL_ARRAY:
+                raise ConfigError(f"{names}: one trial would allocate an array of about "
+                                  f"2^{floats.bit_length() - 1} floats, more than the "
+                                  f"2^{MAX_TRIAL_ARRAY.bit_length() - 1} allowed")
         tiny = np.finfo(float).tiny  # pilot powers must be positive, finite, normal floats
         for L in self.L:
             for snr in self.snr_db:
@@ -164,6 +173,12 @@ class ExperimentConfig:
                 if not tiny <= P < np.inf:
                     raise ConfigError(f"snr_db: pilot power {P:g} at L={L}, snr_db={snr:g} "
                                       "is not a positive normal float")
+        # after the pilot-power check, which bounds every SNR that snr_key rounds
+        for name, key in (("L", int), ("snr_db", snr_key), ("schemes", str)):
+            keys = [key(v) for v in getattr(self, name)]
+            if len(set(keys)) < len(keys):
+                raise ConfigError(f"{name}: entries of {getattr(self, name)} share trial seeds, "
+                                  "so they would rerun the same trials")
         if self.n_frames < 0:
             raise ConfigError("n_frames: must be non-negative")
         if self.n_frames > 0 and self.K > K_MAX:

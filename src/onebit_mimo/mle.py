@@ -20,7 +20,8 @@ The Newton loop evaluates log Phi once per point it visits: the margins
 and log Phi of each accepted line-search trial are carried into the next
 step (with their per-antenna sums, when every antenna took its full step
 and none left the working set), and mills(s) is taken from them through
-gauss.mills_from_logcdf (erfcx only in the deep left tail).  An antenna
+gauss.mills_from_logcdf (erfcx only in the deep left tail), or straight
+from its _mills_body when no margin is below MILLS_LOGCDF_CUT.  An antenna
 that leaves the working set keeps the margins and log Phi of the evaluation
 that took it to its final row.  The final convergence check recomputes
 every margin of the final iterate with one full-width product and runs log
@@ -49,16 +50,32 @@ objective by more than its rounding, so Armijo could only stall (Boyd &
 Vandenberghe, Convex Optimization, 2004, sec. 9.5).  Both count as
 converged; a line search whose trial rounds back to the start row counts
 as stalled and leaves the verdict to the final gradient check.
+
+In the Newton loop a reduction or two settles each per-row test, and
+every test keeps the value of its direct form.  The gradient test compares
+each row's sum of squares add.reduce(G*G, axis=1) with the largest float
+whose rounded square root is at most the tolerance (sqrt rounds
+correctly, so it is monotone and the root is never taken).  The decrement
+test runs in full only when the smallest slope is not a normal float
+above 2^-49 max|ll0|: one ulp of a normal x is at most 2^-52 |x|, and an
+ll0 of 0 or a subnormal slope always reaches the full test.  After a line
+search in which every row took its full step, the cap's and the exits'
+bookkeeping is skipped when the largest squared row norm is within the
+largest square whose root is at most NORM_CAP (read at each call).  Only
+rows that leave the working set, and the rows left when the loop ends, are
+written back to the estimate, which the loop never reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import NumericalError
-from .gauss import mills_from_logcdf, mills_ratio, norm_logcdf
+from .gauss import MILLS_LOGCDF_CUT, _mills_body, mills_from_logcdf, mills_ratio, norm_logcdf
 from .model import RealModel
 
 GRAD_TOL = 1e-8    # converged when per-antenna ||grad|| <= GRAD_TOL * measurements
@@ -80,6 +97,7 @@ CURVATURE_SERIES_BELOW = -1e3
 # A genuine interior optimum keeps a bundle of near-threshold measurements at
 # p ~ 1/2, each costing ~log 2, so the two cases are far apart.
 SEPARABLE_LL_TOL = -1e-2
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass
@@ -144,7 +162,16 @@ def _margins(H, B, T, At):
 
 def _score(B, lam, At):
     """Per-antenna gradient rows sum_n b_n mills(s_n) a_n."""
-    return (B * lam).sum(axis=0) @ At
+    return _batch_sum(B * lam) @ At
+
+
+def _batch_sum(X):
+    """X summed over its batch axis.
+
+    A one-batch X is returned as X[0], with no reduction: it equals the sum,
+    except that it keeps a zero's sign (the sum makes -0.0 into +0.0).
+    """
+    return X[0] if len(X) == 1 else X.sum(axis=0)
 
 
 def _curvature(S, lam, s_min=None):
@@ -164,7 +191,7 @@ def _curvature(S, lam, s_min=None):
         t2 = t * t
         gap[far] = -t * (1.0 - 2.0 * t2 + 10.0 * t2 * t2)
     gap *= lam
-    return gap.sum(axis=0)
+    return _batch_sum(gap)
 
 
 def _problem_margins(prob: LikelihoodProblem, h: np.ndarray):
@@ -249,9 +276,49 @@ def _line_search(Hs, step, slope, ll0, Bs, Ts, At):
     return Hnew, S, LP, accepted, None
 
 
+def _row_squares(X):
+    """Squared Euclidean norm of each row, the sum np.linalg.norm(X, axis=1) takes the root of."""
+    return np.add.reduce(X * X, axis=1)
+
+
 def _row_norms(X):
     """Euclidean norm of each row: what np.linalg.norm(X, axis=1) returns, without its checks."""
-    return np.sqrt(np.add.reduce(X * X, axis=1))
+    return np.sqrt(_row_squares(X))
+
+
+@cache
+def _largest_square_within(r: float) -> float:
+    """The largest float q whose rounded sqrt(q) is at most r >= 0.
+
+    sqrt rounds correctly, so it is monotone: sqrt(q) > r exactly when
+    q > _largest_square_within(r), and a row-norm test needs no root.  r * r
+    is within an ulp or two of the answer, which the two walks settle.
+    """
+    if r == math.inf:
+        return r
+    q = r * r
+    while math.sqrt(q) > r:
+        q = math.nextafter(q, -math.inf)
+    while math.sqrt(math.nextafter(q, math.inf)) <= r:
+        q = math.nextafter(q, math.inf)
+    return q
+
+
+def _flat_rows(slope, ll0):
+    """Mask of the rows whose |slope| is within DECREMENT_ULPS ulp of |ll0|, or None if none is.
+
+    ll0 sums log Phi, so it is <= 0 and max|ll0| = -min(ll0).  One ulp of a
+    normal x is at most 2^-52 |x|, so no row can pass when the smallest
+    slope is a normal float above DECREMENT_ULPS 2^-51 max|ll0| (twice that
+    bound, which covers the product's rounding), and two mins settle it.
+    Otherwise, as always for an ll0 of +-0 or a slope that is subnormal,
+    zero or negative, the test runs row by row.
+    """
+    low = slope.min()
+    if low >= _TINY and low > DECREMENT_ULPS * 2.0 ** -51 * -ll0.min():
+        return None
+    flat = np.abs(slope) <= DECREMENT_ULPS * np.spacing(np.abs(ll0))
+    return flat if flat.any() else None
 
 
 def _logcdf_reusing(S, known):
@@ -314,12 +381,15 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
     capped = np.zeros(M, dtype=bool)
     at_floor = np.zeros(M, dtype=bool)
     iters_used = 0
+    # ||g|| > tol and ||h|| > NORM_CAP, decided on the squared norms
+    tol_sq = _largest_square_within(tol)
+    cap_sq = _largest_square_within(NORM_CAP)
 
     # Working set of the active antennas: their indices, rows, data, margins
     # and log Phi of the margins.  Antennas only leave it, and each accepted
     # line-search trial hands its margins and log Phi to the next step.  An
-    # antenna that leaves at its final row puts its margins and log Phi in
-    # left for the final check.
+    # antenna that leaves writes its row to H and, at its final row, puts its
+    # margins and log Phi in left for the final check.
     idx, Hs, Bs, Ts = np.arange(M), H.copy(), B, T
     S = _margins(Hs, Bs, Ts, At)
     LP = _logcdf_reusing(S, [] if memo is None else memo)
@@ -332,10 +402,12 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
         iters_used += 1
 
         s_min = S.min()
-        lam = mills_from_logcdf(S, LP, s_min)
+        lam = (_mills_body(S, LP) if s_min >= MILLS_LOGCDF_CUT
+               else mills_from_logcdf(S, LP, s_min))
         G = _score(Bs, lam, At)
-        keep = _row_norms(G) > tol
+        keep = _row_squares(G) > tol_sq
         if not keep.all():
+            H[idx[~keep]] = Hs[~keep]
             left.append((idx[~keep], S[:, ~keep], LP[:, ~keep]))
             idx, Hs, Bs, Ts, S, LP, lam, G = _keep(keep, idx, Hs, Bs, Ts, S, LP, lam, G)
             ll0 = None
@@ -348,9 +420,10 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
             ll0 = LP.sum(axis=(0, 2))
         # Newton decrement within rounding of the log-likelihood: no step
         # can show a gain the Armijo test could see.
-        flat = np.abs(slope) <= DECREMENT_ULPS * np.spacing(np.abs(ll0))
-        if flat.any():
+        flat = _flat_rows(slope, ll0)
+        if flat is not None:
             at_floor[idx[flat]] = True
+            H[idx[flat]] = Hs[flat]
             left.append((idx[flat], S[:, flat], LP[:, flat]))
             idx, Hs, Bs, Ts, S, LP, step, slope, ll0 = _keep(
                 ~flat, idx, Hs, Bs, Ts, S, LP, step, slope, ll0)
@@ -358,30 +431,35 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
                 break
 
         Hs, S_new, LP_new, accepted, ll0 = _line_search(Hs, step, slope, ll0, Bs, Ts, At)
-        H[idx] = Hs
-
-        norms = _row_norms(Hs)
-        blown = norms > NORM_CAP
-        if blown.any():
-            H[idx[blown]] = Hs[blown] * (NORM_CAP / norms[blown])[:, None]
-            capped[idx[blown]] = True
-
-        # Stalled antennas (no step accepted) leave too, with the margins of
-        # the row they kept: either at the optimum to rounding or genuinely
-        # stuck; the final gradient check below decides which.  A sum over
-        # a shrunk working set is taken afresh: numpy sums a (k, 1, 2L)
-        # block over axes (0, 2) as one run, which can round differently.
-        keep = accepted & ~blown
-        if not keep.all():
-            stalled = ~accepted & ~blown
-            if stalled.any():
-                left.append((idx[stalled], S[:, stalled], LP[:, stalled]))
-            idx, Hs, Bs, Ts, S, LP = _keep(keep, idx, Hs, Bs, Ts, S_new, LP_new)
-            ll0 = None
-        else:
+        sq = _row_squares(Hs)
+        if ll0 is not None and sq.max() <= cap_sq:
+            # every row took its full step and none passed the cap: all stay
             S, LP = S_new, LP_new
+        else:
+            blown = sq > cap_sq
+            if blown.any():
+                H[idx[blown]] = Hs[blown] * (NORM_CAP / np.sqrt(sq[blown]))[:, None]
+                capped[idx[blown]] = True
+
+            # Stalled antennas (no step accepted) leave too, with the margins
+            # of the row they kept: either at the optimum to rounding or
+            # genuinely stuck; the final gradient check below decides which.
+            # A sum over a shrunk working set is taken afresh: numpy sums a
+            # (k, 1, 2L) block over axes (0, 2) as one run, which can round
+            # differently.
+            keep = accepted & ~blown
+            if not keep.all():
+                stalled = ~accepted & ~blown
+                if stalled.any():
+                    H[idx[stalled]] = Hs[stalled]
+                    left.append((idx[stalled], S[:, stalled], LP[:, stalled]))
+                idx, Hs, Bs, Ts, S, LP = _keep(keep, idx, Hs, Bs, Ts, S_new, LP_new)
+                ll0 = None
+            else:
+                S, LP = S_new, LP_new
         del S_new, LP_new  # no full-width trial arrays outlive the step
     if idx.size:
+        H[idx] = Hs
         left.append((idx, S, LP))
     del S, LP  # left holds the kept arrays alone, and frees each once read
 

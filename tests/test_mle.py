@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -505,3 +508,165 @@ def test_curvature_keeps_precision_for_far_negative_margins():
     S = np.linspace(-999.0, 30.0, 7)[None, None, :]
     lam = gauss.mills_ratio(S)
     assert np.array_equal(mle._curvature(S, lam), (lam * (S + lam)).sum(axis=0))
+
+
+def _ulps_around(x, n=2):
+    """x and the n floats on either side of it, ascending."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def _cap_whose_square_rounds(up):
+    """The first float above 3 whose square, in floating point, rounds up (or down)."""
+    c = 3.0
+    while True:
+        c = math.nextafter(c, math.inf)
+        exact, rounded = Fraction(c) ** 2, Fraction(c * c)
+        if (rounded > exact) if up else (rounded < exact):
+            return c
+
+
+def _rows_with_squares(squares, width):
+    """Rows whose np.add.reduce(x * x) is exactly each of squares: a leading
+    entry whose square is just below the target, and a second that fills the gap."""
+    rows = np.zeros((len(squares), width))
+    for row, q in zip(rows, squares):
+        a = np.sqrt(q)
+        while a * a > q:
+            a = np.nextafter(a, 0.0)
+        row[0], row[1] = a, np.sqrt(q - a * a)
+    assert np.array_equal(mle._row_squares(rows), np.asarray(squares))
+    return rows
+
+
+def _first_with_threshold_above_square(x, scale=1.0):
+    """The first float from x up whose x * scale has its threshold above (x * scale)^2."""
+    while mle._largest_square_within(x * scale) == (x * scale) ** 2:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+ROUNDS_UP, ROUNDS_DOWN = _cap_whose_square_rounds(True), _cap_whose_square_rounds(False)
+ABOVE_SQUARE = _first_with_threshold_above_square(1.05)
+
+
+@pytest.mark.parametrize("r", [mle.GRAD_TOL * n for n in (4, 64, 192, 512, 1000)]
+                         + [mle.NORM_CAP, 3.0, ROUNDS_UP, ROUNDS_DOWN, ABOVE_SQUARE,
+                            0.0, 1e-300, 1e200, np.inf])
+def test_squared_norm_threshold_decides_as_the_root_does(r):
+    # sqrt(q) > r exactly when q exceeds the threshold, at it and a few ulp either
+    # side; r * r underflows at 1e-300 and overflows at 1e200
+    t = mle._largest_square_within(r)
+    for q in _ulps_around(t):
+        if q >= 0:
+            assert (q > t) == (np.sqrt(q) > r), (r, t, q)
+    if np.isfinite(r):
+        assert np.sqrt(t) <= r < np.sqrt(math.nextafter(t, math.inf))
+
+
+@pytest.mark.parametrize("grad_tol", [0.5, 2.0, _first_with_threshold_above_square(0.088, 12)])
+def test_gradient_test_in_the_loop_at_its_threshold(grad_tol, monkeypatch):
+    # after one full step, the gradient rows have squared norms at the
+    # threshold t and an ulp or two either side, and at the rounded tol * tol
+    # and an ulp either side; only the rows that today's test, sqrt(q) > tol,
+    # keeps reach the next line search, where every row stalls, and each row
+    # leaves at its stepped value (a large tol keeps every slope far above the
+    # decrement test's floor; the last one has t above tol * tol)
+    monkeypatch.setattr(mle, "GRAD_TOL", grad_tol)
+    tol = grad_tol * 12  # one batch at L=6
+    t = mle._largest_square_within(tol)
+    squares = sorted(set(_ulps_around(t)) | set(_ulps_around(tol * tol, 1)))
+    model, ch, prob = make_problem(M=len(squares), K=2, L=6, seed=3, snr_db=5.0)
+    G = _rows_with_squares(squares, 2 * model.K)
+    h0 = np.random.default_rng(0).normal(scale=0.1, size=G.shape)
+    h1 = h0 + 0.01
+    score, scores, seen = mle._score, [], []
+
+    def scripted_score(*args):  # far from converged, then G, then the final check's own
+        scores.append(None)
+        if len(scores) > 2:
+            return score(*args)
+        return np.full_like(G, 100.0) if len(scores) == 1 else G.copy()
+
+    def line_search(Hs, step, slope, ll0, Bs, Ts, At):
+        seen.append(Hs.copy())
+        Hnew = h1.copy() if len(seen) == 1 else Hs.copy()
+        S = mle._margins(Hnew, Bs, Ts, At)
+        return Hnew, S, mle.norm_logcdf(S), np.full(len(Hs), len(seen) == 1), None
+
+    monkeypatch.setattr(mle, "_score", scripted_score)
+    monkeypatch.setattr(mle, "_line_search", line_search)
+    est = mle.solve_ml(prob, h0.reshape(-1))
+    keep = mle._row_norms(G) > tol
+    assert keep.any() and not keep.all()
+    assert len(seen) == 2 and np.array_equal(seen[1], h1[keep])
+    assert np.array_equal(est.h_hat.reshape(G.shape), h1)
+
+
+def test_decrement_guard_reaches_the_exact_test_whenever_a_row_is_flat():
+    tiny, sub = np.finfo(float).tiny, 5e-324
+    lls = [0.0, -0.0, -sub, -1e-310, -tiny, -1.0, -33.7, -1e300]
+    slopes = {0.0, -0.0, sub, 2 * sub, 4 * sub, 5 * sub, tiny / 2, tiny, 1e-3,
+              -sub, -tiny, -1e-3}
+    for ll in lls:
+        for edge in (mle.DECREMENT_ULPS * np.spacing(abs(ll)), 2.0 ** -49 * abs(ll)):
+            slopes.update(_ulps_around(edge))
+    slopes = np.array(sorted(slopes))
+    for ll in lls:
+        ll0 = np.full(slopes.size, ll)
+        for rows in [np.arange(slopes.size)] + [[i] for i in range(slopes.size)]:
+            today = np.abs(slopes[rows]) <= mle.DECREMENT_ULPS * np.spacing(np.abs(ll0[rows]))
+            flat = mle._flat_rows(slopes[rows], ll0[rows])
+            if flat is None:
+                assert not today.any(), (ll, slopes[rows])
+            else:
+                assert np.array_equal(flat, today)
+    # an ll0 of +-0 with a subnormal slope is flat: the floor sends it to the exact test
+    for ll in (0.0, -0.0):
+        assert mle._flat_rows(np.array([2 * sub, 1.0]), np.array([ll, -1.0])).tolist() == \
+            [True, False]
+    assert mle._flat_rows(np.array([1e-3, 2e-3]), np.array([-30.0, -0.0])) is None
+
+
+@pytest.mark.parametrize("cap", [ROUNDS_UP, ROUNDS_DOWN, ABOVE_SQUARE])
+@pytest.mark.parametrize("full_step", [True, False])
+@pytest.mark.parametrize("near", ["threshold", "within", "square"])
+def test_norm_cap_decided_on_squared_norms_at_its_boundary(cap, full_step, near, monkeypatch):
+    # one line search takes every row to a squared norm at the cap's boundary
+    # (the threshold t and an ulp either side, or t and the ulp below, or the
+    # rounded cap * cap and an ulp either side); the next sees only the rows
+    # that today's test, sqrt(q) > NORM_CAP, keeps, and a capped row is scaled
+    monkeypatch.setattr(mle, "NORM_CAP", cap)
+    t = mle._largest_square_within(cap)
+    squares = {"threshold": _ulps_around(t, 1), "within": _ulps_around(t, 1)[:2],
+               "square": _ulps_around(cap * cap, 1)}[near]
+    model, ch, prob = make_problem(M=len(squares), K=2, L=6, seed=3, snr_db=5.0)
+    targets = _rows_with_squares(squares, 2 * model.K)
+    seen = []
+
+    def line_search(Hs, step, slope, ll0, Bs, Ts, At):
+        if not seen:
+            assert Hs.shape == targets.shape
+            Hnew = targets.copy()
+            accepted = np.ones(len(Hnew), dtype=bool)
+        else:  # every row stalls, and leaves
+            Hnew = Hs.copy()
+            accepted = np.zeros(len(Hnew), dtype=bool)
+        seen.append(Hs.copy())
+        S = mle._margins(Hnew, Bs, Ts, At)
+        LP = mle.norm_logcdf(S)
+        return Hnew, S, LP, accepted, LP.sum(axis=(0, 2)) if full_step and len(seen) == 1 else None
+
+    monkeypatch.setattr(mle, "_line_search", line_search)
+    est = mle.solve_ml(prob)
+    norms = mle._row_norms(targets)
+    blown = norms > cap
+    assert {"threshold": blown.any(), "within": not blown.any(), "square": not blown.all()}[near]
+    assert len(seen) == 2 and np.array_equal(seen[1], targets[~blown])
+    H = est.h_hat.reshape(targets.shape)
+    assert np.array_equal(H[~blown], targets[~blown])
+    assert np.array_equal(H[blown], targets[blown] * (cap / norms[blown])[:, None])
+    assert not est.antenna_converged[blown].any()
