@@ -17,24 +17,25 @@ model) and s = b * (a^T h - tau),
 which are finite and well-scaled arbitrarily deep into both tails.
 
 The Newton loop evaluates log Phi once per point it visits: the margins
-and log Phi of each accepted line-search trial are carried into the next
-step (with their per-antenna sums, when every antenna took its full step
-and none left the working set), and mills(s) is taken from them through
-gauss.mills_from_logcdf (erfcx only in the deep left tail), or straight
-from its _mills_body when no margin is below MILLS_LOGCDF_CUT.  An antenna
-that leaves the working set keeps the margins and log Phi of the evaluation
-that took it to its final row.  The final convergence check recomputes
-every margin of the final iterate with one full-width product and runs log
-Phi only where a margin's bits differ from the kept one's: a capped row,
-or a row whose product rounded otherwise.  Reuse is keyed on the bits of
-each margin, not on rows, because a product over part of the working set
-need not match the full one.  With one row, Hs @ At.T takes numpy's gemv
-path: at M=16, K=8 and L 32-256, all 304 one-row products tried differed
-in the last bit from the full product's row, while 336 products of 2-15
-rows all matched; at L=256, every block_gram GEMM over 1-14 of the 16 rows
-differed from the 16-row one.  solve_ml's memo hands the final margins
-and log Phi on to AQ's next round, whose start then runs log Phi only on
-its new batch and on the rows run_aq shrank.  log_likelihood, gradient and
+and log Phi of each line search's rows are carried into the next step
+(with their per-antenna sums, when every antenna took its full step and
+none left the working set), and mills(s) is taken from them through
+gauss.mills_from_logcdf (erfcx only in the deep left tail).  solve_ml keeps
+one record of each antenna's last evaluation, two (n_batches, M, 2L) arrays
+that start as NaN: an antenna that leaves the working set, or is still in it
+when the loop ends, writes the margins and log Phi of its final row there; a
+capped antenna writes nothing.  The final check recomputes every margin of
+the final iterate with one full-width product and runs log Phi only where a
+margin's bits differ from the record's: a capped row, or a row whose product
+rounded otherwise.  Reuse is keyed on the bits of each margin, not on rows,
+because a product over part of the working set need not match the full one.
+With one row, Hs @ At.T takes numpy's gemv path: at M=16, K=8 and L 32-256,
+all 304 one-row products tried differed in the last bit from the full
+product's row, while 336 products of 2-15 rows all matched; at L=256, every
+block_gram GEMM over 1-14 of the 16 rows differed from the 16-row one.
+solve_ml's memo hands the final margins and log Phi on to AQ's next round,
+as a record of its first batches, whose start then runs log Phi only on its
+new batch and on the rows run_aq shrank.  log_likelihood, gradient and
 hessian_action recompute margins and call norm_logcdf / mills_ratio
 directly, so they stay independent of that bookkeeping.
 
@@ -75,7 +76,7 @@ from functools import cache
 import numpy as np
 
 from .errors import NumericalError
-from .gauss import MILLS_LOGCDF_CUT, _mills_body, mills_from_logcdf, mills_ratio, norm_logcdf
+from .gauss import mills_from_logcdf, mills_ratio, norm_logcdf
 from .model import RealModel
 
 GRAD_TOL = 1e-8    # converged when per-antenna ||grad|| <= GRAD_TOL * measurements
@@ -236,16 +237,16 @@ def _newton_direction(Hneg: np.ndarray, G: np.ndarray) -> np.ndarray:
                                  "the curvature lost precision (check the SNR)") from e
 
 
-def _line_search(Hs, step, slope, ll0, Bs, Ts, At):
+def _line_search(Hs, step, slope, ll0, Bs, Ts, At, S0, LP0):
     """Armijo backtracking along each antenna's step from the rows Hs.
 
-    ll0 is each row's log-likelihood and slope its directional derivative
-    G.step.  Returns the new rows (a row whose search failed keeps its Hs
-    value), their margins and elementwise log Phi (meaningful only for rows
-    that accepted), which rows accepted a step, and, when every row accepted
-    the full step, the rows' log-likelihoods LP.sum(axis=(0, 2)) (else
-    None).  A trial that rounds back to its start row is never accepted:
-    that row has stalled.
+    ll0 is each row's log-likelihood, slope its directional derivative
+    G.step, and S0, LP0 its margins and elementwise log Phi.  Returns the
+    new rows (a row whose search failed keeps its Hs value), their margins
+    and log Phi (a row that did not accept keeps its S0, LP0 bits), which
+    rows accepted a step, and, when every row accepted the full step, the
+    rows' log-likelihoods LP.sum(axis=(0, 2)) (else None).  A trial that
+    rounds back to its start row is never accepted: that row has stalled.
     """
     Hnew = Hs + step
     S = _margins(Hnew, Bs, Ts, At)
@@ -256,7 +257,6 @@ def _line_search(Hs, step, slope, ll0, Bs, Ts, At):
     if accepted.all():
         return Hnew, S, LP, accepted, ll
 
-    Hnew[~accepted] = Hs[~accepted]
     pend = np.flatnonzero(~accepted & moved)
     t = 1.0
     for _bt in range(MAX_BACKTRACKS - 1):
@@ -273,6 +273,9 @@ def _line_search(Hs, step, slope, ll0, Bs, Ts, At):
         Hnew[good], S[:, good], LP[:, good] = trial[ok], St[:, ok], LPt[:, ok]
         accepted[good] = True
         pend = pend[~ok]
+    back = ~accepted
+    if back.any():  # most searches that backtrack end with every row accepted
+        Hnew[back], S[:, back], LP[:, back] = Hs[back], S0[:, back], LP0[:, back]
     return Hnew, S, LP, accepted, None
 
 
@@ -322,23 +325,20 @@ def _flat_rows(slope, ll0):
 
 
 def _logcdf_reusing(S, known):
-    """log Phi(S), copied from known values wherever a margin has their bits.
+    """log Phi(S), copied from a kept record wherever a margin has its bits.
 
-    known lists (rows, S_k, LP_k): margins and their log Phi for the
-    antennas rows (indices or a slice) over S's first len(S_k) batches.  It
-    is emptied as it is read, so each kept array is freed once used.
-    norm_logcdf runs once, on every entry no kept margin matches bit for bit.
+    known is None or one (S_k, LP_k) pair: margins and their log Phi for
+    every antenna over S's first len(S_k) batches, NaN where none was kept.
+    norm_logcdf runs once, on every entry whose bits the record's margin does
+    not have.  A record as long as S is filled in place and returned.
     """
-    if not known:
+    if known is None:
         return norm_logcdf(S)
-    LP = np.empty_like(S)
+    S_k, LP_k = known
+    n = len(S_k)
     fresh = np.ones(S.shape, dtype=bool)
-    while known:
-        rows, S_k, LP_k = known.pop()
-        n = len(S_k)
-        same = S[:n, rows].view(np.int64) == S_k.view(np.int64)
-        LP[:n, rows] = LP_k
-        fresh[:n, rows] = ~same
+    fresh[:n] = S[:n].view(np.int64) != S_k.view(np.int64)
+    LP = LP_k if n == len(S) else np.concatenate((LP_k, np.empty_like(S[n:])))
     if fresh.any():
         LP[fresh] = norm_logcdf(S[fresh])
     return LP
@@ -363,11 +363,11 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
     maximizer: its iterate runs out along a ray until the decaying gradient
     passes the GRAD_TOL test (rarely, until it is clamped at NORM_CAP), and
     the result is flagged converged=False rather than returned silently.
-    memo, if given, is a list of (rows, S, LP) triples as _logcdf_reusing
-    takes them.  The start reuses and empties it, and the solve leaves its
-    final margins and log Phi in it: AQ's round k+1 starts from round k's
-    estimate on the same batches plus one, so most of its first margins
-    have the bits of round k's final ones.
+    memo, if given, is a list that holds at most one (S, LP) pair, a record
+    as _logcdf_reusing takes it.  The start reuses and empties it, and the
+    solve leaves the final check's margins and log Phi in it: AQ's round k+1
+    starts from round k's estimate on the same batches plus one, so most of
+    its first margins have the bits of round k's final ones.
     """
     m = prob.model
     At = m.A_tilde
@@ -386,15 +386,19 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
     cap_sq = _largest_square_within(NORM_CAP)
 
     # Working set of the active antennas: their indices, rows, data, margins
-    # and log Phi of the margins.  Antennas only leave it, and each accepted
-    # line-search trial hands its margins and log Phi to the next step.  An
-    # antenna that leaves writes its row to H and, at its final row, puts its
-    # margins and log Phi in left for the final check.
+    # and log Phi of the margins.  Antennas only leave it, and each line
+    # search hands its rows' margins and log Phi to the next step.  An
+    # antenna that leaves, other than by the cap, writes its row to H and its
+    # margins and log Phi to the kept record, which the final check reads.
     idx, Hs, Bs, Ts = np.arange(M), H.copy(), B, T
     S = _margins(Hs, Bs, Ts, At)
-    LP = _logcdf_reusing(S, [] if memo is None else memo)
-    left = []
+    LP = _logcdf_reusing(S, memo.pop() if memo else None)
+    S_kept, LP_kept = np.full(B.shape, np.nan), np.full(B.shape, np.nan)
     ll0 = None  # the rows' log-likelihoods, when carried from the line search
+
+    def leave(out):
+        rows = idx[out]
+        H[rows], S_kept[:, rows], LP_kept[:, rows] = Hs[out], S[:, out], LP[:, out]
 
     for _ in range(MAX_ITER):
         if idx.size == 0:
@@ -402,13 +406,11 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
         iters_used += 1
 
         s_min = S.min()
-        lam = (_mills_body(S, LP) if s_min >= MILLS_LOGCDF_CUT
-               else mills_from_logcdf(S, LP, s_min))
+        lam = mills_from_logcdf(S, LP, s_min)
         G = _score(Bs, lam, At)
         keep = _row_squares(G) > tol_sq
         if not keep.all():
-            H[idx[~keep]] = Hs[~keep]
-            left.append((idx[~keep], S[:, ~keep], LP[:, ~keep]))
+            leave(~keep)
             idx, Hs, Bs, Ts, S, LP, lam, G = _keep(keep, idx, Hs, Bs, Ts, S, LP, lam, G)
             ll0 = None
             if idx.size == 0:
@@ -423,55 +425,43 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
         flat = _flat_rows(slope, ll0)
         if flat is not None:
             at_floor[idx[flat]] = True
-            H[idx[flat]] = Hs[flat]
-            left.append((idx[flat], S[:, flat], LP[:, flat]))
+            leave(flat)
             idx, Hs, Bs, Ts, S, LP, step, slope, ll0 = _keep(
                 ~flat, idx, Hs, Bs, Ts, S, LP, step, slope, ll0)
             if idx.size == 0:
                 break
 
-        Hs, S_new, LP_new, accepted, ll0 = _line_search(Hs, step, slope, ll0, Bs, Ts, At)
+        Hs, S, LP, accepted, ll0 = _line_search(Hs, step, slope, ll0, Bs, Ts, At, S, LP)
         sq = _row_squares(Hs)
-        if ll0 is not None and sq.max() <= cap_sq:
-            # every row took its full step and none passed the cap: all stay
-            S, LP = S_new, LP_new
-        else:
+        if ll0 is None or sq.max() > cap_sq:  # else every row took its full step and stays
             blown = sq > cap_sq
             if blown.any():
                 H[idx[blown]] = Hs[blown] * (NORM_CAP / np.sqrt(sq[blown]))[:, None]
                 capped[idx[blown]] = True
 
-            # Stalled antennas (no step accepted) leave too, with the margins
-            # of the row they kept: either at the optimum to rounding or
-            # genuinely stuck; the final gradient check below decides which.
-            # A sum over a shrunk working set is taken afresh: numpy sums a
-            # (k, 1, 2L) block over axes (0, 2) as one run, which can round
-            # differently.
+            # Stalled antennas (no step accepted) leave too, at the row they
+            # kept: either at the optimum to rounding or genuinely stuck; the
+            # final gradient check below decides which.  A sum over a shrunk
+            # working set is taken afresh: numpy sums a (k, 1, 2L) block over
+            # axes (0, 2) as one run, which can round differently.
             keep = accepted & ~blown
             if not keep.all():
-                stalled = ~accepted & ~blown
-                if stalled.any():
-                    H[idx[stalled]] = Hs[stalled]
-                    left.append((idx[stalled], S[:, stalled], LP[:, stalled]))
-                idx, Hs, Bs, Ts, S, LP = _keep(keep, idx, Hs, Bs, Ts, S_new, LP_new)
+                leave(~accepted & ~blown)
+                idx, Hs, Bs, Ts, S, LP = _keep(keep, idx, Hs, Bs, Ts, S, LP)
                 ll0 = None
-            else:
-                S, LP = S_new, LP_new
-        del S_new, LP_new  # no full-width trial arrays outlive the step
     if idx.size:
-        H[idx] = Hs
-        left.append((idx, S, LP))
-    del S, LP  # left holds the kept arrays alone, and frees each once read
+        leave(slice(None))
+    del S, LP  # the record holds what the final check reads
 
     S_final = _margins(H, B, T, At)
-    LP_final = _logcdf_reusing(S_final, left)
+    LP_final = _logcdf_reusing(S_final, (S_kept, LP_kept))
     g_final = _score(B, mills_from_logcdf(S_final, LP_final), At)
     per_antenna = _row_norms(g_final)
     ll_per_antenna = LP_final.sum(axis=(0, 2))
     separable = ll_per_antenna > SEPARABLE_LL_TOL
     antenna_ok = ((per_antenna <= tol) | at_floor) & ~capped & ~separable
     if memo is not None:
-        memo.append((slice(None), S_final, LP_final))
+        memo.append((S_final, LP_final))
     return ChannelEstimate(
         h_hat=H.reshape(-1),
         iterations=iters_used,

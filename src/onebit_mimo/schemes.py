@@ -70,8 +70,10 @@ def run_aq(model: RealModel, h: np.ndarray, i_max: int,
     the new batch, and refits the ML estimate on all accumulated batches
     (the rounds are independent, so their log-likelihood terms add).  Each
     batch is stacked once, as one slab of the signs and thresholds every
-    round's problem reads, and solve_ml's memo hands each round's final log
-    Phi values to the next round's start.
+    round's problem reads.  solve_ml's memo holds one record, the final
+    check's margins and log Phi over a round's batches; the next round's
+    start copies log Phi wherever its margins have those bits, so it
+    evaluates only the new batch and the rows shrunk below.
 
     Identifiability fallback: an antenna whose accumulated sign data are
     still separable has its likelihood supremum at infinity along a ray;

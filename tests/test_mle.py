@@ -259,17 +259,88 @@ def test_step_that_rounds_back_to_its_row_is_stalled():
     model, ch, prob = make_problem(M=2, K=2, L=6, seed=5)
     B, T = prob.signs, prob.thresholds
     Hs = np.ones((model.M, 2 * model.K))
-    ll0 = mle.norm_logcdf(mle._margins(Hs, B, T, model.A_tilde)).sum(axis=(0, 2))
+    S0 = mle._margins(Hs, B, T, model.A_tilde)
+    LP0 = mle.norm_logcdf(S0)
+    ll0 = LP0.sum(axis=(0, 2))
     # slope 0 lets Armijo pass on equality, which an unmoved row always meets
     step, slope = np.full_like(Hs, 1e-20), np.zeros(model.M)
-    Hnew, _, _, accepted, ll = mle._line_search(Hs, step, slope, ll0, B, T, model.A_tilde)
+    Hnew, S, LP, accepted, ll = mle._line_search(Hs, step, slope, ll0, B, T, model.A_tilde,
+                                                 S0, LP0)
     assert not accepted.any()
     assert np.array_equal(Hnew, Hs)
     assert ll is None  # no row took the full step, so no sum is carried
+    # a row that did not accept hands back its start's margins and log Phi
+    assert np.array_equal(_bits(S), _bits(S0)) and np.array_equal(_bits(LP), _bits(LP0))
+
+
+def test_line_search_hands_back_the_start_of_every_row_it_does_not_accept():
+    # row 0 steps eight Newton steps' length, which Armijo rejects until it has
+    # backtracked; row 1's ll0 of 0 is above any log-likelihood, so no trial is
+    # accepted and it backtracks until its trial rounds back to its row
+    model, ch, prob = make_problem(M=2, K=2, L=6, seed=5)
+    B, T, At = prob.signs, prob.thresholds, model.A_tilde
+    Hs = np.full((model.M, 2 * model.K), 0.5)
+    S0 = mle._margins(Hs, B, T, At)
+    LP0 = mle.norm_logcdf(S0)
+    lam = gauss.mills_from_logcdf(S0, LP0)
+    G = mle._score(B, lam, At)
+    step = 8.0 * mle._newton_direction(model.block_gram(mle._curvature(S0, lam)), G)
+    slope = (G * step).sum(axis=1)
+    ll0 = LP0.sum(axis=(0, 2))
+    ll0[1] = 0.0
+    Hnew, S, LP, accepted, ll = mle._line_search(Hs, step, slope, ll0, B, T, At, S0, LP0)
+    assert accepted.tolist() == [True, False] and ll is None
+    assert (Hnew[0] != Hs[0]).any() and (Hnew[0] != Hs[0] + step[0]).any()
+    assert np.array_equal(Hnew[1], Hs[1])
+    assert np.array_equal(_bits(S[:, 1]), _bits(S0[:, 1]))
+    assert np.array_equal(_bits(LP[:, 1]), _bits(LP0[:, 1]))
+    assert np.array_equal(_bits(S[:, 0]), _bits(mle._margins(Hnew, B, T, At)[:, 0]))
+    assert np.array_equal(_bits(LP[:, 0]), _bits(mle.norm_logcdf(S[:, 0])))
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("prefix", [False, True])
+def test_kept_record_recomputes_exactly_the_entries_it_does_not_match(prefix, monkeypatch):
+    # a record of 4 antennas: antenna 1 was never written (capped), a kept -0.0
+    # meets a final +0.0, and two of antenna 2's margins rounded otherwise;
+    # AQ's start reads a record of all batches but the new last one, and the
+    # final check one as long as S, which it fills in place.  An entry the
+    # record does not match holds +1.0, which no log Phi is.
+    S = np.random.default_rng(0).normal(scale=3.0, size=(3, 4, 6))
+    S[0, 3, 2] = 0.0
+    n = 2 if prefix else 3
+    S_k, LP_k = S[:n].copy(), gauss.norm_logcdf(S[:n])
+    S_k[:, 1] = np.nan
+    S_k[0, 3, 2] = -0.0
+    S_k[1, 2, [0, 4]] = np.nextafter(S_k[1, 2, [0, 4]], np.inf)
+    fresh = np.zeros(S.shape, dtype=bool)
+    fresh[n:] = True
+    fresh[:n, 1] = True
+    fresh[0, 3, 2] = fresh[1, 2, 0] = fresh[1, 2, 4] = True
+    LP_k[fresh[:n]] = 1.0
+    LP_k[:, 1] = np.nan
+    seen = []
+
+    def recorded(t):
+        seen.append(t.copy())
+        return gauss.norm_logcdf(t)
+
+    monkeypatch.setattr(mle, "norm_logcdf", recorded)
+    LP = mle._logcdf_reusing(S, (S_k, LP_k))
+    assert np.array_equal(_bits(LP), _bits(gauss.norm_logcdf(S)))
+    assert len(seen) == 1 and np.array_equal(_bits(seen[0]), _bits(S[fresh]))
+    assert (LP is LP_k) == (not prefix)
+    # a record that matches every entry runs no log Phi, and no record runs it on S
+    seen.clear()
+    LP_all = gauss.norm_logcdf(S[:n])
+    assert np.array_equal(_bits(mle._logcdf_reusing(S[:n], (S[:n].copy(), LP_all))),
+                          _bits(LP_all))
+    assert not seen
+    mle._logcdf_reusing(S, None)
+    assert len(seen) == 1 and np.array_equal(_bits(seen[0]), _bits(S))
 
 
 # criterion-09 shape: random thresholds at seed 4 leave margins below the
@@ -359,8 +430,28 @@ def _solves(monkeypatch, cases):
 
 
 def _no_reuse(S, known):
-    known.clear()
     return gauss.norm_logcdf(S)
+
+
+def test_final_check_record_is_unwritten_exactly_for_capped_antennas(monkeypatch):
+    # a cap near the channels' typical norm clamps some antennas; the record
+    # the final check reads holds NaN for them and margins for the rest
+    monkeypatch.setattr(mle, "NORM_CAP", 3.0)
+    model, ch, prob = make_problem(M=16, K=8, L=32, seed=4, snr_db=15.0)
+    records, reusing = [], mle._logcdf_reusing
+
+    def recorded(S, known):
+        records.append(None if known is None else [a.copy() for a in known])
+        return reusing(S, known)
+
+    monkeypatch.setattr(mle, "_logcdf_reusing", recorded)
+    est = mle.solve_ml(prob)
+    S_k, LP_k = records[-1]
+    capped = np.isclose(np.linalg.norm(est.h_hat.reshape(model.M, -1), axis=1), 3.0,
+                        rtol=1e-12)
+    assert capped.any() and not capped.all()
+    for kept in (S_k, LP_k):
+        assert np.isnan(kept[:, capped]).all() and np.isfinite(kept[:, ~capped]).all()
 
 
 EXACT_CASES = {
@@ -591,7 +682,7 @@ def test_gradient_test_in_the_loop_at_its_threshold(grad_tol, monkeypatch):
             return score(*args)
         return np.full_like(G, 100.0) if len(scores) == 1 else G.copy()
 
-    def line_search(Hs, step, slope, ll0, Bs, Ts, At):
+    def line_search(Hs, step, slope, ll0, Bs, Ts, At, S0, LP0):
         seen.append(Hs.copy())
         Hnew = h1.copy() if len(seen) == 1 else Hs.copy()
         S = mle._margins(Hnew, Bs, Ts, At)
@@ -647,7 +738,7 @@ def test_norm_cap_decided_on_squared_norms_at_its_boundary(cap, full_step, near,
     targets = _rows_with_squares(squares, 2 * model.K)
     seen = []
 
-    def line_search(Hs, step, slope, ll0, Bs, Ts, At):
+    def line_search(Hs, step, slope, ll0, Bs, Ts, At, S0, LP0):
         if not seen:
             assert Hs.shape == targets.shape
             Hnew = targets.copy()
