@@ -16,10 +16,13 @@ Phi(u) and log Phi(-u) from one erfcx per input, at 4^(K-1) 2M points.  No
 4^K x 2M table is built: _delta_rows reads any hypothesis' delta row from D.
 
 Frames are scored in two passes.  A float32 screen scores every
-hypothesis from a table over the same quarter: in the signs b = +-1 a
-score is m + b . delta / 2, and m is the same for a hypothesis and its images
-under j and negation, so one product against each frame's signs and their
+hypothesis from the same quarter: in the signs b = +-1 a score is
+m + b . delta / 2, and m is the same for a hypothesis and its images under
+j and negation, so one product against each frame's signs and their
 j-rotation scores two quarters, and 2m minus those scores the other two.
+Each SCREEN_ROWS piece of the quarter is rounded to float32 [D/2 | m] in
+one tile buffer just before its product; no float32 copy of the quarter
+is kept.
 It keeps, per frame, the blocks of SCREEN_BLOCK hypotheses whose float32
 maximum lies within a rigorous rounding bound of the best, and names, per
 aligned HYP_CHUNK tile of hypotheses, the frames with such a block in it.
@@ -38,7 +41,7 @@ not finite, every frame is confirmed in every tile.  At M=16, K=8 and 1,500
 frames on one core of a 2-vCPU Xeon VM whose calibration loop read 33-41 ms
 (nominal 40 ms), scaled to that nominal speed, the score terms take 35-37
 ms, the screen 94-110 ms, the confirm pass 5-23 ms and a detection call
-137-165 ms; the benchmark's data_phase peaks at 73.6 MB RSS (BENCH_24.json).
+137-165 ms; the benchmark's data_phase peaks at 71.5 MB RSS (BENCH_29.json).
 These timings move with the host's state, which calibration does not fully
 undo, so they cannot be compared across BENCH files.
 """
@@ -60,7 +63,8 @@ ROT = np.array([2, 0, 3, 1])  # QPSK[ROT[d]] = j QPSK[d]; QPSK[3 - d] = -QPSK[d]
 K_MAX = 8  # largest K whose 4^K hypotheses detection searches
 RATE_CAP = 20.0  # bits per user reported for a perfectly correlated detection
 FRAME_CHUNK = 256   # frames per score tile
-HYP_CHUNK = 512     # hypotheses per score tile (256 x 512 float64 = 1 MB)
+HYP_CHUNK = 512     # hypotheses per confirm tile (256 x 512 float64 = 1 MB)
+SCREEN_ROWS = 256   # quarter rows per float32 screen piece (256 x 512 float32 = 512 KB)
 TERMS_BLOCK = 2 ** 18  # bytes of comparator inputs per log-Phi block
 SCREEN_BLOCK = 64   # hypotheses per float32 screen block
 # Fewest hypotheses the screen runs for; below it, it costs more than the
@@ -241,30 +245,32 @@ def _screened_tiles(base: np.ndarray, D: np.ndarray, pos: np.ndarray):
     per aligned HYP_CHUNK tile that holds a contender block of some frame,
     with those frames ascending; None when the bound is not finite.
 
-    _contenders scores each FRAME_CHUNK chunk of frames against the quarter
-    table (_screen_table).  Each SCREEN_BLOCK's best float32 score is within
-    err_k / 2 of its float64 one.  A block whose float32 maximum plus err_k
-    falls below some block's float32 maximum minus its err_j holds no
-    hypothesis that can match that block's float64 best, so it cannot hold
-    the first maximum; every other block is a contender.
+    _contenders scores each FRAME_CHUNK chunk of frames against the quarter,
+    SCREEN_ROWS rows at a time, from D and _screen_table's m.  Each
+    SCREEN_BLOCK's best float32 score is within err_k / 2 of its float64
+    one.  A block whose float32 maximum plus err_k falls below some block's
+    float32 maximum minus its err_j holds no hypothesis that can match that
+    block's float64 best, so it cannot hold the first maximum; every other
+    block is a contender.
     """
-    table, order, err = _screen_table(base, D)
+    m, order, err = _screen_table(base, D)
     if err is None:
         return None
-    out = np.empty(HYP_CHUNK * 2 * FRAME_CHUNK, dtype=np.float32)
+    out = np.empty(SCREEN_ROWS * 2 * FRAME_CHUNK, dtype=np.float32)
     per_tile = HYP_CHUNK // SCREEN_BLOCK
     # hits[t, f]: tile t holds a contender block of frame f
     hits = np.empty((order.size // per_tile, pos.shape[0]), dtype=bool)
     for lo in range(0, pos.shape[0], FRAME_CHUNK):
-        contender = _contenders(table, order, err, pos[lo:lo + FRAME_CHUNK], out)
+        contender = _contenders(D, m, order, err, pos[lo:lo + FRAME_CHUNK], out)
         contender.reshape(hits.shape[0], per_tile, -1).any(axis=1, out=hits[:, lo:lo + FRAME_CHUNK])
     return [(t * HYP_CHUNK, np.flatnonzero(row)) for t, row in enumerate(hits) if row.any()]
 
 
 def _screen_table(base: np.ndarray, D: np.ndarray):
-    """Float32 screen table [D/2 | m] over the d_0 = 0 quarter, the quarter
-    block each SCREEN_BLOCK of hypotheses reads, and per-block error bounds:
-    (table, order, err).
+    """What the float32 screen needs from a pass over the whole d_0 = 0
+    quarter: the float32 m of each quarter row, the quarter block each
+    SCREEN_BLOCK of hypotheses reads, and per-block error bounds:
+    (m, order, err).
 
     Valid only for _score_terms' tables, whose quarters hold one set of terms
     rotated.  With b = 2 pos - 1, a score base_h + pos . delta_h is
@@ -275,10 +281,13 @@ def _screen_table(base: np.ndarray, D: np.ndarray):
       q1 (d_0 = 1, rotated by j): P' = m_r + b' . D_r / 2, b' = [-b_Im, b_Re],
       q2, q3 (q1, q0 negated):    2 m_r - P' and 2 m_r - P,
     and m_r = (base_r + base_{4^K-1-r}) / 2, the halved sum of the row's
-    sums of log Phi(-u) and log Phi(u).  order[j] is the quarter block that
-    hypothesis block j scores: q0's blocks as they are, q1's through the
-    ROT row map (a SCREEN_BLOCK of 4^3 rows maps onto one block), q2's and
-    q3's those of q1 and q0 backwards.
+    sums of log Phi(-u) and log Phi(u).  _contenders writes each piece of
+    SCREEN_ROWS quarter rows [D/2 | m], rounded to float32, into one tile
+    buffer and scores it there, so no float32 copy of the whole quarter is
+    kept.  order[j] is the quarter block that hypothesis block j scores:
+    q0's blocks as they are, q1's through the ROT row map (a SCREEN_BLOCK of
+    4^3 rows maps onto one block), q2's and q3's those of q1 and q0
+    backwards.
 
     Bound, with u = 2^-24, gamma_n = n u / (1 - n u) and per quarter row
     mag = |m| + sum|D| / 2, which bounds every orientation's |score|:
@@ -301,59 +310,59 @@ def _screen_table(base: np.ndarray, D: np.ndarray):
     """
     n, n_cols = D.shape
     m = 0.5 * (base[:n] + base[::-1][:n])
-    table = np.empty((n, n_cols + 1), dtype=np.float32)
-    table[:, n_cols] = m
     size = np.abs(m)
-    for h in range(0, n, HYP_CHUNK):
-        half = 0.5 * D[h:h + HYP_CHUNK]
-        table[h:h + HYP_CHUNK, :n_cols] = half
-        size[h:h + HYP_CHUNK] += np.abs(half, out=half).sum(axis=1)
+    for h in range(0, n, SCREEN_ROWS):
+        size[h:h + SCREEN_ROWS] += np.abs(0.5 * D[h:h + SCREEN_ROWS]).sum(axis=1)
     mag = size.reshape(-1, SCREEN_BLOCK).max(axis=1)
     if not mag.max() <= F32_SAFE:
-        return table, None, None
+        return None, None, None
     blocks = np.arange(mag.size)
     turned = _rot_rows(n)[::SCREEN_BLOCK] // SCREEN_BLOCK
     order = np.concatenate([blocks, turned, turned[::-1], blocks[::-1]])
     k = n_cols + 2
     gamma = k * F32_EPS / (1.0 - k * F32_EPS)
-    return table, order, 2.0 * (gamma + F32_EPS) * mag[order]
+    return m.astype(np.float32), order, 2.0 * (gamma + F32_EPS) * mag[order]
 
 
-def _contenders(table: np.ndarray, order: np.ndarray, err: np.ndarray,
+def _contenders(D: np.ndarray, m: np.ndarray, order: np.ndarray, err: np.ndarray,
                 pos: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(blocks, frames) mask: block k can hold frame f's first maximum.
 
-    One sgemm per HYP_CHUNK rows of the quarter table (the last tile may be
-    shorter) into the float32 buffer out, against [[b, b'], [1, 1]], scores
-    q0 and q1 of every frame; 2 m - P turns them into q3 and q2 in place.
-    The scores sit in the (rows x 2 frames) layout, where the max over each
-    SCREEN_BLOCK of rows is a contiguous reduction; top holds the block
-    maxima by quarter block and d_0.  err depends only on the quarter block,
-    and order starts with the quarter blocks in order, so err's first rows
-    are the quarter's.  The test stays in top's layout: a frame's floor is
-    max (max_d0 top - err), which equals the max over every block of
-    top - err because rounding x - e is non-decreasing in x; top + err >=
-    floor runs one d_0 slab at a time, and one gather through order puts
-    the mask in hypothesis-block order.
+    Per SCREEN_ROWS rows of the quarter (4^(K-1) rows, a whole number of
+    pieces for K >= 5), the piece's float32 rows [D/2 | m] go into one
+    buffer, and one sgemm into the float32 buffer out, against
+    [[b, b'], [1, 1]], scores q0 and q1 of every frame; 2 m - P turns them
+    into q3 and q2 in place.  The scores sit in the (rows x 2 frames)
+    layout, where the max over each SCREEN_BLOCK of rows is a contiguous
+    reduction; top holds the block maxima by quarter block and d_0.  err
+    depends only on the quarter block, and order starts with the quarter
+    blocks in order, so err's first rows are the quarter's.  The test stays
+    in top's layout: a frame's floor is max (max_d0 top - err), which
+    equals the max over every block of top - err because rounding x - e is
+    non-decreasing in x; top + err >= floor runs one d_0 slab at a time,
+    and one gather through order puts the mask in hypothesis-block order.
     """
     n_frames = pos.shape[0]
-    half = (table.shape[1] - 1) // 2
+    n, n_cols = D.shape
+    half = n_cols // 2
     b = 2.0 * pos.T - 1.0
-    signs = np.ones((table.shape[1], 2, n_frames), dtype=np.float32)
+    signs = np.ones((n_cols + 1, 2, n_frames), dtype=np.float32)
     signs[:-1, 0] = b
     signs[:half, 1] = -b[half:]
     signs[half:-1, 1] = b[:half]
-    signs = signs.reshape(table.shape[1], 2 * n_frames)
-    twice_m = 2 * table[:, -1]
-    top = np.empty((table.shape[0] // SCREEN_BLOCK, 4, n_frames), dtype=np.float32)
-    for h in range(0, table.shape[0], HYP_CHUNK):
-        rows = min(HYP_CHUNK, table.shape[0] - h)
-        scores = out[:rows * 2 * n_frames].reshape(rows, 2 * n_frames)
-        blocks = scores.reshape(-1, SCREEN_BLOCK, 2, n_frames)
-        k = slice(h // SCREEN_BLOCK, (h + rows) // SCREEN_BLOCK)
-        np.matmul(table[h:h + rows], signs, out=scores)
+    signs = signs.reshape(n_cols + 1, 2 * n_frames)
+    twice_m = 2 * m
+    piece = np.empty((SCREEN_ROWS, n_cols + 1), dtype=np.float32)
+    scores = out[:SCREEN_ROWS * 2 * n_frames].reshape(SCREEN_ROWS, 2 * n_frames)
+    blocks = scores.reshape(-1, SCREEN_BLOCK, 2, n_frames)
+    top = np.empty((n // SCREEN_BLOCK, 4, n_frames), dtype=np.float32)
+    for h in range(0, n, SCREEN_ROWS):
+        np.multiply(D[h:h + SCREEN_ROWS], 0.5, out=piece[:, :-1], casting="same_kind")
+        piece[:, -1] = m[h:h + SCREEN_ROWS]
+        k = slice(h // SCREEN_BLOCK, (h + SCREEN_ROWS) // SCREEN_BLOCK)
+        np.matmul(piece, signs, out=scores)
         np.max(blocks, axis=1, out=top[k, :2])
-        np.subtract(twice_m[h:h + rows, None], scores, out=scores)
+        np.subtract(twice_m[h:h + SCREEN_ROWS, None], scores, out=scores)
         np.max(blocks, axis=1, out=top[k, :1:-1])
     n_q = top.shape[0]
     errq = err[:n_q, None]  # order starts with the quarter's blocks

@@ -55,9 +55,10 @@ AQ_AGG_COLUMNS = ["M", "K", "L", "snr_db", "iteration", "n", "median_mse",
 
 
 # The size rule: no array of one trial may exceed this many floats (1 GiB of
-# float64).  The largest are AQ's one-bit data over all rounds (i_max x M x 2L),
-# the random thresholds' draws (M x 2L x 2K), the pilots' outer-product table
-# (2L x K(2K+1)) and the data phase's per-frame tables (n_frames x (2M + 4^K/64)).
+# float64).  The largest are AQ's one-bit data over all rounds (i_max x M x 2L,
+# only when AQ runs), the random thresholds' draws (M x 2L x 2K), the pilots'
+# outer-product table (2L x K(2K+1)), and in the data phase detection's quarter
+# table D (4^(K-1) x 2M) and the per-frame tables (n_frames x (2M + 4^K/64)).
 MAX_TRIAL_ARRAY = 2**27
 
 # What a config value may be, by field annotation; bool never passes for a number.
@@ -156,8 +157,10 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError("seed: must be non-negative")
         M, K, L, i_max, n_frames = map(int, (self.M, self.K, max(self.L), self.i_max, self.n_frames))
-        for names, floats in (("L, M, i_max", i_max * M * 2 * L), ("L, M, K", M * 2 * L * 2 * K),
-                              ("L, K", 2 * L * K * (2 * K + 1)),
+        aq_data = i_max * M * 2 * L if "AQ" in self.schemes else 0
+        quarter = 4 ** (min(K, K_MAX) - 1) * 2 * M if n_frames > 0 else 0
+        for names, floats in (("L, M, i_max", aq_data), ("L, M, K", M * 2 * L * 2 * K),
+                              ("L, K", 2 * L * K * (2 * K + 1)), ("M, K", quarter),
                               ("n_frames, M, K", n_frames * (2 * M + 4 ** min(K, K_MAX) // 64))):
             if floats > MAX_TRIAL_ARRAY:
                 raise ConfigError(f"{names}: one trial would allocate an array of about "

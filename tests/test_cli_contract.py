@@ -46,16 +46,32 @@ def test_cli_snr_beyond_any_pilot_power_exits_2(command, snr, tmp_path):
 
 def test_size_rule_names_the_fields_of_the_array_too_large():
     # L = 2^31 at K=8 once asked pilot generation for 128 GiB (MemoryError)
-    cases = [(dict(M=2, K=8, L=[2**31]), "L, M, i_max"),
-             (dict(M=2**31, K=1, L=[2]), "L, M, i_max"),
-             (dict(M=2, K=1, L=[2], i_max=2**31), "L, M, i_max"),
+    cases = [(dict(M=2, K=8, L=[2**31], schemes=["AQ"]), "L, M, i_max"),
+             (dict(M=2**31, K=1, L=[2], schemes=["FQ", "AQ"]), "L, M, i_max"),
+             (dict(M=2, K=1, L=[2], i_max=2**31, schemes=["AQ"]), "L, M, i_max"),
              (dict(M=1, K=2**10, L=[2**10], i_max=1), "L, K"),
              (dict(M=2**12, K=4, L=[2**12], i_max=1), "L, M, K"),
+             (dict(M=8192, K=8, L=[8], n_frames=1, schemes=["PCSI"]), "M, K"),
              (dict(M=2, K=8, L=[8], n_frames=2**31), "n_frames, M, K")]
     for fields, names in cases:
         cfg = ExperimentConfig.from_dict(dict(dict(trials=1, schemes=["FQ"]), **fields))
         with pytest.raises(om.ConfigError, match=f"^{names}: .* more than the 2\\^27 allowed"):
             cfg.validate()
+
+
+def test_size_rule_counts_each_array_only_where_a_trial_allocates_it():
+    # detection's quarter table D, 4^(K-1) 2M floats, exists only in the
+    # data phase; AQ's data over all rounds only when AQ runs.  Checked by
+    # validate() alone; the admitted configs are never run
+    quarter = dict(M=8192, K=8, L=[8], trials=1, schemes=["PCSI"])
+    assert 4 ** 7 * 2 * quarter["M"] == 2 * experiments.MAX_TRIAL_ARRAY
+    ExperimentConfig.from_dict(dict(quarter, n_frames=0)).validate()
+    with pytest.raises(om.ConfigError, match="^M, K: .* 2\\^28 floats"):
+        ExperimentConfig.from_dict(dict(quarter, n_frames=1)).validate()
+    rounds = dict(M=2**20, K=2, L=[2], i_max=256, trials=1)
+    ExperimentConfig.from_dict(dict(rounds, schemes=["FQ"])).validate()
+    with pytest.raises(om.ConfigError, match="^L, M, i_max: .* 2\\^30 floats"):
+        ExperimentConfig.from_dict(dict(rounds, schemes=["FQ", "AQ"])).validate()
 
 
 def test_size_rule_admits_an_array_of_exactly_2_to_the_27():

@@ -201,8 +201,8 @@ def test_float32_reversal_goes_to_the_float64_winner():
     # The screen ranks 700 first, the bound keeps 3
     e = 2.0 ** -23
     base, D = _two_rows(1.0 + 0.09 * e, 1.0 + 0.81 * e, 0.8 * e, -0.6 * e)
-    table = detect._screen_table(base, D)[0]
-    s32 = table[[3, 700]] @ np.ones(3, dtype=np.float32)
+    m = detect._screen_table(base, D)[0]
+    s32 = _screen_rows(D[[3, 700]], m[[3, 700]]) @ np.ones(3, dtype=np.float32)
     s64 = base + _full_delta(D).sum(axis=1)
     assert s32[0] < s32[1] and s64[3] > s64[700]
     assert np.argmax(s64) == 3
@@ -254,7 +254,8 @@ def test_confirm_products_have_full_tile_shapes(monkeypatch):
 @pytest.mark.parametrize("K", [5, 6])
 def test_screen_takes_a_partial_last_tile(monkeypatch, K):
     # with the screen lowered to 4^5 hypotheses, the K=5 quarter (256 rows)
-    # is less than one HYP_CHUNK tile; decisions still equal one argmax
+    # is one screen piece and half a HYP_CHUNK tile, so every confirm tile
+    # spans two quarters; decisions still equal one argmax
     monkeypatch.setattr(detect, "SCREEN_MIN_HYP", 4 ** 5)
     for M in (3, 16):
         for snr_db in (15.0, 45.0):
@@ -304,12 +305,20 @@ def test_blocked_terms_move_no_float(monkeypatch, M, K, block):
     assert np.array_equal(_full_delta(D).view(np.int64), full_delta.view(np.int64))
 
 
-def _screen_scores(table, pos):
+def _screen_rows(D, m):
+    """The float32 rows [D/2 | m] the screen scores: 0.5 D rounded once
+    from float64, beside _screen_table's float32 m."""
+    return np.hstack([(0.5 * D).astype(np.float32), m[:, None]])
+
+
+def _screen_scores(D, m, pos):
     """Float32 screen scores (4^K, F) of every hypothesis in index order,
-    from the quarter table in its four orientations; one sgemm per HYP_CHUNK
-    rows of the quarter, the shapes _contenders scores, so the bits match."""
-    n, F = table.shape[0], pos.shape[0]
-    M = (table.shape[1] - 1) // 2
+    from the quarter's rows [D/2 | m] in their four orientations; one sgemm
+    per SCREEN_ROWS rows of the quarter, the shapes _contenders scores, so
+    the bits match."""
+    n, F = D.shape[0], pos.shape[0]
+    M = D.shape[1] // 2
+    table = _screen_rows(D, m)
     K = round(np.log(4 * n) / np.log(4))
     # quarter row of each d_0 = 1 hypothesis: its digits turned by ROT
     turned = detect.ROT[hypothesis_indices(K)[n:2 * n, 1:]] @ 4 ** np.arange(K - 2, -1, -1)
@@ -317,9 +326,9 @@ def _screen_scores(table, pos):
     signs = np.ones((2 * M + 1, 2 * F), dtype=np.float32)
     signs[:-1, :F] = b.T
     signs[:-1, F:] = np.hstack([-b[:, M:], b[:, :M]]).T  # b' = [-b_Im, b_Re]
-    P = np.concatenate([table[h:h + detect.HYP_CHUNK] @ signs
-                        for h in range(0, n, detect.HYP_CHUNK)])
-    Q = 2 * table[:, -1:] - P
+    P = np.concatenate([table[h:h + detect.SCREEN_ROWS] @ signs
+                        for h in range(0, n, detect.SCREEN_ROWS)])
+    Q = 2 * m[:, None] - P
     return np.concatenate([P[:, :F], P[turned, F:], Q[turned[::-1], F:], Q[::-1, :F]])
 
 
@@ -333,7 +342,7 @@ def _screen_scores(table, pos):
 ])
 def test_screen_bound_covers_float32_rounding(M, K, snr_db, zero_user):
     # random channels and random sign patterns: every hypothesis' float32
-    # screen score, rebuilt from the quarter table in its orientation, is
+    # screen score, rebuilt from the quarter's D and m in its orientation, is
     # within err_k / 2 of the float64 score the confirm pass uses, in every
     # block k
     rng = np.random.default_rng(30 + K + M)
@@ -344,9 +353,9 @@ def test_screen_bound_covers_float32_rounding(M, K, snr_db, zero_user):
             H[:, 0] = 0.0
         base, D = detect._score_terms(H, 10 ** (snr_db / 10))
         delta = _full_delta(D)
-        table, order, err = detect._screen_table(base, D)
+        m, order, err = detect._screen_table(base, D)
         pos = rng.random((F, 2 * M)) < 0.5
-        s32 = _screen_scores(table, pos)
+        s32 = _screen_scores(D, m, pos)
         s64 = (pos.astype(float) @ delta.T + base).T
         gap = np.abs(s32.astype(float) - s64).reshape(-1, detect.SCREEN_BLOCK, F).max(axis=(1, 2))
         assert gap.max() > 0
@@ -373,9 +382,9 @@ def test_contenders_are_the_blocks_within_the_bound_of_the_best(monkeypatch, M, 
     seen = []
     contenders = detect._contenders
 
-    def spy(table, order, err, pos, out):
-        mask = contenders(table, order, err, pos, out)
-        seen.append((table, err, pos, mask))
+    def spy(D, m, order, err, pos, out):
+        mask = contenders(D, m, order, err, pos, out)
+        seen.append((D, m, err, pos, mask))
         return mask
 
     monkeypatch.setattr(detect, "_contenders", spy)
@@ -385,9 +394,9 @@ def test_contenders_are_the_blocks_within_the_bound_of_the_best(monkeypatch, M, 
     p = 10 ** (snr_db / 10)
     _, b = om.simulate_frames(H, p, 300, rng_seed=101)
     om.detect_frames(H, b, symbol_power=p)
-    assert [s[2].shape[0] for s in seen] == [detect.FRAME_CHUNK, 300 - detect.FRAME_CHUNK]
-    for table, err, pos, mask in seen:
-        bmax = _screen_scores(table, pos).reshape(-1, detect.SCREEN_BLOCK, pos.shape[0])
+    assert [s[3].shape[0] for s in seen] == [detect.FRAME_CHUNK, 300 - detect.FRAME_CHUNK]
+    for D, m, err, pos, mask in seen:
+        bmax = _screen_scores(D, m, pos).reshape(-1, detect.SCREEN_BLOCK, pos.shape[0])
         bmax = bmax.max(axis=1).astype(float)
         want = bmax + err[:, None] >= (bmax - err[:, None]).max(axis=0)
         assert mask.dtype == bool and np.array_equal(mask, want)
@@ -413,9 +422,9 @@ def test_screened_scoring_peak_memory_is_its_buffers(monkeypatch):
         return visits
 
     monkeypatch.setattr(detect, "_screened_tiles", spy)
-    n, n_blocks = 4 ** (K - 1), 4 ** K // detect.SCREEN_BLOCK
-    screen = (n * (2 * M + 1) * 4                                    # screen table
-              + detect.HYP_CHUNK * 2 * detect.FRAME_CHUNK * 4           # float32 tile
+    n_blocks = 4 ** K // detect.SCREEN_BLOCK
+    screen = (detect.SCREEN_ROWS * 2 * detect.FRAME_CHUNK * 4           # float32 tile
+              + detect.SCREEN_ROWS * (2 * M + 1) * 4                    # a piece's rows
               + n_blocks * detect.FRAME_CHUNK * 4                       # block maxima
               + n_blocks // 4 * detect.FRAME_CHUNK * 8                  # one d_0 slab
               + 3 * n_blocks * detect.FRAME_CHUNK)  # a chunk's bool masks: d_0 slabs, gathered, last
@@ -527,7 +536,7 @@ def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
 
     def spy(base, delta):
         out = screen_table(base, delta)
-        tables.append(out[0].shape)
+        tables.append((out[0].shape, out[0].dtype))
         return out
 
     monkeypatch.setattr(detect, "norm_logcdf_pair", counting)
@@ -541,8 +550,9 @@ def test_detection_evaluates_log_phi_once_and_stays_small(monkeypatch):
         tracemalloc.stop()
     # log Phi(+-u) once per input of the d_0 = 0 quarter: 4^(K-1) 2M points
     assert sum(calls) == 4 ** 7
-    # the float32 screen table [D / 2 | m] covers the same quarter
-    assert tables == [(4 ** 7, 33)]
+    # the screen keeps only a float32 m per row of the same quarter, and no
+    # float32 copy [D / 2 | m] of it
+    assert tables == [((4 ** 7,), np.float32)]
     # less than a (4^K, 2M) float64 delta table, which is never built
     assert peak < 1.0 * 4 ** 8 * 32 * 8
 
