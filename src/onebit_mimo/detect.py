@@ -10,10 +10,11 @@ _score_terms sums each hypothesis' comparator inputs user by user from
 written-out per-user [Re, Im] products, so multiplying every symbol by j,
 or negating them, maps the inputs onto another hypothesis' exactly.  So
 only the quarter of hypotheses whose first symbol is index 0 is kept: the
-float64 D = log Phi(u) - log Phi(-u) (4^(K-1) x 2M) and base (4^K).  It is
-built in cache-sized row blocks, and gauss.norm_logcdf_pair gives log
-Phi(u) and log Phi(-u) from one erfcx per input, at 4^(K-1) 2M points.  No
-4^K x 2M table is built: _delta_rows reads any hypothesis' delta row from D.
+float64 D = log Phi(u) - log Phi(-u) (4^(K-1) x 2M), in a mapping of its
+own, and base (4^K).  D is built in cache-sized row blocks, and
+gauss.norm_logcdf_pair gives log Phi(u) and log Phi(-u) from one erfcx per
+input, at 4^(K-1) 2M points.  No 4^K x 2M table is built: _delta_rows
+reads any hypothesis' delta row from D.
 
 Frames are scored in two passes.  A float32 screen scores every
 hypothesis from the same quarter: in the signs b = +-1 a score is
@@ -23,9 +24,12 @@ j-rotation scores two quarters, and 2m minus those scores the other two.
 Each SCREEN_ROWS piece of the quarter is rounded to float32 [D/2 | m] in
 one tile buffer just before its product; no float32 copy of the quarter
 is kept.
-It keeps, per frame, the blocks of SCREEN_BLOCK hypotheses whose float32
-maximum lies within a rigorous rounding bound of the best, and names, per
-aligned HYP_CHUNK tile of hypotheses, the frames with such a block in it.
+It names, per aligned HYP_CHUNK tile of hypotheses, the frames with a
+block of SCREEN_BLOCK hypotheses in it whose float32 maximum lies within a
+rigorous rounding bound of the best.  The quarter is screened in groups of
+SCREEN_GROUP rows whose four orientations fill whole tiles, so per chunk of
+frames it keeps one group's block maxima and one maximum per tile, not a
+table of every block's maxima.
 The confirm pass visits those tiles once each, in ascending order, reads a
 tile's rows from D once, rescores it against its frames alone with the
 float64 matrix product, and keeps the first maximum.  Every hypothesis that
@@ -41,13 +45,14 @@ not finite, every frame is confirmed in every tile.  At M=16, K=8 and 1,500
 frames on one core of a 2-vCPU Xeon VM whose calibration loop read 33-41 ms
 (nominal 40 ms), scaled to that nominal speed, the score terms take 35-37
 ms, the screen 94-110 ms, the confirm pass 5-23 ms and a detection call
-137-165 ms; the benchmark's data_phase peaks at 71.5 MB RSS (BENCH_29.json).
+137-165 ms; the benchmark's data_phase peaks at 69.8 MB RSS (BENCH_30.json).
 These timings move with the host's state, which calibration does not fully
 undo, so they cannot be compared across BENCH files.
 """
 
 from __future__ import annotations
 
+import mmap
 from functools import cache
 
 import numpy as np
@@ -65,8 +70,9 @@ RATE_CAP = 20.0  # bits per user reported for a perfectly correlated detection
 FRAME_CHUNK = 256   # frames per score tile
 HYP_CHUNK = 512     # hypotheses per confirm tile (256 x 512 float64 = 1 MB)
 SCREEN_ROWS = 256   # quarter rows per float32 screen piece (256 x 512 float32 = 512 KB)
-TERMS_BLOCK = 2 ** 18  # bytes of comparator inputs per log-Phi block
+TERMS_BLOCK = 2 ** 16  # bytes of comparator inputs per log-Phi block (256 rows at M=16)
 SCREEN_BLOCK = 64   # hypotheses per float32 screen block
+SCREEN_GROUP = 4 ** 5  # quarter rows per screen group, whose images are whole confirm tiles
 # Fewest hypotheses the screen runs for; below it, it costs more than the
 # float64 scoring it saves (at M=16 and 1,500 frames, without -> with the
 # quarter screen: K=5 3.0-3.3 -> 7.7-10.2 ms, K=6 12.1-14.2 -> 15.4-22.8 ms,
@@ -95,6 +101,22 @@ def _rot_rows(n: int) -> np.ndarray:
     return rows
 
 
+def _mapped(shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array in an anonymous mapping of its own.
+
+    For the quarter D, the one large array that lives through a whole
+    detection call; freeing it unmaps its pages.  On the heap, where glibc's
+    malloc serves D once its dynamic mmap threshold has risen past D's
+    size, D's place depended on what else the process held, and a 30-s
+    data_phase run's peak RSS varied with it by up to 2 MB.  MAP_POPULATE
+    faults the pages in with the mapping; tracemalloc does not trace them.
+    """
+    if not hasattr(mmap, "MAP_PRIVATE"):  # no POSIX mmap flags (Windows)
+        return np.empty(shape)
+    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape)), flags=flags)).reshape(shape)
+
+
 def _score_terms(H_hat: np.ndarray, symbol_power: float):
     """Score terms: base (4^K,), the sum of log Phi(-u) of every hypothesis,
     and D (4^(K-1), 2M) = log Phi(u) - log Phi(-u) of the d_0 = 0 quarter,
@@ -112,7 +134,9 @@ def _score_terms(H_hat: np.ndarray, symbol_power: float):
     from one erfcx per input.  base sums the Re and the Im half of each
     row apart: the d_0 = 1 block is the quarter rotated by -j, read through
     a digit-wise ROT row map, and the d_0 = 2 and 3 blocks are the d_0 = 1
-    and 0 blocks negated, whose rows run backwards.
+    and 0 blocks negated, whose rows run backwards.  It is filled in place,
+    quarter by quarter, the last quarter holding each row map's source
+    until its own turn.
     """
     M, K = H_hat.shape
     hr, hi = H_hat.real.T, H_hat.imag.T
@@ -126,8 +150,8 @@ def _score_terms(H_hat: np.ndarray, symbol_power: float):
     for k in range(1, K - tail):
         prefix = (prefix[:, None] + c[k][None]).reshape(-1, 2 * M)
     n, size = 4 ** (K - 1), 4 ** tail
-    D = np.empty((n, 2 * M))
-    pos_re, pos_im, neg_re, neg_im = np.empty((4, n))
+    D = _mapped((n, 2 * M))
+    pos, neg = np.empty((2, n, 2))  # per quarter row, the sums over the Re and the Im half
     for i, row in enumerate(prefix):
         U = row[None]
         for k in range(K - tail, K):
@@ -135,11 +159,18 @@ def _score_terms(H_hat: np.ndarray, symbol_power: float):
         log_pos, log_neg = norm_logcdf_pair(U)
         blk = slice(i * size, (i + 1) * size)
         np.subtract(log_pos, log_neg, out=D[blk])
-        pos_re[blk], pos_im[blk] = log_pos[:, :M].sum(axis=1), log_pos[:, M:].sum(axis=1)
-        neg_re[blk], neg_im[blk] = log_neg[:, :M].sum(axis=1), log_neg[:, M:].sum(axis=1)
+        np.sum(log_pos.reshape(size, 2, M), axis=2, out=pos[blk])
+        np.sum(log_neg.reshape(size, 2, M), axis=2, out=neg[blk])
+    (pos_re, pos_im), (neg_re, neg_im) = pos.T, neg.T
     rows = _rot_rows(n)  # quarter row of each d_0 = 1 hypothesis
-    base = np.concatenate([neg_re + neg_im, (neg_im + pos_re)[rows],
-                           (pos_im + neg_re)[rows][::-1], (pos_re + pos_im)[::-1]])
+    base = np.empty(4 * n)
+    q0, q1, q2, q3 = base[:n], base[n:2 * n], base[2 * n:3 * n], base[3 * n:]
+    np.add(neg_re, neg_im, out=q0)
+    np.add(neg_im, pos_re, out=q3)  # q3 holds each row map's source until it is filled
+    np.take(q3, rows, out=q1, mode="clip")  # clip: no buffered copy of out
+    np.add(pos_im, neg_re, out=q3)
+    np.take(q3, rows[::-1], out=q2, mode="clip")
+    np.add(pos_re[::-1], pos_im[::-1], out=q3)
     return base, D
 
 
@@ -246,31 +277,30 @@ def _screened_tiles(base: np.ndarray, D: np.ndarray, pos: np.ndarray):
     with those frames ascending; None when the bound is not finite.
 
     _contenders scores each FRAME_CHUNK chunk of frames against the quarter,
-    SCREEN_ROWS rows at a time, from D and _screen_table's m.  Each
+    SCREEN_ROWS rows at a time, from D and _screen_table's m, and marks per
+    tile the chunk's frames for which it holds a contender block.  Each
     SCREEN_BLOCK's best float32 score is within err_k / 2 of its float64
     one.  A block whose float32 maximum plus err_k falls below some block's
     float32 maximum minus its err_j holds no hypothesis that can match that
     block's float64 best, so it cannot hold the first maximum; every other
-    block is a contender.
+    block is a contender, and a tile with one is visited.
     """
-    m, order, err = _screen_table(base, D)
+    m, gather, tiles, err = _screen_table(base, D)
     if err is None:
         return None
     out = np.empty(SCREEN_ROWS * 2 * FRAME_CHUNK, dtype=np.float32)
-    per_tile = HYP_CHUNK // SCREEN_BLOCK
     # hits[t, f]: tile t holds a contender block of frame f
-    hits = np.empty((order.size // per_tile, pos.shape[0]), dtype=bool)
+    hits = np.empty((tiles.size, pos.shape[0]), dtype=bool)
     for lo in range(0, pos.shape[0], FRAME_CHUNK):
-        contender = _contenders(D, m, order, err, pos[lo:lo + FRAME_CHUNK], out)
-        contender.reshape(hits.shape[0], per_tile, -1).any(axis=1, out=hits[:, lo:lo + FRAME_CHUNK])
+        hits[:, lo:lo + FRAME_CHUNK] = _contenders(D, m, gather, tiles, err,
+                                                   pos[lo:lo + FRAME_CHUNK], out)
     return [(t * HYP_CHUNK, np.flatnonzero(row)) for t, row in enumerate(hits) if row.any()]
 
 
 def _screen_table(base: np.ndarray, D: np.ndarray):
     """What the float32 screen needs from a pass over the whole d_0 = 0
-    quarter: the float32 m of each quarter row, the quarter block each
-    SCREEN_BLOCK of hypotheses reads, and per-block error bounds:
-    (m, order, err).
+    quarter: the float32 m of each quarter row, the map from screen groups
+    to tiles, and per-quarter-block error bounds: (m, gather, tiles, err).
 
     Valid only for _score_terms' tables, whose quarters hold one set of terms
     rotated.  With b = 2 pos - 1, a score base_h + pos . delta_h is
@@ -284,9 +314,19 @@ def _screen_table(base: np.ndarray, D: np.ndarray):
     sums of log Phi(-u) and log Phi(u).  _contenders writes each piece of
     SCREEN_ROWS quarter rows [D/2 | m], rounded to float32, into one tile
     buffer and scores it there, so no float32 copy of the whole quarter is
-    kept.  order[j] is the quarter block that hypothesis block j scores:
-    q0's blocks as they are, q1's through the ROT row map (a SCREEN_BLOCK of
-    4^3 rows maps onto one block), q2's and q3's those of q1 and q0
+    kept.
+
+    The quarter is screened in groups of SCREEN_GROUP rows (the whole
+    quarter when it is shorter, K = 5).  Aligned ranges of 4^k rows map
+    onto aligned ranges of 4^k rows under the ROT row map and under
+    reversal, so a group's four orientations cover whole HYP_CHUNK tiles
+    (at K = 5, whose quarter is half a tile, two tiles of two orientations
+    each).  A group's block maxima sit by (quarter block, d_0), flattened;
+    gather[g] lists group g's entries sorted by the tile they fall in, so
+    each HYP_CHUNK / SCREEN_BLOCK of them make one tile, and tiles[g] names
+    those tiles in turn.  Hypothesis block j of q0 is quarter block j,
+    q1's read the quarter through the ROT row map (a SCREEN_BLOCK of 4^3
+    rows maps onto one block), and q2's and q3's are those of q1 and q0
     backwards.
 
     Bound, with u = 2^-24, gamma_n = n u / (1 - n u) and per quarter row
@@ -303,10 +343,11 @@ def _screen_table(base: np.ndarray, D: np.ndarray):
       product adds at most gamma64_{2M+1} (|base_h| + sum|delta_h|), about
       4 gamma64_{2M+1} |m|.  Both together stay below u mag for M < 2^20.
     So each float32 screen score is within (gamma_{2M+2} + u) mag of the
-    confirm pass's float64 score; err is twice that, maximized over the
-    block, leaving room for _contenders' float64 comparisons.  err is None
-    when mag is not finite or float32 could overflow; then every block is
-    a contender.
+    confirm pass's float64 score; err, per quarter block, is twice that,
+    maximized over the block, leaving room for the rounding of _contenders'
+    float64 sums and differences of a block maximum and its err.  err is
+    None when mag is not finite or float32 could overflow; then every block
+    is a contender.
     """
     n, n_cols = D.shape
     m = 0.5 * (base[:n] + base[::-1][:n])
@@ -315,18 +356,28 @@ def _screen_table(base: np.ndarray, D: np.ndarray):
         size[h:h + SCREEN_ROWS] += np.abs(0.5 * D[h:h + SCREEN_ROWS]).sum(axis=1)
     mag = size.reshape(-1, SCREEN_BLOCK).max(axis=1)
     if not mag.max() <= F32_SAFE:
-        return None, None, None
-    blocks = np.arange(mag.size)
-    turned = _rot_rows(n)[::SCREEN_BLOCK] // SCREEN_BLOCK
-    order = np.concatenate([blocks, turned, turned[::-1], blocks[::-1]])
+        return None, None, None, None
+    n_q = mag.size
+    blocks = np.arange(n_q)
+    turned = _rot_rows(n)[::SCREEN_BLOCK] // SCREEN_BLOCK  # quarter block of each q1 block
+    hyp = np.empty((n_q, 4), dtype=np.intp)  # hypothesis block of each quarter block, by d_0
+    hyp[:, 0] = blocks
+    hyp[turned, 1] = n_q + blocks
+    hyp[turned, 2] = 3 * n_q - 1 - blocks
+    hyp[:, 3] = 4 * n_q - 1 - blocks
+    per_tile = HYP_CHUNK // SCREEN_BLOCK
+    tile = hyp.reshape(-1, 4 * min(n, SCREEN_GROUP) // SCREEN_BLOCK) // per_tile
+    gather = np.argsort(tile, axis=1, kind="stable")
+    tiles = np.take_along_axis(tile, gather, axis=1)[:, ::per_tile]
     k = n_cols + 2
     gamma = k * F32_EPS / (1.0 - k * F32_EPS)
-    return m.astype(np.float32), order, 2.0 * (gamma + F32_EPS) * mag[order]
+    return m.astype(np.float32), gather, tiles, 2.0 * (gamma + F32_EPS) * mag
 
 
-def _contenders(D: np.ndarray, m: np.ndarray, order: np.ndarray, err: np.ndarray,
-                pos: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(blocks, frames) mask: block k can hold frame f's first maximum.
+def _contenders(D: np.ndarray, m: np.ndarray, gather: np.ndarray, tiles: np.ndarray,
+                err: np.ndarray, pos: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(tiles, frames) mask: tile t holds a block that can hold frame f's
+    first maximum.
 
     Per SCREEN_ROWS rows of the quarter (4^(K-1) rows, a whole number of
     pieces for K >= 5), the piece's float32 rows [D/2 | m] go into one
@@ -334,13 +385,14 @@ def _contenders(D: np.ndarray, m: np.ndarray, order: np.ndarray, err: np.ndarray
     [[b, b'], [1, 1]], scores q0 and q1 of every frame; 2 m - P turns them
     into q3 and q2 in place.  The scores sit in the (rows x 2 frames)
     layout, where the max over each SCREEN_BLOCK of rows is a contiguous
-    reduction; top holds the block maxima by quarter block and d_0.  err
-    depends only on the quarter block, and order starts with the quarter
-    blocks in order, so err's first rows are the quarter's.  The test stays
-    in top's layout: a frame's floor is max (max_d0 top - err), which
-    equals the max over every block of top - err because rounding x - e is
-    non-decreasing in x; top + err >= floor runs one d_0 slab at a time,
-    and one gather through order puts the mask in hypothesis-block order.
+    reduction into the group's block maxima top, by quarter block and d_0.
+    After each group, top is gathered in tile order: top - err folds into
+    each frame's floor, the max over every block of top - err, and top + err
+    reduces to one maximum per (tile, frame).  All of it is float64, where
+    a max is exact and rounding x -+ e is non-decreasing in x, so
+    tile_max >= floor holds iff one of the tile's blocks has
+    top + err >= floor: a block whose float32 maximum plus its err reaches
+    the best block maximum minus that block's err.
     """
     n_frames = pos.shape[0]
     n, n_cols = D.shape
@@ -355,24 +407,32 @@ def _contenders(D: np.ndarray, m: np.ndarray, order: np.ndarray, err: np.ndarray
     piece = np.empty((SCREEN_ROWS, n_cols + 1), dtype=np.float32)
     scores = out[:SCREEN_ROWS * 2 * n_frames].reshape(SCREEN_ROWS, 2 * n_frames)
     blocks = scores.reshape(-1, SCREEN_BLOCK, 2, n_frames)
-    top = np.empty((n // SCREEN_BLOCK, 4, n_frames), dtype=np.float32)
-    for h in range(0, n, SCREEN_ROWS):
-        np.multiply(D[h:h + SCREEN_ROWS], 0.5, out=piece[:, :-1], casting="same_kind")
-        piece[:, -1] = m[h:h + SCREEN_ROWS]
-        k = slice(h // SCREEN_BLOCK, (h + SCREEN_ROWS) // SCREEN_BLOCK)
-        np.matmul(piece, signs, out=scores)
-        np.max(blocks, axis=1, out=top[k, :2])
-        np.subtract(twice_m[h:h + SCREEN_ROWS, None], scores, out=scores)
-        np.max(blocks, axis=1, out=top[k, :1:-1])
-    n_q = top.shape[0]
-    errq = err[:n_q, None]  # order starts with the quarter's blocks
-    floor = (top.max(axis=1) - errq).max(axis=0)
-    keep = np.empty((4 * n_q, n_frames), dtype=bool)
-    slab = np.empty((n_q, n_frames))
-    for d0 in range(4):
-        np.add(top[:, d0], errq, out=slab)
-        np.greater_equal(slab, floor, out=keep[d0 * n_q:(d0 + 1) * n_q])
-    return keep[np.arange(order.size) // n_q * n_q + order]
+    per_piece = SCREEN_ROWS // SCREEN_BLOCK
+    n_groups, per_group = gather.shape[0], gather.shape[1] // 4  # quarter blocks per group
+    err_ranked = err.reshape(n_groups, per_group)[np.arange(n_groups)[:, None], gather // 4, None]
+    top = np.empty((per_group, 4, n_frames), dtype=np.float32)
+    ranked = np.empty((4 * per_group, n_frames), dtype=np.float32)
+    wide = np.empty((4 * per_group, n_frames))
+    tile_max = np.empty((tiles.size, n_frames))
+    floor = np.full(n_frames, -np.inf)
+    for g in range(n_groups):
+        for i in range(0, per_group, per_piece):
+            h = (g * per_group + i) * SCREEN_BLOCK
+            np.multiply(D[h:h + SCREEN_ROWS], 0.5, out=piece[:, :-1], casting="same_kind")
+            piece[:, -1] = m[h:h + SCREEN_ROWS]
+            np.matmul(piece, signs, out=scores)
+            np.max(blocks, axis=1, out=top[i:i + per_piece, :2])
+            np.subtract(twice_m[h:h + SCREEN_ROWS, None], scores, out=scores)
+            np.max(blocks, axis=1, out=top[i:i + per_piece, :1:-1])
+        np.take(top.reshape(-1, n_frames), gather[g], axis=0, out=ranked, mode="clip")
+        np.subtract(ranked, err_ranked[g], out=wide)
+        np.maximum(floor, wide.max(axis=0), out=floor)
+        np.add(ranked, err_ranked[g], out=wide)
+        t = slice(g * tiles.shape[1], (g + 1) * tiles.shape[1])
+        np.max(wide.reshape(tiles.shape[1], -1, n_frames), axis=1, out=tile_max[t])
+    hits = np.empty(tile_max.shape, dtype=bool)
+    hits[tiles.reshape(-1)] = tile_max >= floor
+    return hits
 
 
 def _first_best(pos: np.ndarray, base: np.ndarray, D: np.ndarray, visits) -> np.ndarray:

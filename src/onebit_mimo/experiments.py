@@ -58,7 +58,10 @@ AQ_AGG_COLUMNS = ["M", "K", "L", "snr_db", "iteration", "n", "median_mse",
 # float64).  The largest are AQ's one-bit data over all rounds (i_max x M x 2L,
 # only when AQ runs), the random thresholds' draws (M x 2L x 2K), the pilots'
 # outer-product table (2L x K(2K+1)), and in the data phase detection's quarter
-# table D (4^(K-1) x 2M) and the per-frame tables (n_frames x (2M + 4^K/64)).
+# table D (4^(K-1) x 2M), the frames' signal and noise (n_frames x 2M) and
+# their complex symbols (n_frames x K, 2K floats a frame).  The screen's
+# (tiles x frames) bool mask takes 4^K/512 bytes a frame, never more than the
+# symbols' 16K bytes for K <= K_MAX.
 MAX_TRIAL_ARRAY = 2**27
 
 # What a config value may be, by field annotation; bool never passes for a number.
@@ -161,7 +164,7 @@ class ExperimentConfig:
         quarter = 4 ** (min(K, K_MAX) - 1) * 2 * M if n_frames > 0 else 0
         for names, floats in (("L, M, i_max", aq_data), ("L, M, K", M * 2 * L * 2 * K),
                               ("L, K", 2 * L * K * (2 * K + 1)), ("M, K", quarter),
-                              ("n_frames, M, K", n_frames * (2 * M + 4 ** min(K, K_MAX) // 64))):
+                              ("n_frames, M", n_frames * 2 * M), ("n_frames, K", n_frames * 2 * K)):
             if floats > MAX_TRIAL_ARRAY:
                 raise ConfigError(f"{names}: one trial would allocate an array of about "
                                   f"2^{floats.bit_length() - 1} floats, more than the "

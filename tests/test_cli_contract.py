@@ -52,7 +52,8 @@ def test_size_rule_names_the_fields_of_the_array_too_large():
              (dict(M=1, K=2**10, L=[2**10], i_max=1), "L, K"),
              (dict(M=2**12, K=4, L=[2**12], i_max=1), "L, M, K"),
              (dict(M=8192, K=8, L=[8], n_frames=1, schemes=["PCSI"]), "M, K"),
-             (dict(M=2, K=8, L=[8], n_frames=2**31), "n_frames, M, K")]
+             (dict(M=2, K=8, L=[8], n_frames=2**31), "n_frames, M"),
+             (dict(M=1, K=7, L=[7], n_frames=2**24, schemes=["PCSI"]), "n_frames, K")]
     for fields, names in cases:
         cfg = ExperimentConfig.from_dict(dict(dict(trials=1, schemes=["FQ"]), **fields))
         with pytest.raises(om.ConfigError, match=f"^{names}: .* more than the 2\\^27 allowed"):
@@ -72,6 +73,17 @@ def test_size_rule_counts_each_array_only_where_a_trial_allocates_it():
     ExperimentConfig.from_dict(dict(rounds, schemes=["FQ"])).validate()
     with pytest.raises(om.ConfigError, match="^L, M, i_max: .* 2\\^30 floats"):
         ExperimentConfig.from_dict(dict(rounds, schemes=["FQ", "AQ"])).validate()
+
+
+def test_size_rule_counts_each_per_frame_array_on_its_own():
+    # the largest per-frame array here is the frames' float64 signal, 2^17
+    # frames x 2M = 2^22 floats; summing the widths of several arrays, or
+    # counting a table of block maxima per frame, once refused it at about
+    # 2^27.  Checked by validate() alone; the config is never run
+    cfg = dict(M=16, K=8, L=[32], n_frames=131072, trials=1, schemes=["PCSI"])
+    ExperimentConfig.from_dict(cfg).validate()
+    with pytest.raises(om.ConfigError, match="^n_frames, M: .* 2\\^27 floats"):
+        ExperimentConfig.from_dict(dict(cfg, n_frames=2**22 + 1)).validate()
 
 
 def test_size_rule_admits_an_array_of_exactly_2_to_the_27():

@@ -143,21 +143,28 @@ def _expand_quarter(D, neg_re, neg_im):
     t = 0, 1, 2, 3.
     """
     M = D.shape[1] // 2
-    K = int(round(np.log(D.shape[0]) / np.log(4))) + 1
     pos_re, pos_im = neg_re + D[:, :M].sum(axis=1), neg_im + D[:, M:].sum(axis=1)
-    digits = hypothesis_indices(K).astype(np.intp)
-    turns = np.zeros(len(digits), dtype=np.intp)
-    for _ in range(3):
-        off = digits[:, 0] != 0
-        digits[off] = detect.ROT[digits[off]]
-        turns += off
-    r = digits[:, 1:] @ 4 ** np.arange(K - 2, -1, -1)
+    turns, r = _quarter_rows(D.shape[0])
     re, im = D[r, :M], D[r, M:]
     delta = np.choose(turns[:, None], [np.hstack([re, im]), np.hstack([im, -re]),
                                        np.hstack([-re, -im]), np.hstack([-im, re])])
     base = np.choose(turns, [neg_re[r] + neg_im[r], neg_im[r] + pos_re[r],
                              pos_re[r] + pos_im[r], pos_im[r] + neg_re[r]])
     return base, delta
+
+
+def _quarter_rows(n):
+    """For a quarter of n = 4^(K-1) rows: the ROT steps t that take each of
+    the 4^K hypotheses' digits into the d_0 = 0 quarter, and the quarter
+    row r it lands on."""
+    K = int(round(np.log(n) / np.log(4))) + 1
+    digits = hypothesis_indices(K).astype(np.intp)
+    turns = np.zeros(len(digits), dtype=np.intp)
+    for _ in range(3):
+        off = digits[:, 0] != 0
+        digits[off] = detect.ROT[digits[off]]
+        turns += off
+    return turns, digits[:, 1:] @ 4 ** np.arange(K - 2, -1, -1)
 
 
 def _full_delta(D):
@@ -305,6 +312,28 @@ def test_blocked_terms_move_no_float(monkeypatch, M, K, block):
     assert np.array_equal(_full_delta(D).view(np.int64), full_delta.view(np.int64))
 
 
+def test_score_terms_peak_memory_is_its_outputs_and_one_block():
+    # at M=16, K=8 _score_terms' heap peaks within base, the four quarter-row
+    # sums base is built from (as large as base together), and eight arrays
+    # of one log-Phi block: base is filled in place, quarter by quarter, and
+    # log Phi is taken TERMS_BLOCK bytes of inputs at a time.  D is in a
+    # mapping of its own, which tracemalloc does not trace.  A zero channel
+    # sends every input through norm_logcdf_pair's |u| < 1 branch
+    M, K = 16, 8
+    detect._rot_rows(4 ** (K - 1))  # cached, so built outside the trace
+    budget = 2 * 4 ** K * 8 + 8 * detect.TERMS_BLOCK
+    H = _channel(M, K, 19)
+    for channel in (H, np.zeros_like(H)):
+        tracemalloc.start()
+        try:
+            base, D = detect._score_terms(channel, 10 ** 1.5)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+        assert D.nbytes == 4 ** (K - 1) * 2 * M * 8 and held < base.nbytes + D.nbytes
+
+
 def _screen_rows(D, m):
     """The float32 rows [D/2 | m] the screen scores: 0.5 D rounded once
     from float64, beside _screen_table's float32 m."""
@@ -343,8 +372,8 @@ def _screen_scores(D, m, pos):
 def test_screen_bound_covers_float32_rounding(M, K, snr_db, zero_user):
     # random channels and random sign patterns: every hypothesis' float32
     # screen score, rebuilt from the quarter's D and m in its orientation, is
-    # within err_k / 2 of the float64 score the confirm pass uses, in every
-    # block k
+    # within err_k / 2 of the float64 score the confirm pass uses, where k
+    # is the quarter block the hypothesis reads
     rng = np.random.default_rng(30 + K + M)
     F = 40
     for _ in range(3):
@@ -353,13 +382,14 @@ def test_screen_bound_covers_float32_rounding(M, K, snr_db, zero_user):
             H[:, 0] = 0.0
         base, D = detect._score_terms(H, 10 ** (snr_db / 10))
         delta = _full_delta(D)
-        m, order, err = detect._screen_table(base, D)
+        m, _, _, err = detect._screen_table(base, D)
+        assert err.shape == (D.shape[0] // detect.SCREEN_BLOCK,)
         pos = rng.random((F, 2 * M)) < 0.5
         s32 = _screen_scores(D, m, pos)
         s64 = (pos.astype(float) @ delta.T + base).T
-        gap = np.abs(s32.astype(float) - s64).reshape(-1, detect.SCREEN_BLOCK, F).max(axis=(1, 2))
+        gap = np.abs(s32.astype(float) - s64).max(axis=1)
         assert gap.max() > 0
-        assert (gap <= err / 2).all()
+        assert (gap <= err[_quarter_rows(D.shape[0])[1] // detect.SCREEN_BLOCK] / 2).all()
 
 
 @pytest.mark.parametrize("M, K, snr_db, zero_user", [
@@ -373,17 +403,18 @@ def test_screen_bound_covers_float32_rounding(M, K, snr_db, zero_user):
 def test_contenders_are_the_blocks_within_the_bound_of_the_best(monkeypatch, M, K, snr_db,
                                                                  zero_user):
     # every mask _contenders hands the confirm pass, over a whole chunk and
-    # the short last one, is the rule written out in hypothesis order: block
-    # k contends for frame f iff its float32 maximum plus err_k reaches the
-    # best block maximum minus its err.  At K=5 the screen is lowered to run
-    # on a quarter shorter than one HYP_CHUNK tile; a zero user makes
+    # the short last one, is the rule written out in hypothesis order: tile
+    # t contends for frame f iff one of its blocks' float32 maximum plus
+    # err_k reaches the best block maximum minus its err, with err_k that of
+    # the quarter block k the block reads.  At K=5 the screen is lowered to
+    # run on a quarter shorter than one HYP_CHUNK tile; a zero user makes
     # blocks tie exactly
     monkeypatch.setattr(detect, "SCREEN_MIN_HYP", 4 ** 5)
     seen = []
     contenders = detect._contenders
 
-    def spy(D, m, order, err, pos, out):
-        mask = contenders(D, m, order, err, pos, out)
+    def spy(D, m, gather, tiles, err, pos, out):
+        mask = contenders(D, m, gather, tiles, err, pos, out)
         seen.append((D, m, err, pos, mask))
         return mask
 
@@ -395,20 +426,26 @@ def test_contenders_are_the_blocks_within_the_bound_of_the_best(monkeypatch, M, 
     _, b = om.simulate_frames(H, p, 300, rng_seed=101)
     om.detect_frames(H, b, symbol_power=p)
     assert [s[3].shape[0] for s in seen] == [detect.FRAME_CHUNK, 300 - detect.FRAME_CHUNK]
+    per_tile = detect.HYP_CHUNK // detect.SCREEN_BLOCK
     for D, m, err, pos, mask in seen:
-        bmax = _screen_scores(D, m, pos).reshape(-1, detect.SCREEN_BLOCK, pos.shape[0])
+        F = pos.shape[0]
+        bmax = _screen_scores(D, m, pos).reshape(-1, detect.SCREEN_BLOCK, F)
         bmax = bmax.max(axis=1).astype(float)
-        want = bmax + err[:, None] >= (bmax - err[:, None]).max(axis=0)
-        assert mask.dtype == bool and np.array_equal(mask, want)
-        if zero_user:  # the four images of the best block under user 0 tie
-            assert (mask.sum(axis=0) >= 4).all()
+        e = err[_quarter_rows(D.shape[0])[1][::detect.SCREEN_BLOCK] // detect.SCREEN_BLOCK, None]
+        want = bmax + e >= (bmax - e).max(axis=0)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, want.reshape(-1, per_tile, F).any(axis=1))
+        if zero_user:  # the four images of the best block under user 0 tie,
+            # one per quarter: four tiles, or both tiles of the K=5 call
+            assert (mask.sum(axis=0) >= min(4, mask.shape[0])).all()
 
 
 def test_screened_scoring_peak_memory_is_its_buffers(monkeypatch):
     # one call at M=16, K=8 and 1,500 frames peaks within the buffers its
-    # shapes imply: per chunk of frames, no float64 copy of the block
-    # maxima, and the confirm's score buffer only once the screen's are
-    # freed.  With a zero channel every block of every frame contends
+    # shapes imply: per chunk of frames, one group's block maxima and one
+    # maximum per tile, no table of every block's maxima, and the confirm's
+    # score buffer only once the screen's are freed.  With a zero channel
+    # every block of every frame contends
     M, K, F = 16, 8, 1500
     H = _channel(M, K, 19)
     _, b = om.simulate_frames(H, 10 ** 1.5, F, rng_seed=20)
@@ -422,17 +459,18 @@ def test_screened_scoring_peak_memory_is_its_buffers(monkeypatch):
         return visits
 
     monkeypatch.setattr(detect, "_screened_tiles", spy)
-    n_blocks = 4 ** K // detect.SCREEN_BLOCK
+    n_tiles = 4 ** K // detect.HYP_CHUNK
+    group = 4 * detect.SCREEN_GROUP // detect.SCREEN_BLOCK * detect.FRAME_CHUNK  # a group's blocks
     screen = (detect.SCREEN_ROWS * 2 * detect.FRAME_CHUNK * 4           # float32 tile
               + detect.SCREEN_ROWS * (2 * M + 1) * 4                    # a piece's rows
-              + n_blocks * detect.FRAME_CHUNK * 4                       # block maxima
-              + n_blocks // 4 * detect.FRAME_CHUNK * 8                  # one d_0 slab
-              + 3 * n_blocks * detect.FRAME_CHUNK)  # a chunk's bool masks: d_0 slabs, gathered, last
+              + group * (4 + 4 + 8)        # a group's block maxima, gathered, and in float64
+              + n_tiles * detect.FRAME_CHUNK * 8                        # per-tile maxima
+              + 2 * n_tiles * detect.FRAME_CHUNK)  # a chunk's bool masks: tested, then placed
     confirm = (detect.FRAME_CHUNK * detect.HYP_CHUNK * 8                # score buffer
                + detect.HYP_CHUNK * 2 * M * 8)                          # a tile's delta rows
     # besides: the (tiles, frames) contender mask, each tile's frame indices,
     # and 0.5 MiB for the frames' sign matrices, 2m and pos
-    hits = n_blocks * detect.SCREEN_BLOCK // detect.HYP_CHUNK * F
+    hits = n_tiles * F
     for channel in (H, np.zeros_like(H)):
         base, D = detect._score_terms(channel, 10 ** 1.5)
         pairs.clear()
