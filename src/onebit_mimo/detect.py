@@ -41,13 +41,7 @@ or at M <= 5, many hypotheses score within a few u sum|terms| of each other
 (u = 2^-53); there the winner follows the summation order of the confirm
 pass's dgemm, which OpenBLAS picks per CPU, so it can differ between
 machines.  Below SCREEN_MIN_HYP hypotheses (K < 7), or when the bound is
-not finite, every frame is confirmed in every tile.  At M=16, K=8 and 1,500
-frames on one core of a 2-vCPU Xeon VM whose calibration loop read 33-41 ms
-(nominal 40 ms), scaled to that nominal speed, the score terms take 35-37
-ms, the screen 94-110 ms, the confirm pass 5-23 ms and a detection call
-137-165 ms; the benchmark's data_phase peaks at 69.8 MB RSS (BENCH_30.json).
-These timings move with the host's state, which calibration does not fully
-undo, so they cannot be compared across BENCH files.
+not finite, every frame is confirmed in every tile.
 """
 
 from __future__ import annotations
@@ -80,14 +74,6 @@ SCREEN_GROUP = 4 ** 5  # quarter rows per screen group, whose images are whole c
 SCREEN_MIN_HYP = 4 ** 7
 F32_EPS = 2.0 ** -24  # float32 unit roundoff
 F32_SAFE = 2.0 ** 126  # largest score magnitude the float32 screen takes
-
-
-@cache
-def hypothesis_indices(K: int) -> np.ndarray:
-    """All 4^K constellation index tuples, in lexicographic order."""
-    idx = np.ascontiguousarray(np.indices((4,) * K, dtype=np.uint8).reshape(K, -1).T)
-    idx.setflags(write=False)
-    return idx
 
 
 @cache
@@ -181,18 +167,10 @@ def _delta_rows(D: np.ndarray, hyps: np.ndarray) -> np.ndarray:
     With [R, I] a row of D: q0 is D itself, q1 is [I, -R] of the ROT row,
     q2 and q3 are q1 and q0 negated with their rows reversed.  Copies and
     negations only, so every row is bit for bit the one the quarter's
-    hypothesis has.  A run of consecutive indices inside q0 is a slice of D
-    (a view, not a copy), and one inside q3 one negation of a reversed slice.
+    hypothesis has.  The rows are gathered into a new array.
     """
     n, two_m = D.shape
     M = two_m // 2
-    if hyps.size and hyps[-1] - hyps[0] == hyps.size - 1:
-        q, a = divmod(int(hyps[0]), n)
-        b = a + hyps.size
-        if q == 0 and b <= n:
-            return D[a:b]
-        if q == 3:
-            return np.negative(D[n - b:n - a][::-1])
     rows = _rot_rows(n)
     e1, e2, e3 = np.searchsorted(hyps, (n, 2 * n, 3 * n))
     src = hyps % n  # the quarter row each hypothesis reads
@@ -226,7 +204,7 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray,
     """Exhaustive one-bit ML detection of many frames against one channel.
 
     b_frames is (F, 2M) of signs with the [Re block, Im block] comparator
-    order.  Returns (F, K) constellation indices.
+    order.  Returns (F, K) constellation indices as uint8.
     """
     H_hat = _checked(H_hat, symbol_power, "H_hat")
     M, K = H_hat.shape
@@ -240,13 +218,14 @@ def detect_frames(H_hat: np.ndarray, b_frames: np.ndarray,
         raise ValueError(f"frames must have 2M={2 * M} sign entries")
 
     base, D = _score_terms(H_hat, symbol_power)
-    return _score_frames(base, D, b_frames, hypothesis_indices(K))
+    return _score_frames(base, D, b_frames)
 
 
-def _score_frames(base: np.ndarray, D: np.ndarray, b_frames: np.ndarray,
-                  hyp: np.ndarray) -> np.ndarray:
+def _score_frames(base: np.ndarray, D: np.ndarray, b_frames: np.ndarray) -> np.ndarray:
     """Best hypothesis per frame by score base + (b > 0) @ delta.T, for
-    _score_terms' base and quarter D, from which _delta_rows reads delta.
+    _score_terms' base and quarter D, from which _delta_rows reads delta,
+    as (F, K) uint8 constellation indices: the base-4 digits of the
+    hypothesis' index, most significant first (lexicographic order).
 
     Pass 1 (the screen, _screened_tiles) scores every hypothesis in float32
     and names, per aligned HYP_CHUNK tile of hypotheses, the frames with a
@@ -268,7 +247,9 @@ def _score_frames(base: np.ndarray, D: np.ndarray, b_frames: np.ndarray,
     if visits is None:
         every = np.arange(pos.shape[0])
         visits = [(h, every) for h in range(0, base.size, HYP_CHUNK)]
-    return hyp[_first_best(pos, base, D, visits)]
+    best = _first_best(pos, base, D, visits)
+    K = (base.size.bit_length() - 1) // 2  # base.size = 4^K
+    return (best[:, None] >> 2 * np.arange(K - 1, -1, -1) & 3).astype(np.uint8)
 
 
 def _screened_tiles(base: np.ndarray, D: np.ndarray, pos: np.ndarray):

@@ -28,11 +28,9 @@ capped antenna writes nothing.  The final check recomputes every margin of
 the final iterate with one full-width product and runs log Phi only where a
 margin's bits differ from the record's: a capped row, or a row whose product
 rounded otherwise.  Reuse is keyed on the bits of each margin, not on rows,
-because a product over part of the working set need not match the full one.
-With one row, Hs @ At.T takes numpy's gemv path: at M=16, K=8 and L 32-256,
-all 304 one-row products tried differed in the last bit from the full
-product's row, while 336 products of 2-15 rows all matched; at L=256, every
-block_gram GEMM over 1-14 of the 16 rows differed from the 16-row one.
+because a product over part of the working set need not match the full one:
+one row takes numpy's gemv path, and the BLAS kernel, with its summation
+order, can change with the number of rows.
 solve_ml's memo hands the final margins and log Phi on to AQ's next round,
 as a record of its first batches, whose start then runs log Phi only on its
 new batch and on the rows run_aq shrank.  log_likelihood, gradient and
@@ -42,7 +40,7 @@ directly, so they stay independent of that bookkeeping.
 Each Newton step's -Hessian blocks sum_r curv_r a_r a_r^T come from
 RealModel.block_gram, the kernel crb.fim uses too: one GEMM of the
 curvature rows against the model's packed outer-product table, then one
-gather into exactly symmetric blocks (model's docstring has the timings).
+gather into exactly symmetric blocks (model's docstring says why).
 
 An antenna stops when its gradient norm is at most GRAD_TOL per
 measurement, or when its Newton decrement G^T step is within
@@ -52,26 +50,17 @@ Vandenberghe, Convex Optimization, 2004, sec. 9.5).  Both count as
 converged; a line search whose trial rounds back to the start row counts
 as stalled and leaves the verdict to the final gradient check.
 
-In the Newton loop a reduction or two settles each per-row test, and
-every test keeps the value of its direct form.  The gradient test compares
-each row's sum of squares add.reduce(G*G, axis=1) with the largest float
-whose rounded square root is at most the tolerance (sqrt rounds
-correctly, so it is monotone and the root is never taken).  The decrement
-test runs in full only when the smallest slope is not a normal float
-above 2^-49 max|ll0|: one ulp of a normal x is at most 2^-52 |x|, and an
-ll0 of 0 or a subnormal slope always reaches the full test.  After a line
-search in which every row took its full step, the cap's and the exits'
-bookkeeping is skipped when the largest squared row norm is within the
-largest square whose root is at most NORM_CAP (read at each call).  Only
-rows that leave the working set, and the rows left when the loop ends, are
-written back to the estimate, which the loop never reads.
+In the Newton loop the gradient test and the norm cap compare each row's
+Euclidean norm with the tolerance and with NORM_CAP (read at each call).
+After a line search in which every row took its full step, the cap's and
+the exits' bookkeeping is skipped unless some row's norm exceeds NORM_CAP.
+Only rows that leave the working set, and the rows left when the loop ends,
+are written back to the estimate, which the loop never reads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -98,7 +87,6 @@ CURVATURE_SERIES_BELOW = -1e3
 # A genuine interior optimum keeps a bundle of near-threshold measurements at
 # p ~ 1/2, each costing ~log 2, so the two cases are far apart.
 SEPARABLE_LL_TOL = -1e-2
-_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass
@@ -279,47 +267,13 @@ def _line_search(Hs, step, slope, ll0, Bs, Ts, At, S0, LP0):
     return Hnew, S, LP, accepted, None
 
 
-def _row_squares(X):
-    """Squared Euclidean norm of each row, the sum np.linalg.norm(X, axis=1) takes the root of."""
-    return np.add.reduce(X * X, axis=1)
-
-
 def _row_norms(X):
     """Euclidean norm of each row: what np.linalg.norm(X, axis=1) returns, without its checks."""
-    return np.sqrt(_row_squares(X))
-
-
-@cache
-def _largest_square_within(r: float) -> float:
-    """The largest float q whose rounded sqrt(q) is at most r >= 0.
-
-    sqrt rounds correctly, so it is monotone: sqrt(q) > r exactly when
-    q > _largest_square_within(r), and a row-norm test needs no root.  r * r
-    is within an ulp or two of the answer, which the two walks settle.
-    """
-    if r == math.inf:
-        return r
-    q = r * r
-    while math.sqrt(q) > r:
-        q = math.nextafter(q, -math.inf)
-    while math.sqrt(math.nextafter(q, math.inf)) <= r:
-        q = math.nextafter(q, math.inf)
-    return q
+    return np.sqrt(np.add.reduce(X * X, axis=1))
 
 
 def _flat_rows(slope, ll0):
-    """Mask of the rows whose |slope| is within DECREMENT_ULPS ulp of |ll0|, or None if none is.
-
-    ll0 sums log Phi, so it is <= 0 and max|ll0| = -min(ll0).  One ulp of a
-    normal x is at most 2^-52 |x|, so no row can pass when the smallest
-    slope is a normal float above DECREMENT_ULPS 2^-51 max|ll0| (twice that
-    bound, which covers the product's rounding), and two mins settle it.
-    Otherwise, as always for an ll0 of +-0 or a slope that is subnormal,
-    zero or negative, the test runs row by row.
-    """
-    low = slope.min()
-    if low >= _TINY and low > DECREMENT_ULPS * 2.0 ** -51 * -ll0.min():
-        return None
+    """Mask of the rows whose |slope| is within DECREMENT_ULPS ulp of |ll0|, or None if none is."""
     flat = np.abs(slope) <= DECREMENT_ULPS * np.spacing(np.abs(ll0))
     return flat if flat.any() else None
 
@@ -381,9 +335,6 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
     capped = np.zeros(M, dtype=bool)
     at_floor = np.zeros(M, dtype=bool)
     iters_used = 0
-    # ||g|| > tol and ||h|| > NORM_CAP, decided on the squared norms
-    tol_sq = _largest_square_within(tol)
-    cap_sq = _largest_square_within(NORM_CAP)
 
     # Working set of the active antennas: their indices, rows, data, margins
     # and log Phi of the margins.  Antennas only leave it, and each line
@@ -408,7 +359,7 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
         s_min = S.min()
         lam = mills_from_logcdf(S, LP, s_min)
         G = _score(Bs, lam, At)
-        keep = _row_squares(G) > tol_sq
+        keep = _row_norms(G) > tol
         if not keep.all():
             leave(~keep)
             idx, Hs, Bs, Ts, S, LP, lam, G = _keep(keep, idx, Hs, Bs, Ts, S, LP, lam, G)
@@ -432,11 +383,11 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
                 break
 
         Hs, S, LP, accepted, ll0 = _line_search(Hs, step, slope, ll0, Bs, Ts, At, S, LP)
-        sq = _row_squares(Hs)
-        if ll0 is None or sq.max() > cap_sq:  # else every row took its full step and stays
-            blown = sq > cap_sq
+        norms = _row_norms(Hs)
+        if ll0 is None or norms.max() > NORM_CAP:  # else every row took its full step and stays
+            blown = norms > NORM_CAP
             if blown.any():
-                H[idx[blown]] = Hs[blown] * (NORM_CAP / np.sqrt(sq[blown]))[:, None]
+                H[idx[blown]] = Hs[blown] * (NORM_CAP / norms[blown])[:, None]
                 capped[idx[blown]] = True
 
             # Stalled antennas (no step accepted) leave too, at the row they

@@ -23,14 +23,10 @@ the FIM alike, come from RealModel.block_gram: one GEMM w @ Q against the
 model's table Q of packed products a_r,i a_r,j (i <= j), built on first use
 and kept for the model's lifetime, then one gather that unpacks each packed
 row into an exactly symmetric 2K x 2K block.  The gather is ndarray.take
-along the packed axis: at M' = 4, K = 8 and L = 32 a block_gram call took
-5.3-5.6 us with it against 7.8-8.1 us with the equivalent fancy index
-packed[:, map], which takes numpy's general indexing path.  For M' = 16
-antennas, K = 8 and one pilot batch, on a 2-vCPU Xeon VM with one BLAS
-thread, the GEMM and that fancy index took 142 us at L = 256 and 16 us at
-L = 32, against 280 us and 43 us for a broadcast of w into a (M', 2K, 2L)
-copy of A_tilde^T followed by M' small matmuls; building Q took 256 us and
-55 us, once per model.
+along the packed axis, which is faster than the equivalent fancy index
+packed[:, map] (numpy's general indexing path); one GEMM against Q is
+faster than a broadcast of w into a (M', 2K, 2L) copy of A_tilde^T
+followed by M' small matmuls.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 import onebit_mimo as om
 from onebit_mimo import detect
-from onebit_mimo.detect import QPSK, hypothesis_indices
+from onebit_mimo.detect import QPSK
 from onebit_mimo.gauss import norm_logcdf, norm_logcdf_pair
 
 
@@ -61,6 +61,11 @@ def test_tie_break_is_lexicographic():
     assert np.array_equal(out[0], [0, 0])
 
 
+def _hypotheses(K):
+    """All 4^K constellation index tuples, in lexicographic order."""
+    return np.indices((4,) * K).reshape(K, -1).T
+
+
 def _channel(M, K, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(M, K)) + 1j * rng.normal(size=(M, K))
@@ -70,7 +75,7 @@ def _full_matrix_decisions(H, b, symbol_power):
     """Reference: the whole frames-by-hypotheses score array and one argmax."""
     base, D = detect._score_terms(H, symbol_power)
     scores = base + (b > 0).astype(float) @ _full_delta(D).T
-    return hypothesis_indices(H.shape[1])[np.argmax(scores, axis=1)]
+    return _hypotheses(H.shape[1])[np.argmax(scores, axis=1)]
 
 
 @pytest.mark.parametrize("M, K, n_frames, snr_db, zero_user", [
@@ -109,7 +114,7 @@ def test_tiled_scorer_matches_full_matrix(M, K, n_frames, snr_db, zero_user):
     p = 10 ** (snr_db / 10)
     _, b = om.simulate_frames(H, p, n_frames, rng_seed=13)
     base, D = detect._score_terms(H, p)
-    ours = detect._score_frames(base, D, b, hypothesis_indices(K))
+    ours = detect._score_frames(base, D, b)
     assert np.array_equal(ours, _full_matrix_decisions(H, b, p))
 
 
@@ -158,7 +163,7 @@ def _quarter_rows(n):
     the 4^K hypotheses' digits into the d_0 = 0 quarter, and the quarter
     row r it lands on."""
     K = int(round(np.log(n) / np.log(4))) + 1
-    digits = hypothesis_indices(K).astype(np.intp)
+    digits = _hypotheses(K)
     turns = np.zeros(len(digits), dtype=np.intp)
     for _ in range(3):
         off = digits[:, 0] != 0
@@ -194,8 +199,8 @@ def test_float32_tie_goes_to_the_float64_winner():
     # float64 confirm pass sees that 700 is higher
     base, D = _two_rows(-1.0, -1.0 + 1e-12)
     assert np.float32(base[3]) == np.float32(base[700])
-    hyp = hypothesis_indices(7)
-    out = detect._score_frames(base, D, np.ones((5, 2)), hyp)
+    hyp = _hypotheses(7)
+    out = detect._score_frames(base, D, np.ones((5, 2)))
     assert np.array_equal(out, np.repeat(hyp[[700]], 5, axis=0))
 
 
@@ -213,8 +218,8 @@ def test_float32_reversal_goes_to_the_float64_winner():
     s64 = base + _full_delta(D).sum(axis=1)
     assert s32[0] < s32[1] and s64[3] > s64[700]
     assert np.argmax(s64) == 3
-    hyp = hypothesis_indices(7)
-    out = detect._score_frames(base, D, np.ones((5, 2)), hyp)
+    hyp = _hypotheses(7)
+    out = detect._score_frames(base, D, np.ones((5, 2)))
     assert np.array_equal(out, np.repeat(hyp[[3]], 5, axis=0))
 
 
@@ -273,17 +278,20 @@ def test_screen_takes_a_partial_last_tile(monkeypatch, K):
                                   _full_matrix_decisions(H, b, p))
 
 
-@pytest.mark.parametrize("K", [1, 2, 4, 7])
+@pytest.mark.parametrize("K", [1, 2, 4, 7, 8])
 def test_delta_rows_are_the_full_table_rows(K):
-    # ascending index sets that cross all three quarter boundaries, the
-    # whole range, and runs inside one quarter (q0 reads a slice of D, q3
-    # negates a reversed one): every row bit for bit that of the expanded table
+    # every aligned HYP_CHUNK tile of the four quarters (the sets the confirm
+    # pass reads), ascending index sets that cross all three quarter
+    # boundaries, the whole range, and runs inside one quarter: every row
+    # bit for bit that of the expanded table
     rng = np.random.default_rng(80 + K)
     D = detect._score_terms(_channel(5, K, 81), 2.0)[1]
     full = _full_delta(D)
     n = 4 ** (K - 1)
     edges = n * np.arange(1, 4)
-    sets = [np.arange(4 * n), np.union1d(edges - 1, edges)]
+    sets = [np.arange(h, min(h + detect.HYP_CHUNK, 4 * n))
+            for h in range(0, 4 * n, detect.HYP_CHUNK)]
+    sets += [np.arange(4 * n), np.union1d(edges - 1, edges)]
     for q in range(4):
         sets += [np.arange(q * n, (q + 1) * n), np.arange(q * n + n // 2, (q + 1) * n),
                  np.arange(q * n, q * n + (n + 1) // 2), np.array([q * n + n - 1])]
@@ -350,7 +358,7 @@ def _screen_scores(D, m, pos):
     table = _screen_rows(D, m)
     K = round(np.log(4 * n) / np.log(4))
     # quarter row of each d_0 = 1 hypothesis: its digits turned by ROT
-    turned = detect.ROT[hypothesis_indices(K)[n:2 * n, 1:]] @ 4 ** np.arange(K - 2, -1, -1)
+    turned = detect.ROT[_hypotheses(K)[n:2 * n, 1:]] @ 4 ** np.arange(K - 2, -1, -1)
     b = 2.0 * pos - 1.0
     signs = np.ones((2 * M + 1, 2 * F), dtype=np.float32)
     signs[:-1, :F] = b.T
@@ -449,7 +457,6 @@ def test_screened_scoring_peak_memory_is_its_buffers(monkeypatch):
     M, K, F = 16, 8, 1500
     H = _channel(M, K, 19)
     _, b = om.simulate_frames(H, 10 ** 1.5, F, rng_seed=20)
-    hyp = hypothesis_indices(K)  # cached, so built outside the trace
     pairs = []
     screened_tiles = detect._screened_tiles
 
@@ -476,7 +483,7 @@ def test_screened_scoring_peak_memory_is_its_buffers(monkeypatch):
         pairs.clear()
         tracemalloc.start()
         try:
-            detect._score_frames(base, D, b, hyp)
+            detect._score_frames(base, D, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -526,7 +533,7 @@ def test_negated_table_is_first_table_reversed(K):
         # negating every symbol (d -> 3 - d) reverses the rows and negates U;
         # multiplying them by j (d -> ROT[d]) maps [Re, Im] to [-Im, Re]
         assert np.array_equal(U[::-1], -U)
-        idx = hypothesis_indices(K)
+        idx = _hypotheses(K)
         rotated = (detect.ROT[idx] * 4 ** np.arange(K - 1, -1, -1)).sum(axis=1)
         assert np.array_equal(U[rotated], np.hstack([-U[:, M:], U[:, :M]]))
         full_base, full_delta = _full_terms(U, norm_logcdf_pair)
@@ -705,9 +712,21 @@ def test_rate_empty_raises():
 
 
 def test_hypothesis_enumeration_lexicographic():
-    idx = hypothesis_indices(2)
+    # detect_frames returns the winning index's base-4 digits, most
+    # significant first, as uint8: the lexicographic enumeration's row of
+    # the full-matrix argmax
+    idx = _hypotheses(2)
     assert idx.shape == (16, 2)
     assert np.array_equal(idx[:5], [[0, 0], [0, 1], [0, 2], [0, 3], [1, 0]])
+    for K in (1, 2, 8):
+        H = _channel(4, K, 110 + K)
+        _, b = om.simulate_frames(H, 10.0, 40, rng_seed=111)
+        base, D = detect._score_terms(H, 10.0)
+        best = np.argmax(base + (b > 0).astype(float) @ _full_delta(D).T, axis=1)
+        out = om.detect_frames(H, b, symbol_power=10.0)
+        assert out.dtype == np.uint8 and out.shape == (40, K) and out.flags.c_contiguous
+        assert np.array_equal(out, _hypotheses(K)[best])
+        assert np.array_equal(out.astype(np.intp) @ 4 ** np.arange(K - 1, -1, -1), best)
 
 
 @pytest.mark.slow

@@ -302,6 +302,20 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _stalling(line_search, M):
+    """line_search, except that a search over all M antennas from rows that
+    are all nonzero steps its last row by 2^-60 times the row: the trial
+    rounds back to the row, as in test_step_that_rounds_back_to_its_row_is_stalled,
+    so that row stalls on any host.  Without it a stall hinges on the last
+    bit of the host's products."""
+    def call(Hs, step, *args):
+        if Hs.shape[0] == M and Hs.any(axis=1).all():
+            step = step.copy()
+            step[-1] = Hs[-1] * 2.0 ** -60
+        return line_search(Hs, step, *args)
+    return call
+
+
 @pytest.mark.parametrize("prefix", [False, True])
 def test_kept_record_recomputes_exactly_the_entries_it_does_not_match(prefix, monkeypatch):
     # a record of 4 antennas: antenna 1 was never written (capped), a kept -0.0
@@ -345,8 +359,8 @@ def test_kept_record_recomputes_exactly_the_entries_it_does_not_match(prefix, mo
 
 # criterion-09 shape: random thresholds at seed 4 leave margins below the
 # Mills cut; fixed zero thresholds give separable antennas that hit the norm
-# cap; OQ's trial 3 at L=16 stalls one antenna's line search, and its
-# trial 20 under master seed 99 stops one at the rounding floor
+# cap; OQ's trial 3 at L=16 gets a stalled line search built in (_stalling),
+# and its trial 20 under master seed 99 stops one at the rounding floor
 @pytest.mark.parametrize("policy, seed, deep_tail", [("random", 4, True), ("fixed", 9, False),
                                                      ("stalled", 3, True), ("floor", 20, True),
                                                      ("max_iter", 4, True)])
@@ -361,6 +375,8 @@ def test_newton_loop_evaluates_special_functions_once_per_point(policy, seed, de
                                        policy="fixed" if policy == "fixed" else "random")
     if policy == "max_iter":
         monkeypatch.setattr(mle, "MAX_ITER", 2)
+    if policy == "stalled":
+        monkeypatch.setattr(mle, "_line_search", _stalling(mle._line_search, model.M))
     B, T = prob.signs, prob.thresholds
     margins, logcdf, mills, fallback, searches = [], [], [], [], []
 
@@ -457,7 +473,7 @@ def test_final_check_record_is_unwritten_exactly_for_capped_antennas(monkeypatch
 EXACT_CASES = {
     "16-8": [(s, 16, 8, L, 15.0, t, 7) for s in ("FQ", "RQ", "OQ", "AQ")
              for L in (32, 256) for t in (0, 1)],
-    # stalled line searches: 1 of 12 rows at L=16, the last row at L=32
+    # each solve's second line search stalls one row (_stalling)
     "stalled": [("OQ", 16, 8, 16, 15.0, 3, 7), ("OQ", 16, 8, 32, 30.0, 1, 7)],
     "capped": [(s, 16, 8, L, 15.0, 0, 7) for s in ("FQ", "AQ") for L in (32, 256)],
     "max_iter": [(s, 16, 8, L, 15.0, 0, 7) for s in ("RQ", "AQ") for L in (32, 256)],
@@ -471,6 +487,8 @@ def test_final_check_reuses_log_phi_bit_for_bit(case, monkeypatch):
     if case == "max_iter":
         monkeypatch.setattr(mle, "MAX_ITER", 2)
     searches, line_search = [], mle._line_search
+    if case == "stalled":
+        line_search = _stalling(line_search, 16)
 
     def recorded(*args):
         out = line_search(*args)
@@ -629,13 +647,28 @@ def _rows_with_squares(squares, width):
         while a * a > q:
             a = np.nextafter(a, 0.0)
         row[0], row[1] = a, np.sqrt(q - a * a)
-    assert np.array_equal(mle._row_squares(rows), np.asarray(squares))
+    assert np.array_equal(np.add.reduce(rows * rows, axis=1), np.asarray(squares))
     return rows
+
+
+def _largest_square_within(r):
+    """The largest float q whose rounded sqrt(q) is at most r >= 0: a row
+    norm exceeds r exactly when its sum of squares exceeds q, since sqrt
+    rounds correctly and so is monotone.  r * r is within an ulp or two of
+    q, which the two walks settle."""
+    if r == math.inf:
+        return r
+    q = r * r
+    while math.sqrt(q) > r:
+        q = math.nextafter(q, -math.inf)
+    while math.sqrt(math.nextafter(q, math.inf)) <= r:
+        q = math.nextafter(q, math.inf)
+    return q
 
 
 def _first_with_threshold_above_square(x, scale=1.0):
     """The first float from x up whose x * scale has its threshold above (x * scale)^2."""
-    while mle._largest_square_within(x * scale) == (x * scale) ** 2:
+    while _largest_square_within(x * scale) == (x * scale) ** 2:
         x = math.nextafter(x, math.inf)
     return x
 
@@ -648,12 +681,16 @@ ABOVE_SQUARE = _first_with_threshold_above_square(1.05)
                          + [mle.NORM_CAP, 3.0, ROUNDS_UP, ROUNDS_DOWN, ABOVE_SQUARE,
                             0.0, 1e-300, 1e200, np.inf])
 def test_squared_norm_threshold_decides_as_the_root_does(r):
-    # sqrt(q) > r exactly when q exceeds the threshold, at it and a few ulp either
-    # side; r * r underflows at 1e-300 and overflows at 1e200
-    t = mle._largest_square_within(r)
-    for q in _ulps_around(t):
-        if q >= 0:
-            assert (q > t) == (np.sqrt(q) > r), (r, t, q)
+    # the loop's row-norm test, _row_norms(X) > r, flips exactly above the
+    # largest square t whose root is at most r: rows whose sums of squares
+    # are t and a few ulp either side, where r * r underflows at 1e-300 and
+    # overflows at 1e200; the norms are np.linalg.norm's bit for bit
+    t = _largest_square_within(r)
+    squares = [q for q in _ulps_around(t) if 0 <= q < math.inf]
+    rows = _rows_with_squares(squares, 4)
+    norms = mle._row_norms(rows)
+    assert np.array_equal(norms, np.linalg.norm(rows, axis=1))
+    assert np.array_equal(norms > r, np.array(squares) > t)
     if np.isfinite(r):
         assert np.sqrt(t) <= r < np.sqrt(math.nextafter(t, math.inf))
 
@@ -668,7 +705,7 @@ def test_gradient_test_in_the_loop_at_its_threshold(grad_tol, monkeypatch):
     # decrement test's floor; the last one has t above tol * tol)
     monkeypatch.setattr(mle, "GRAD_TOL", grad_tol)
     tol = grad_tol * 12  # one batch at L=6
-    t = mle._largest_square_within(tol)
+    t = _largest_square_within(tol)
     squares = sorted(set(_ulps_around(t)) | set(_ulps_around(tol * tol, 1)))
     model, ch, prob = make_problem(M=len(squares), K=2, L=6, seed=3, snr_db=5.0)
     G = _rows_with_squares(squares, 2 * model.K)
@@ -698,6 +735,9 @@ def test_gradient_test_in_the_loop_at_its_threshold(grad_tol, monkeypatch):
 
 
 def test_decrement_guard_reaches_the_exact_test_whenever_a_row_is_flat():
+    # _flat_rows is the row-by-row test, or None when no row passes, at
+    # slopes an ulp or two around its edge and around 2^-49 |ll0|, for
+    # zero, subnormal, normal and huge log-likelihoods
     tiny, sub = np.finfo(float).tiny, 5e-324
     lls = [0.0, -0.0, -sub, -1e-310, -tiny, -1.0, -33.7, -1e300]
     slopes = {0.0, -0.0, sub, 2 * sub, 4 * sub, 5 * sub, tiny / 2, tiny, 1e-3,
@@ -715,7 +755,7 @@ def test_decrement_guard_reaches_the_exact_test_whenever_a_row_is_flat():
                 assert not today.any(), (ll, slopes[rows])
             else:
                 assert np.array_equal(flat, today)
-    # an ll0 of +-0 with a subnormal slope is flat: the floor sends it to the exact test
+    # an ll0 of +-0 with a subnormal slope is flat
     for ll in (0.0, -0.0):
         assert mle._flat_rows(np.array([2 * sub, 1.0]), np.array([ll, -1.0])).tolist() == \
             [True, False]
@@ -731,7 +771,7 @@ def test_norm_cap_decided_on_squared_norms_at_its_boundary(cap, full_step, near,
     # rounded cap * cap and an ulp either side); the next sees only the rows
     # that today's test, sqrt(q) > NORM_CAP, keeps, and a capped row is scaled
     monkeypatch.setattr(mle, "NORM_CAP", cap)
-    t = mle._largest_square_within(cap)
+    t = _largest_square_within(cap)
     squares = {"threshold": _ulps_around(t, 1), "within": _ulps_around(t, 1)[:2],
                "square": _ulps_around(cap * cap, 1)}[near]
     model, ch, prob = make_problem(M=len(squares), K=2, L=6, seed=3, snr_db=5.0)
