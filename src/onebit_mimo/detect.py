@@ -67,10 +67,8 @@ SCREEN_ROWS = 256   # quarter rows per float32 screen piece (256 x 512 float32 =
 TERMS_BLOCK = 2 ** 16  # bytes of comparator inputs per log-Phi block (256 rows at M=16)
 SCREEN_BLOCK = 64   # hypotheses per float32 screen block
 SCREEN_GROUP = 4 ** 5  # quarter rows per screen group, whose images are whole confirm tiles
-# Fewest hypotheses the screen runs for; below it, it costs more than the
-# float64 scoring it saves (at M=16 and 1,500 frames, without -> with the
-# quarter screen: K=5 3.0-3.3 -> 7.7-10.2 ms, K=6 12.1-14.2 -> 15.4-22.8 ms,
-# but K=7 50-76 -> 30-36 ms).
+# Fewest hypotheses the screen runs for: below 4^7 hypotheses the screen
+# costs more than the float64 scoring it saves.
 SCREEN_MIN_HYP = 4 ** 7
 F32_EPS = 2.0 ** -24  # float32 unit roundoff
 F32_SAFE = 2.0 ** 126  # largest score magnitude the float32 screen takes

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -320,7 +321,8 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     tasks = sweep_tasks(cfg)
     if cfg.threads <= 1:
         return [run_trial(**t) for t in tasks]
-    workers = min(cfg.threads, len(tasks))  # the pool forks every worker up front
+    # the pool forks every worker up front: no more than there are tasks or cores
+    workers = min(cfg.threads, len(tasks), os.cpu_count() or 1)
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trial_worker, tasks, chunksize=chunk))

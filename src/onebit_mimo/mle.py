@@ -16,26 +16,16 @@ model) and s = b * (a^T h - tau),
 
 which are finite and well-scaled arbitrarily deep into both tails.
 
-The Newton loop evaluates log Phi once per point it visits: the margins
-and log Phi of each line search's rows are carried into the next step
-(with their per-antenna sums, when every antenna took its full step and
-none left the working set), and mills(s) is taken from them through
-gauss.mills_from_logcdf (erfcx only in the deep left tail).  solve_ml keeps
-one record of each antenna's last evaluation, two (n_batches, M, 2L) arrays
-that start as NaN: an antenna that leaves the working set, or is still in it
-when the loop ends, writes the margins and log Phi of its final row there; a
-capped antenna writes nothing.  The final check recomputes every margin of
-the final iterate with one full-width product and runs log Phi only where a
-margin's bits differ from the record's: a capped row, or a row whose product
-rounded otherwise.  Reuse is keyed on the bits of each margin, not on rows,
-because a product over part of the working set need not match the full one:
-one row takes numpy's gemv path, and the BLAS kernel, with its summation
-order, can change with the number of rows.
-solve_ml's memo hands the final margins and log Phi on to AQ's next round,
-as a record of its first batches, whose start then runs log Phi only on its
+The Newton loop evaluates log Phi once per point it visits: each line
+search hands its rows' margins and log Phi to the next step, and mills(s)
+is taken from them through gauss.mills_from_logcdf (erfcx only in the deep
+left tail).  The final check recomputes every margin of the final iterate
+with one full-width product and runs log Phi on it once.  solve_ml's memo
+hands those margins and log Phi on to AQ's next round, whose start copies
+log Phi wherever a margin keeps the memo's bits, and so runs it only on its
 new batch and on the rows run_aq shrank.  log_likelihood, gradient and
 hessian_action recompute margins and call norm_logcdf / mills_ratio
-directly, so they stay independent of that bookkeeping.
+directly.
 
 Each Newton step's -Hessian blocks sum_r curv_r a_r a_r^T come from
 RealModel.block_gram, the kernel crb.fim uses too: one GEMM of the
@@ -52,8 +42,6 @@ as stalled and leaves the verdict to the final gradient check.
 
 In the Newton loop the gradient test and the norm cap compare each row's
 Euclidean norm with the tolerance and with NORM_CAP (read at each call).
-After a line search in which every row took its full step, the cap's and
-the exits' bookkeeping is skipped unless some row's norm exceeds NORM_CAP.
 Only rows that leave the working set, and the rows left when the loop ends,
 are written back to the estimate, which the loop never reads.
 """
@@ -163,18 +151,16 @@ def _batch_sum(X):
     return X[0] if len(X) == 1 else X.sum(axis=0)
 
 
-def _curvature(S, lam, s_min=None):
+def _curvature(S, lam):
     """-d2l/dz2 = lam (s + lam) per measurement, summed over batches.
 
     For s -> -inf, s + lam(s) = -t (1 - 2t^2 + 10t^4 - ...) with t = 1/s,
     used below CURVATURE_SERIES_BELOW, where the direct sum cancels (and can
     even turn negative).  One S.min() keeps ordinary margins on the direct
-    path at the cost of a single reduction; s_min, if given, is that
-    minimum or any lower bound of it (the Newton step's, taken before its
-    working set shrank).
+    path at the cost of a single reduction.
     """
     gap = S + lam
-    if (S.min() if s_min is None else s_min) < CURVATURE_SERIES_BELOW:
+    if S.min() < CURVATURE_SERIES_BELOW:
         far = S < CURVATURE_SERIES_BELOW
         t = 1.0 / S[far]
         t2 = t * t
@@ -231,19 +217,17 @@ def _line_search(Hs, step, slope, ll0, Bs, Ts, At, S0, LP0):
     ll0 is each row's log-likelihood, slope its directional derivative
     G.step, and S0, LP0 its margins and elementwise log Phi.  Returns the
     new rows (a row whose search failed keeps its Hs value), their margins
-    and log Phi (a row that did not accept keeps its S0, LP0 bits), which
-    rows accepted a step, and, when every row accepted the full step, the
-    rows' log-likelihoods LP.sum(axis=(0, 2)) (else None).  A trial that
-    rounds back to its start row is never accepted: that row has stalled.
+    and log Phi (a row that did not accept keeps its S0, LP0 bits), and
+    which rows accepted a step.  A trial that rounds back to its start row
+    is never accepted: that row has stalled.
     """
     Hnew = Hs + step
     S = _margins(Hnew, Bs, Ts, At)
     LP = norm_logcdf(S)
     moved = (Hnew != Hs).any(axis=1)
-    ll = LP.sum(axis=(0, 2))
-    accepted = (ll >= ll0 + ARMIJO_C1 * slope) & moved
+    accepted = (LP.sum(axis=(0, 2)) >= ll0 + ARMIJO_C1 * slope) & moved
     if accepted.all():
-        return Hnew, S, LP, accepted, ll
+        return Hnew, S, LP, accepted
 
     pend = np.flatnonzero(~accepted & moved)
     t = 1.0
@@ -264,7 +248,7 @@ def _line_search(Hs, step, slope, ll0, Bs, Ts, At, S0, LP0):
     back = ~accepted
     if back.any():  # most searches that backtrack end with every row accepted
         Hnew[back], S[:, back], LP[:, back] = Hs[back], S0[:, back], LP0[:, back]
-    return Hnew, S, LP, accepted, None
+    return Hnew, S, LP, accepted
 
 
 def _row_norms(X):
@@ -279,12 +263,11 @@ def _flat_rows(slope, ll0):
 
 
 def _logcdf_reusing(S, known):
-    """log Phi(S), copied from a kept record wherever a margin has its bits.
+    """log Phi(S), copied from a memo wherever a margin has its bits.
 
     known is None or one (S_k, LP_k) pair: margins and their log Phi for
-    every antenna over S's first len(S_k) batches, NaN where none was kept.
-    norm_logcdf runs once, on every entry whose bits the record's margin does
-    not have.  A record as long as S is filled in place and returned.
+    every antenna over S's first len(S_k) batches.  norm_logcdf runs once,
+    on every entry whose bits the memo's margin does not have.
     """
     if known is None:
         return norm_logcdf(S)
@@ -292,9 +275,8 @@ def _logcdf_reusing(S, known):
     n = len(S_k)
     fresh = np.ones(S.shape, dtype=bool)
     fresh[:n] = S[:n].view(np.int64) != S_k.view(np.int64)
-    LP = LP_k if n == len(S) else np.concatenate((LP_k, np.empty_like(S[n:])))
-    if fresh.any():
-        LP[fresh] = norm_logcdf(S[fresh])
+    LP = np.concatenate((LP_k, np.empty_like(S[n:])))
+    LP[fresh] = norm_logcdf(S[fresh])
     return LP
 
 
@@ -317,11 +299,10 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
     maximizer: its iterate runs out along a ray until the decaying gradient
     passes the GRAD_TOL test (rarely, until it is clamped at NORM_CAP), and
     the result is flagged converged=False rather than returned silently.
-    memo, if given, is a list that holds at most one (S, LP) pair, a record
-    as _logcdf_reusing takes it.  The start reuses and empties it, and the
-    solve leaves the final check's margins and log Phi in it: AQ's round k+1
-    starts from round k's estimate on the same batches plus one, so most of
-    its first margins have the bits of round k's final ones.
+    memo, if given, is a list that holds at most one (S, LP) pair, as
+    _logcdf_reusing takes it.  The start reuses and empties it, and the
+    solve leaves the final check's margins and log Phi in it: AQ's next
+    round starts from this estimate, so most of its first margins keep them.
     """
     m = prob.model
     At = m.A_tilde
@@ -339,73 +320,58 @@ def solve_ml(prob: LikelihoodProblem, h0: np.ndarray | None = None,
     # Working set of the active antennas: their indices, rows, data, margins
     # and log Phi of the margins.  Antennas only leave it, and each line
     # search hands its rows' margins and log Phi to the next step.  An
-    # antenna that leaves, other than by the cap, writes its row to H and its
-    # margins and log Phi to the kept record, which the final check reads.
+    # antenna that leaves writes its row to H.
     idx, Hs, Bs, Ts = np.arange(M), H.copy(), B, T
     S = _margins(Hs, Bs, Ts, At)
     LP = _logcdf_reusing(S, memo.pop() if memo else None)
-    S_kept, LP_kept = np.full(B.shape, np.nan), np.full(B.shape, np.nan)
-    ll0 = None  # the rows' log-likelihoods, when carried from the line search
-
-    def leave(out):
-        rows = idx[out]
-        H[rows], S_kept[:, rows], LP_kept[:, rows] = Hs[out], S[:, out], LP[:, out]
 
     for _ in range(MAX_ITER):
         if idx.size == 0:
             break
         iters_used += 1
 
-        s_min = S.min()
-        lam = mills_from_logcdf(S, LP, s_min)
+        lam = mills_from_logcdf(S, LP)
         G = _score(Bs, lam, At)
         keep = _row_norms(G) > tol
         if not keep.all():
-            leave(~keep)
+            H[idx[~keep]] = Hs[~keep]
             idx, Hs, Bs, Ts, S, LP, lam, G = _keep(keep, idx, Hs, Bs, Ts, S, LP, lam, G)
-            ll0 = None
             if idx.size == 0:
                 break
 
-        step = _newton_direction(m.block_gram(_curvature(S, lam, s_min)), G)
+        step = _newton_direction(m.block_gram(_curvature(S, lam)), G)
         slope = (G * step).sum(axis=1)
-        if ll0 is None:
-            ll0 = LP.sum(axis=(0, 2))
+        ll0 = LP.sum(axis=(0, 2))
         # Newton decrement within rounding of the log-likelihood: no step
         # can show a gain the Armijo test could see.
         flat = _flat_rows(slope, ll0)
         if flat is not None:
             at_floor[idx[flat]] = True
-            leave(flat)
+            H[idx[flat]] = Hs[flat]
             idx, Hs, Bs, Ts, S, LP, step, slope, ll0 = _keep(
                 ~flat, idx, Hs, Bs, Ts, S, LP, step, slope, ll0)
             if idx.size == 0:
                 break
 
-        Hs, S, LP, accepted, ll0 = _line_search(Hs, step, slope, ll0, Bs, Ts, At, S, LP)
+        Hs, S, LP, accepted = _line_search(Hs, step, slope, ll0, Bs, Ts, At, S, LP)
         norms = _row_norms(Hs)
-        if ll0 is None or norms.max() > NORM_CAP:  # else every row took its full step and stays
-            blown = norms > NORM_CAP
-            if blown.any():
-                H[idx[blown]] = Hs[blown] * (NORM_CAP / norms[blown])[:, None]
-                capped[idx[blown]] = True
+        blown = norms > NORM_CAP
+        if blown.any():
+            Hs[blown] *= (NORM_CAP / norms[blown])[:, None]
+            capped[idx[blown]] = True
 
-            # Stalled antennas (no step accepted) leave too, at the row they
-            # kept: either at the optimum to rounding or genuinely stuck; the
-            # final gradient check below decides which.  A sum over a shrunk
-            # working set is taken afresh: numpy sums a (k, 1, 2L) block over
-            # axes (0, 2) as one run, which can round differently.
-            keep = accepted & ~blown
-            if not keep.all():
-                leave(~accepted & ~blown)
-                idx, Hs, Bs, Ts, S, LP = _keep(keep, idx, Hs, Bs, Ts, S, LP)
-                ll0 = None
-    if idx.size:
-        leave(slice(None))
-    del S, LP  # the record holds what the final check reads
+        # Capped antennas leave, scaled back to NORM_CAP, and so do stalled
+        # ones (no step accepted), at the row they kept: either at the
+        # optimum to rounding or genuinely stuck; the final gradient check
+        # below decides which.
+        keep = accepted & ~blown
+        if not keep.all():
+            H[idx[~keep]] = Hs[~keep]
+            idx, Hs, Bs, Ts, S, LP = _keep(keep, idx, Hs, Bs, Ts, S, LP)
+    H[idx] = Hs
 
     S_final = _margins(H, B, T, At)
-    LP_final = _logcdf_reusing(S_final, (S_kept, LP_kept))
+    LP_final = norm_logcdf(S_final)
     g_final = _score(B, mills_from_logcdf(S_final, LP_final), At)
     per_antenna = _row_norms(g_final)
     ll_per_antenna = LP_final.sum(axis=(0, 2))

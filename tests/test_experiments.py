@@ -140,8 +140,10 @@ class RecordingPool:
         return map(fn, tasks)
 
 
-@pytest.mark.parametrize("trials,threads,workers", [(1, 3, 1), (2, 3, 2), (3, 2, 2)])
+@pytest.mark.parametrize("trials,threads,workers", [(1, 3, 1), (2, 3, 2), (3, 2, 2), (4, 64, 2)])
 def test_pool_never_outnumbers_tasks(monkeypatch, trials, threads, workers):
+    # nor the cores, here two on any host
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     rows = run_sweep(tiny_config(schemes=["NQ"], trials=trials, threads=threads).validate())

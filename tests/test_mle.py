@@ -264,11 +264,9 @@ def test_step_that_rounds_back_to_its_row_is_stalled():
     ll0 = LP0.sum(axis=(0, 2))
     # slope 0 lets Armijo pass on equality, which an unmoved row always meets
     step, slope = np.full_like(Hs, 1e-20), np.zeros(model.M)
-    Hnew, S, LP, accepted, ll = mle._line_search(Hs, step, slope, ll0, B, T, model.A_tilde,
-                                                 S0, LP0)
+    Hnew, S, LP, accepted = mle._line_search(Hs, step, slope, ll0, B, T, model.A_tilde, S0, LP0)
     assert not accepted.any()
     assert np.array_equal(Hnew, Hs)
-    assert ll is None  # no row took the full step, so no sum is carried
     # a row that did not accept hands back its start's margins and log Phi
     assert np.array_equal(_bits(S), _bits(S0)) and np.array_equal(_bits(LP), _bits(LP0))
 
@@ -288,8 +286,8 @@ def test_line_search_hands_back_the_start_of_every_row_it_does_not_accept():
     slope = (G * step).sum(axis=1)
     ll0 = LP0.sum(axis=(0, 2))
     ll0[1] = 0.0
-    Hnew, S, LP, accepted, ll = mle._line_search(Hs, step, slope, ll0, B, T, At, S0, LP0)
-    assert accepted.tolist() == [True, False] and ll is None
+    Hnew, S, LP, accepted = mle._line_search(Hs, step, slope, ll0, B, T, At, S0, LP0)
+    assert accepted.tolist() == [True, False]
     assert (Hnew[0] != Hs[0]).any() and (Hnew[0] != Hs[0] + step[0]).any()
     assert np.array_equal(Hnew[1], Hs[1])
     assert np.array_equal(_bits(S[:, 1]), _bits(S0[:, 1]))
@@ -316,18 +314,16 @@ def _stalling(line_search, M):
     return call
 
 
-@pytest.mark.parametrize("prefix", [False, True])
-def test_kept_record_recomputes_exactly_the_entries_it_does_not_match(prefix, monkeypatch):
-    # a record of 4 antennas: antenna 1 was never written (capped), a kept -0.0
-    # meets a final +0.0, and two of antenna 2's margins rounded otherwise;
-    # AQ's start reads a record of all batches but the new last one, and the
-    # final check one as long as S, which it fills in place.  An entry the
-    # record does not match holds +1.0, which no log Phi is.
+def test_memo_recomputes_exactly_the_entries_it_does_not_match(monkeypatch):
+    # AQ's start reads a memo of all batches but the new last one: antenna 1's
+    # row was shrunk, so none of its margins keeps its bits, a kept -0.0 meets
+    # a new +0.0, and two of antenna 2's margins rounded otherwise.  An entry
+    # the memo does not match holds +1.0, which no log Phi is.
     S = np.random.default_rng(0).normal(scale=3.0, size=(3, 4, 6))
     S[0, 3, 2] = 0.0
-    n = 2 if prefix else 3
+    n = 2
     S_k, LP_k = S[:n].copy(), gauss.norm_logcdf(S[:n])
-    S_k[:, 1] = np.nan
+    S_k[:, 1] = np.nextafter(S_k[:, 1], np.inf)
     S_k[0, 3, 2] = -0.0
     S_k[1, 2, [0, 4]] = np.nextafter(S_k[1, 2, [0, 4]], np.inf)
     fresh = np.zeros(S.shape, dtype=bool)
@@ -335,7 +331,6 @@ def test_kept_record_recomputes_exactly_the_entries_it_does_not_match(prefix, mo
     fresh[:n, 1] = True
     fresh[0, 3, 2] = fresh[1, 2, 0] = fresh[1, 2, 4] = True
     LP_k[fresh[:n]] = 1.0
-    LP_k[:, 1] = np.nan
     seen = []
 
     def recorded(t):
@@ -346,13 +341,8 @@ def test_kept_record_recomputes_exactly_the_entries_it_does_not_match(prefix, mo
     LP = mle._logcdf_reusing(S, (S_k, LP_k))
     assert np.array_equal(_bits(LP), _bits(gauss.norm_logcdf(S)))
     assert len(seen) == 1 and np.array_equal(_bits(seen[0]), _bits(S[fresh]))
-    assert (LP is LP_k) == (not prefix)
-    # a record that matches every entry runs no log Phi, and no record runs it on S
+    # with no memo, log Phi runs on S
     seen.clear()
-    LP_all = gauss.norm_logcdf(S[:n])
-    assert np.array_equal(_bits(mle._logcdf_reusing(S[:n], (S[:n].copy(), LP_all))),
-                          _bits(LP_all))
-    assert not seen
     mle._logcdf_reusing(S, None)
     assert len(seen) == 1 and np.array_equal(_bits(seen[0]), _bits(S))
 
@@ -401,27 +391,14 @@ def test_newton_loop_evaluates_special_functions_once_per_point(policy, seed, de
     # log Phi runs once per margin evaluation of the loop (the start and each
     # line-search trial), on the margins array itself
     *loop, (_, S_final) = margins
-    assert len(logcdf) in (len(loop), len(loop) + 1)
+    assert len(logcdf) == len(loop) + 1
     assert all(arg is S for arg, (_, S) in zip(logcdf, loop))
-    # the final check recomputes the margins and runs log Phi only on those
-    # whose bits differ from the evaluation that took the antenna to its
-    # final row (every margin of a row the loop never evaluated, as a capped
-    # one; a stalled row's unmoved trial evaluates that row again)
-    antenna = {(B[:, a].tobytes(), T[:, a].tobytes()): a for a in range(model.M)}
-    assert len(antenna) == model.M
-    H = est.h_hat.reshape(model.M, -1)
-    kept = np.full(S_final.shape, np.nan)
-    seen = np.zeros(model.M, dtype=bool)
-    for (Hs, Bs, Ts, _), S in loop:
-        for j in range(Hs.shape[0]):
-            a = antenna[Bs[:, j].tobytes(), Ts[:, j].tobytes()]
-            if not seen[a] and np.array_equal(Hs[j], H[a]):
-                kept[:, a], seen[a] = S[:, j], True
-    fresh = _bits(S_final) != _bits(kept)
-    assert not fresh.all()
-    assert len(logcdf) == len(loop) + bool(fresh.any())
-    if fresh.any():
-        assert np.array_equal(_bits(logcdf[-1]), _bits(S_final[fresh]))
+    # the final check recomputes every margin of the final iterate with one
+    # full-width product and runs log Phi once, on exactly those margins
+    (H, Bs, Ts, _), _ = margins[-1]
+    assert H.shape == (model.M, 2 * model.K) and Bs is B and Ts is T
+    assert np.array_equal(_bits(H.reshape(-1)), _bits(est.h_hat))
+    assert logcdf[-1] is S_final
     # Mills comes from log Phi, in the loop and in the final check: erfcx
     # runs for deep-tail margins only
     assert not mills
@@ -447,27 +424,6 @@ def _solves(monkeypatch, cases):
 
 def _no_reuse(S, known):
     return gauss.norm_logcdf(S)
-
-
-def test_final_check_record_is_unwritten_exactly_for_capped_antennas(monkeypatch):
-    # a cap near the channels' typical norm clamps some antennas; the record
-    # the final check reads holds NaN for them and margins for the rest
-    monkeypatch.setattr(mle, "NORM_CAP", 3.0)
-    model, ch, prob = make_problem(M=16, K=8, L=32, seed=4, snr_db=15.0)
-    records, reusing = [], mle._logcdf_reusing
-
-    def recorded(S, known):
-        records.append(None if known is None else [a.copy() for a in known])
-        return reusing(S, known)
-
-    monkeypatch.setattr(mle, "_logcdf_reusing", recorded)
-    est = mle.solve_ml(prob)
-    S_k, LP_k = records[-1]
-    capped = np.isclose(np.linalg.norm(est.h_hat.reshape(model.M, -1), axis=1), 3.0,
-                        rtol=1e-12)
-    assert capped.any() and not capped.all()
-    for kept in (S_k, LP_k):
-        assert np.isnan(kept[:, capped]).all() and np.isfinite(kept[:, ~capped]).all()
 
 
 EXACT_CASES = {
@@ -557,38 +513,6 @@ def test_aq_start_evaluates_only_the_new_batch_and_changed_rows(monkeypatch):
         assert not (changed & (h0 == before.h_hat).reshape(m.M, -1).all(axis=1)).any()
         changed_rounds += changed.any()
     assert changed_rounds > 0
-
-
-@pytest.mark.parametrize("norm_cap", [mle.NORM_CAP, 3.0])
-def test_carried_log_likelihoods_equal_fresh_sums(norm_cap, monkeypatch):
-    # the oracle hands no sum on, so every ll0 is LP.sum(axis=(0, 2)) of the
-    # working set; AQ's many-batch sums include the fixed config's
-    # (M=8, K=4, L=16, seed 3, trial 3), whose verdict a sum carried across a
-    # compaction to one row flipped; a low cap makes rows leave after full steps
-    monkeypatch.setattr(mle, "NORM_CAP", norm_cap)
-    cases = [("AQ", 8, 4, 16, 10.0, 3, 3), ("AQ", 16, 8, 32, 15.0, 1, 7),
-             ("AQ", 16, 8, 256, 15.0, 1, 7), ("RQ", 16, 8, 256, 15.0, 0, 7)]
-    line_search = mle._line_search
-
-    def run(carry):
-        sums, carried, last = [], [0], [None]
-
-        def recorded(*args):
-            sums.append(_bits(args[3]))
-            carried[0] += args[3] is last[0]
-            out = line_search(*args)
-            last[0] = out[4] if carry else None
-            return out if carry else (*out[:4], None)
-
-        monkeypatch.setattr(mle, "_line_search", recorded)
-        _solves(monkeypatch, cases)
-        return sums, carried[0]
-
-    sums, carried = run(True)
-    fresh_sums, _ = run(False)
-    assert carried > 0
-    assert len(sums) == len(fresh_sums)
-    assert all(np.array_equal(a, b) for a, b in zip(sums, fresh_sums))
 
 
 def test_newton_blocks_are_exactly_symmetric(monkeypatch):
@@ -723,7 +647,7 @@ def test_gradient_test_in_the_loop_at_its_threshold(grad_tol, monkeypatch):
         seen.append(Hs.copy())
         Hnew = h1.copy() if len(seen) == 1 else Hs.copy()
         S = mle._margins(Hnew, Bs, Ts, At)
-        return Hnew, S, mle.norm_logcdf(S), np.full(len(Hs), len(seen) == 1), None
+        return Hnew, S, mle.norm_logcdf(S), np.full(len(Hs), len(seen) == 1)
 
     monkeypatch.setattr(mle, "_score", scripted_score)
     monkeypatch.setattr(mle, "_line_search", line_search)
@@ -763,41 +687,45 @@ def test_decrement_guard_reaches_the_exact_test_whenever_a_row_is_flat():
 
 
 @pytest.mark.parametrize("cap", [ROUNDS_UP, ROUNDS_DOWN, ABOVE_SQUARE])
-@pytest.mark.parametrize("full_step", [True, False])
+@pytest.mark.parametrize("with_stall", [True, False])
 @pytest.mark.parametrize("near", ["threshold", "within", "square"])
-def test_norm_cap_decided_on_squared_norms_at_its_boundary(cap, full_step, near, monkeypatch):
-    # one line search takes every row to a squared norm at the cap's boundary
-    # (the threshold t and an ulp either side, or t and the ulp below, or the
-    # rounded cap * cap and an ulp either side); the next sees only the rows
-    # that today's test, sqrt(q) > NORM_CAP, keeps, and a capped row is scaled
+def test_norm_cap_decided_on_squared_norms_at_its_boundary(cap, with_stall, near, monkeypatch):
+    # after a first step inside the cap, one line search takes every row to a
+    # squared norm at the cap's boundary (the threshold t and an ulp either
+    # side, or t and the ulp below, or the rounded cap * cap and an ulp either
+    # side); the next sees only the rows that today's test, sqrt(q) > NORM_CAP,
+    # keeps, and a capped row is scaled.  with_stall adds a last row that
+    # stalls in that search, and so leaves at its row in the same step as the
+    # capped rows
     monkeypatch.setattr(mle, "NORM_CAP", cap)
     t = _largest_square_within(cap)
     squares = {"threshold": _ulps_around(t, 1), "within": _ulps_around(t, 1)[:2],
                "square": _ulps_around(cap * cap, 1)}[near]
-    model, ch, prob = make_problem(M=len(squares), K=2, L=6, seed=3, snr_db=5.0)
+    model, ch, prob = make_problem(M=len(squares) + with_stall, K=2, L=6, seed=3, snr_db=5.0)
     targets = _rows_with_squares(squares, 2 * model.K)
+    n = len(targets)
     seen = []
 
     def line_search(Hs, step, slope, ll0, Bs, Ts, At, S0, LP0):
-        if not seen:
-            assert Hs.shape == targets.shape
-            Hnew = targets.copy()
-            accepted = np.ones(len(Hnew), dtype=bool)
-        else:  # every row stalls, and leaves
-            Hnew = Hs.copy()
-            accepted = np.zeros(len(Hnew), dtype=bool)
         seen.append(Hs.copy())
+        Hnew, accepted = Hs.copy(), np.zeros(len(Hs), dtype=bool)
+        if len(seen) == 1:  # every row steps inside the cap
+            Hnew[:n], Hnew[n:], accepted[:] = targets / 2, 0.05, True
+        elif len(seen) == 2:  # the first n rows reach the boundary, a last row stalls
+            Hnew[:n], accepted[:n] = targets, True
+        # in later searches every row stalls, and leaves
         S = mle._margins(Hnew, Bs, Ts, At)
-        LP = mle.norm_logcdf(S)
-        return Hnew, S, LP, accepted, LP.sum(axis=(0, 2)) if full_step and len(seen) == 1 else None
+        return Hnew, S, mle.norm_logcdf(S), accepted
 
     monkeypatch.setattr(mle, "_line_search", line_search)
     est = mle.solve_ml(prob)
     norms = mle._row_norms(targets)
     blown = norms > cap
     assert {"threshold": blown.any(), "within": not blown.any(), "square": not blown.all()}[near]
-    assert len(seen) == 2 and np.array_equal(seen[1], targets[~blown])
-    H = est.h_hat.reshape(targets.shape)
-    assert np.array_equal(H[~blown], targets[~blown])
-    assert np.array_equal(H[blown], targets[blown] * (cap / norms[blown])[:, None])
-    assert not est.antenna_converged[blown].any()
+    assert len(seen) == 3 and seen[1].shape == (model.M, targets.shape[1])
+    assert np.array_equal(seen[2], targets[~blown])
+    H = est.h_hat.reshape(model.M, -1)
+    assert np.array_equal(H[:n][~blown], targets[~blown])
+    assert np.array_equal(H[:n][blown], targets[blown] * (cap / norms[blown])[:, None])
+    assert (H[n:] == 0.05).all()
+    assert not est.antenna_converged[:n][blown].any()
